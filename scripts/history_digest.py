@@ -1,0 +1,44 @@
+#!/usr/bin/env python3
+"""Print one sha256 per ``history.csv`` and ``summary.csv`` of a fixed run matrix.
+
+Each case runs through ``meshshape.cli.main`` in a temporary directory; the
+runs' own console output goes to standard error.  Two builds write
+byte-identical histories exactly when this script prints the same lines for
+both, so compare two commits with ``diff``:
+
+    PYTHONPATH=src python scripts/history_digest.py > after.txt
+"""
+import contextlib
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from meshshape.cli import main
+
+CASES = (
+    ("exp2", ["experiment", "2"]),
+    ("elaseuc-disc50", ["optimize", "--variant", "ElasEuc", "--mesh", "disc:50", "--max-iter", "8"]),
+    ("compcomp-disc1", ["optimize", "--variant", "CompComp", "--mesh", "disc:1", "--max-iter", "2"]),
+    ("compeuc-set1-disc12", ["optimize", "--variant", "CompEuc", "--penalty", "set1", "--mesh", "disc:12"]),
+)
+
+
+def digest_lines():
+    os.environ.pop("MESHSHAPE_OUT", None)  # it would override --out
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in CASES:
+            out = Path(tmp) / name
+            with contextlib.redirect_stdout(sys.stderr):
+                code = main([*argv, "--out", str(out)])
+            yield f"exit {code}  {name}"
+            for path in sorted(out.rglob("*.csv")):
+                if path.name in ("history.csv", "summary.csv"):
+                    sha = hashlib.sha256(path.read_bytes()).hexdigest()
+                    yield f"{sha}  {path.relative_to(tmp)}"
+
+
+if __name__ == "__main__":
+    for line in digest_lines():
+        print(line, flush=True)

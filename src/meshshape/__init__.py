@@ -13,7 +13,6 @@ from .mesh import (
     uniform_refine,
 )
 from .penalty import (
-    AugmentationParams,
     PenaltyParams,
     mesh_quality,
     penalty_gradient,
@@ -31,7 +30,7 @@ from .fem import (
     solve_adjoint,
     solve_state,
 )
-from .metrics import MetricSpec, lame_parameters, metric_apply, retract_euclidean, to_gradient
+from .metrics import MetricSpec, lame_parameters, retract_euclidean
 from .geodesic import GeodesicConfig, retract_geodesic
 from .optimizer import (
     IterationRecord,

@@ -20,7 +20,14 @@ from .fem import (
     solve_adjoint,
     solve_state,
 )
-from .fileio import read_mesh, write_mesh, write_svg
+from .fileio import (
+    read_mesh,
+    write_history,
+    write_mesh,
+    write_svg,
+    write_timing,
+)
+from .geodesic import GeodesicConfig
 from .mesh import is_admissible, make_disc_mesh, make_square5_mesh, signed_areas
 from .optimizer import (
     CONVERGED,
@@ -43,8 +50,6 @@ PENALTY_PRESETS = {
     "set3": (0.015, 0.005, 0.0, 0.0005),
 }
 METRIC_ALPHA_PRESET = (10.0, 1.0, 0.0, 0.01)
-
-HISTORY_HEADER = "iter,Obj,Penalty,Total,mshQua,step,backtracks"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,7 +116,6 @@ _CONFIG_KEYS = {
     "out": str,
     "snapshot_stride": int,
     "geodesic_steps": int,
-    "seed": int,
     "fix_boundary": lambda s: s.lower() in ("1", "true", "yes"),
 }
 
@@ -134,7 +138,6 @@ def _resolve(args):
         "out": "out",
         "snapshot_stride": 0,
         "geodesic_steps": 1024,
-        "seed": 0,
         "fix_boundary": False,
     }
     for key, value in defaults.items():
@@ -144,28 +147,6 @@ def _resolve(args):
     if env_out:
         args.out = env_out
     return args
-
-
-def format_float(x: float) -> str:
-    return repr(float(x))
-
-
-def write_history(path, history):
-    lines = [HISTORY_HEADER]
-    for rec in history:
-        lines.append(
-            f"{rec.iter},{format_float(rec.objective)},{format_float(rec.penalty)},"
-            f"{format_float(rec.total)},{format_float(rec.theta)},"
-            f"{format_float(rec.step)},{rec.backtracks}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_timing(path, timer: PhaseTimer):
-    lines = ["phase,seconds"]
-    for name, seconds in timer.seconds.items():
-        lines.append(f"{name},{seconds:.6f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_check(args) -> int:
@@ -198,8 +179,6 @@ def _build_config(args, complex):
     if args.fix_boundary:
         mask = np.zeros(complex.num_vertices, dtype=bool)
         mask[complex.boundary_vertices] = True
-    from .geodesic import GeodesicConfig
-
     return OptimizerConfig(
         variant=args.variant,
         penalty=penalty,
@@ -349,7 +328,6 @@ def build_parser() -> _Parser:
     p_opt.add_argument("--fix-boundary", dest="fix_boundary", action="store_const", const=True, default=None)
     p_opt.add_argument("--snapshot-stride", dest="snapshot_stride", type=int, default=None)
     p_opt.add_argument("--geodesic-steps", dest="geodesic_steps", type=int, default=None)
-    p_opt.add_argument("--seed", type=int, default=None)
     p_opt.add_argument("--config", default=None)
 
     p_exp = sub.add_parser("experiment", help="run a scripted experiment batch")

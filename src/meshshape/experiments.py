@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .fem import model_rhs
+from .fileio import write_history, write_timing
 from .geodesic import GeodesicConfig
 from .mesh import make_disc_mesh
 from .optimizer import OptimizerConfig, PhaseTimer, steepest_descent
@@ -35,8 +36,6 @@ TIMING_HEADER = "label,variant,phase,seconds"
 
 
 def _run(complex, coords, config, outdir, label):
-    from .cli import write_history, write_timing  # avoid import cycle at module load
-
     rundir = outdir / label
     rundir.mkdir(parents=True, exist_ok=True)
     timer = PhaseTimer()

@@ -17,7 +17,13 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import NonpositiveArea, SingularSystem
-from .mesh import ConnectivityComplex, signed_areas
+from .mesh import (
+    ConnectivityComplex,
+    basis_gradients,
+    scatter_add,
+    signed_areas,
+    triangle_geometry,
+)
 
 
 @dataclass(frozen=True)
@@ -56,57 +62,41 @@ def constant_rhs(c: float) -> RhsField:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Stiffness, mass, centroid-rule load and interior-DOF bookkeeping."""
+    """Stiffness, centroid-rule load and interior-DOF bookkeeping."""
 
     stiffness: sparse.csr_matrix
-    mass: sparse.csr_matrix
     load: np.ndarray
     volume_weights: np.ndarray  # integral of each nodal basis function
     interior: np.ndarray        # indices of non-boundary vertices
 
 
-def _basis_gradients(p, areas):
-    # gradient of hat function at local vertex l: rot_{-90}(p_{l+1} - p_{l+2}) / (2A)
-    diff = p[:, [1, 2, 0]] - p[:, [2, 0, 1]]
-    rot = np.stack([diff[..., 1], -diff[..., 0]], axis=-1)
-    return rot / (2.0 * areas[:, None, None])
-
-
 def assemble(coords: np.ndarray, complex: ConnectivityComplex, rhs: RhsField) -> AssembledSystem:
-    """Assemble stiffness, mass, load and volume weights on the current mesh."""
+    """Assemble stiffness, load and volume weights on the current mesh."""
     tris = complex.triangles
     n_v = complex.num_vertices
-    p = coords[tris]
-    areas = signed_areas(coords, tris)
+    p, e, areas = triangle_geometry(coords, tris)
     if np.any(areas <= 0.0):
         raise NonpositiveArea("assembly requires positive areas")
 
-    grads = _basis_gradients(p, areas)  # (N_T, 3, 2)
+    grads = basis_gradients(e, areas)  # (N_T, 3, 2)
     k_loc = areas[:, None, None] * np.einsum("tld,tmd->tlm", grads, grads)
-
-    m_loc = (areas / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
 
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
     stiffness = sparse.coo_matrix(
         (k_loc.ravel(), (rows, cols)), shape=(n_v, n_v)
     ).tocsr()
-    mass = sparse.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n_v, n_v)).tocsr()
 
     centroids = p.mean(axis=1)
     r_c = np.asarray(rhs.value(centroids[:, 0], centroids[:, 1]), dtype=float)
-    load = np.zeros(n_v)
-    np.add.at(load, tris.ravel(), np.repeat(areas * r_c / 3.0, 3))
-
-    weights = np.zeros(n_v)
-    np.add.at(weights, tris.ravel(), np.repeat(areas / 3.0, 3))
+    load = scatter_add(n_v, (tris, np.repeat(areas * r_c / 3.0, 3)))
+    weights = scatter_add(n_v, (tris, np.repeat(areas / 3.0, 3)))
 
     interior = np.setdiff1d(
         np.arange(n_v), complex.boundary_vertices, assume_unique=True
     )
     return AssembledSystem(
         stiffness=stiffness,
-        mass=mass,
         load=load,
         volume_weights=weights,
         interior=interior,
@@ -174,11 +164,10 @@ def shape_derivative(
     gradient is *not* included here.
     """
     tris = complex.triangles
-    pts = coords[tris]
-    areas = signed_areas(coords, tris)
+    pts, e, areas = triangle_geometry(coords, tris)
     if np.any(areas <= 0.0):
         raise NonpositiveArea("derivative requires positive areas")
-    grads = _basis_gradients(pts, areas)  # (N_T, 3, 2): grad of hat at local vertex
+    grads = basis_gradients(e, areas)  # (N_T, 3, 2): grad of hat at local vertex
 
     y_loc = y[tris]
     p_loc = p[tris]
@@ -210,7 +199,4 @@ def shape_derivative(
         - ((areas * p_mean / 3.0)[:, None] * r_grad)[:, None, :]
     )
 
-    out = np.zeros(2 * complex.num_vertices)
-    np.add.at(out, 2 * tris.ravel(), contrib[..., 0].ravel())
-    np.add.at(out, 2 * tris.ravel() + 1, contrib[..., 1].ravel())
-    return out
+    return scatter_add(2 * complex.num_vertices, (complex.vertex_dofs, contrib))

@@ -7,10 +7,14 @@ indices.  Lines starting with ``#`` are ignored.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from .errors import ParseError
 from .mesh import ConnectivityComplex, build_complex
+
+HISTORY_HEADER = "iter,Obj,Penalty,Total,mshQua,step,backtracks"
 
 
 def _data_lines(text):
@@ -114,3 +118,27 @@ def write_svg(path, complex: ConnectivityComplex, coords: np.ndarray) -> None:
     parts.append("</svg>\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(parts))
+
+
+def format_float(x: float) -> str:
+    return repr(float(x))
+
+
+def write_history(path, history):
+    """Write one CSV row per iteration record under :data:`HISTORY_HEADER`."""
+    lines = [HISTORY_HEADER]
+    for rec in history:
+        lines.append(
+            f"{rec.iter},{format_float(rec.objective)},{format_float(rec.penalty)},"
+            f"{format_float(rec.total)},{format_float(rec.theta)},"
+            f"{format_float(rec.step)},{rec.backtracks}"
+        )
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_timing(path, timer):
+    """Write the per-phase seconds of a ``PhaseTimer`` as CSV."""
+    lines = ["phase,seconds"]
+    for name, seconds in timer.seconds.items():
+        lines.append(f"{name},{seconds:.6f}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -80,16 +80,36 @@ class ConnectivityComplex:
 
         Returns an ``(P, 3)`` int array of rows ``(i0, j0, j1)`` where
         ``[j0, j1]`` is a boundary edge and ``i0`` a boundary vertex that is
-        not an endpoint of it.
+        not an endpoint of it; rows run edge by edge, vertices ascending.
         """
-        rows = []
-        for j0, j1 in self.boundary_edges:
-            for i0 in self.boundary_vertices:
-                if i0 != j0 and i0 != j1:
-                    rows.append((i0, j0, j1))
-        if not rows:
-            return np.empty((0, 3), dtype=np.int64)
-        return np.asarray(rows, dtype=np.int64)
+        edge = np.repeat(self.boundary_edges, len(self.boundary_vertices), axis=0)
+        vertex = np.tile(self.boundary_vertices, len(self.boundary_edges))
+        keep = (vertex != edge[:, 0]) & (vertex != edge[:, 1])
+        return np.column_stack([vertex, edge])[keep]
+
+    @cached_property
+    def vertex_dofs(self) -> np.ndarray:
+        """Vec-order DOFs ``2 i + c`` of each triangle's vertices, shape (N_T, 3, 2)."""
+        return 2 * self.triangles[..., None] + np.arange(2)
+
+    @cached_property
+    def boundary_pair_dofs(self) -> np.ndarray:
+        """Vec-order DOFs of the vertex and the two edge endpoints of each
+        boundary pair, shape (3, P, 2), endpoint-major."""
+        return 2 * self.boundary_pairs.T[..., None] + np.arange(2)
+
+
+def scatter_add(size: int, *terms) -> np.ndarray:
+    """Sum ``(index, values)`` contributions of equal shapes into a
+    length-``size`` array.
+
+    All terms go through one ``np.bincount`` in the order given, so every
+    entry sums its contributions in exactly that order, as successive
+    unbuffered ``ufunc.at`` additions would.
+    """
+    index = np.concatenate([np.ravel(i) for i, _ in terms])
+    values = np.concatenate([np.ravel(v) for _, v in terms])
+    return np.bincount(index, weights=values, minlength=size)
 
 
 def build_complex(triangles, num_vertices: int) -> ConnectivityComplex:
@@ -133,19 +153,21 @@ def build_complex(triangles, num_vertices: int) -> ConnectivityComplex:
     edges = np.column_stack([uniq_keys // num_vertices, uniq_keys % num_vertices])
 
     # Orientation: the two traversals of an interior edge must be opposite,
-    # i.e. one must run lo->hi and the other hi->lo.
-    forward = (directed[:, 0] == lo).astype(np.int8)
+    # i.e. one must run lo->hi and the other hi->lo.  Half-edge ids are flat
+    # indices 3*triangle + local edge.
+    forward = directed[:, 0] == lo
+    interior = counts == 2
+    h0 = order[first[interior]]
+    h1 = order[first[interior] + 1]
+    same = forward[h0] == forward[h1]
+    if np.any(same):
+        bad = edges[interior][np.argmax(same)]
+        raise InconsistentOrientation(
+            f"edge {tuple(bad)} induced twice with the same orientation"
+        )
     adjacency = -np.ones(3 * n_t, dtype=np.int64)
-    half_edge_ids = order  # flat index = 3*triangle + local edge
-    for e, (start, cnt) in enumerate(zip(first, counts)):
-        if cnt == 2:
-            h0, h1 = half_edge_ids[start], half_edge_ids[start + 1]
-            if forward[h0] == forward[h1]:
-                raise InconsistentOrientation(
-                    f"edge {tuple(edges[e])} induced twice with the same orientation"
-                )
-            adjacency[h0] = h1 // 3
-            adjacency[h1] = h0 // 3
+    adjacency[h0] = h1 // 3
+    adjacency[h1] = h0 // 3
     triangle_adjacency = adjacency.reshape(n_t, 3)
 
     used = np.zeros(num_vertices, dtype=bool)
@@ -158,13 +180,7 @@ def build_complex(triangles, num_vertices: int) -> ConnectivityComplex:
     boundary_vertices = np.unique(boundary_edges)
 
     if n_t > 1:
-        src, dst = [], []
-        for k in range(n_t):
-            for nb in triangle_adjacency[k]:
-                if nb >= 0:
-                    src.append(k)
-                    dst.append(nb)
-        graph = coo_matrix((np.ones(len(src)), (src, dst)), shape=(n_t, n_t))
+        graph = coo_matrix((np.ones(len(h0)), (h0 // 3, h1 // 3)), shape=(n_t, n_t))
         n_comp, _ = connected_components(graph, directed=False)
         if n_comp != 1:
             raise NotTwoPathConnected(f"{n_comp} triangle components")
@@ -194,12 +210,22 @@ def signed_area(coords: np.ndarray, tri) -> float:
     return 0.5 * (a[0] * b[1] - a[1] * b[0])
 
 
+def triangle_geometry(coords: np.ndarray, triangles: np.ndarray):
+    """Per-triangle geometry, vectorized: ``(p, e, areas)``.
+
+    ``p`` (N_T, 3, 2) holds the gathered vertices, ``e[:, l] = p[:, l+2] -
+    p[:, l+1]`` (N_T, 3, 2) the edge vector opposite local vertex ``l``, and
+    ``areas`` (N_T,) the signed areas.
+    """
+    p = coords[triangles]
+    e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+    areas = 0.5 * (e[:, 2, 0] * e[:, 0, 1] - e[:, 2, 1] * e[:, 0, 0])
+    return p, e, areas
+
+
 def signed_areas(coords: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Signed areas of all triangles, vectorized."""
-    p = coords[triangles]  # (N_T, 3, 2)
-    a = p[:, 1] - p[:, 0]
-    b = p[:, 2] - p[:, 1]
-    return 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+    return triangle_geometry(coords, triangles)[2]
 
 
 def edge_length(coords: np.ndarray, tri, ell: int) -> float:
@@ -211,9 +237,18 @@ def edge_length(coords: np.ndarray, tri, ell: int) -> float:
 
 def edge_lengths(coords: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """All edge lengths as an (N_T, 3) array; column ``ell`` is opposite vertex ``ell``."""
-    p = coords[triangles]
-    diffs = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
-    return np.sqrt(np.sum(diffs**2, axis=2))
+    e = triangle_geometry(coords, triangles)[1]
+    return np.sqrt(np.sum(e**2, axis=2))
+
+
+def basis_gradients(e: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """Gradients of the P1 hat functions, (N_T, 3, 2), from edge vectors and areas.
+
+    The hat function of local vertex ``l`` has gradient ``rot90(e_l) / (2 A)``,
+    with ``rot90 (x, y) = (-y, x)``.
+    """
+    rot = np.stack([-e[..., 1], e[..., 0]], axis=-1)
+    return rot / (2.0 * areas[:, None, None])
 
 
 def height(coords: np.ndarray, tri, ell: int) -> float:
@@ -296,17 +331,20 @@ def smooth_pos_prime(t, mu: float):
     return 0.5 * (1.0 + smooth_abs_prime(t, mu)) * s + 0.5 * (t + smooth_abs(t, mu)) * sp
 
 
-def _edge_frame(coords, vertex, j0, j1):
-    e = coords[j1] - coords[j0]
-    length = float(np.hypot(e[0], e[1]))
-    if length == 0.0:
+def _pair_frames(coords, pairs):
+    # Edge-aligned frame of each (vertex, j0, j1) row: unit tangent t, unit
+    # normal n, the vertex's coordinates (xi, eta) relative to j0, and |e|.
+    v = coords[pairs[:, 0]]
+    p0 = coords[pairs[:, 1]]
+    p1 = coords[pairs[:, 2]]
+    e = p1 - p0
+    length = np.sqrt(np.sum(e**2, axis=1))
+    if np.any(length == 0.0):
         raise DegenerateEdge("edge endpoints coincide")
-    t = e / length
-    n = np.array([-t[1], t[0]])
-    u = coords[vertex] - coords[j0]
-    xi = float(u @ t)
-    eta = float(u @ n)
-    return t, n, xi, eta, length
+    t = e / length[:, None]
+    n = np.column_stack([-t[:, 1], t[:, 0]])
+    u = v - p0
+    return t, n, np.sum(u * t, axis=1), np.sum(u * n, axis=1), length
 
 
 def regularized_distance(coords: np.ndarray, vertex: int, edge, mu: float) -> float:
@@ -318,28 +356,37 @@ def regularized_distance(coords: np.ndarray, vertex: int, edge, mu: float) -> fl
     """
     if mu <= 0.0:
         raise ValueError("smoothing parameter must be positive")
-    j0, j1 = edge
-    _, _, xi, eta, length = _edge_frame(coords, vertex, j0, j1)
-    return float(
-        smooth_abs(eta, mu) + smooth_pos(-xi, mu) + smooth_pos(xi - length, mu)
-    )
+    pair = np.array([[vertex, edge[0], edge[1]]], dtype=np.int64)
+    return float(regularized_distances(coords, pair, mu)[0])
 
 
 def regularized_distances(coords, pairs, mu):
     """Vectorized :func:`regularized_distance` over an (P, 3) pair array."""
-    v = coords[pairs[:, 0]]
-    p0 = coords[pairs[:, 1]]
-    p1 = coords[pairs[:, 2]]
-    e = p1 - p0
-    length = np.sqrt(np.sum(e**2, axis=1))
-    if np.any(length == 0.0):
-        raise DegenerateEdge("edge endpoints coincide")
-    t = e / length[:, None]
-    n = np.column_stack([-t[:, 1], t[:, 0]])
-    u = v - p0
-    xi = np.sum(u * t, axis=1)
-    eta = np.sum(u * n, axis=1)
+    _, _, xi, eta, length = _pair_frames(coords, pairs)
     return smooth_abs(eta, mu) + smooth_pos(-xi, mu) + smooth_pos(xi - length, mu)
+
+
+def regularized_distance_gradients(coords, pairs, mu):
+    """Gradients of :func:`regularized_distances` with respect to the vertex
+    and the two edge endpoints, as three (P, 2) arrays ``(gv, g0, g1)``."""
+    t, n, xi, eta, length = _pair_frames(coords, pairs)
+    c_eta = smooth_abs_prime(eta, mu)
+    m_lo = smooth_pos_prime(-xi, mu)
+    m_hi = smooth_pos_prime(xi - length, mu)
+    c_xi = -m_lo + m_hi
+    c_len = -m_hi
+
+    # xi, eta, length differentials in terms of du = dv - dp0, de = dp1 - dp0:
+    #   d xi  = t . du + (eta / length) n . de
+    #   d eta = n . du - (xi  / length) n . de
+    #   d len = t . de
+    gv = c_eta[:, None] * n + c_xi[:, None] * t
+    g1 = (
+        ((c_xi * eta - c_eta * xi) / length)[:, None] * n
+        + c_len[:, None] * t
+    )
+    g0 = -gv - g1
+    return gv, g0, g1
 
 
 # ---------------------------------------------------------------------------

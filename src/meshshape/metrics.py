@@ -1,8 +1,8 @@
 """Riemannian metrics on the space of vertex configurations.
 
 Three kinds: the Euclidean metric (identity), a linear-elasticity metric
-(vector P1 stiffness plus a damped vector mass matrix, assembled fresh at the
-current configuration) and a rank-one metric ``I + g g^T`` built from the
+(vector P1 stiffness plus a damping multiple of the vector L2 Gram matrix,
+assembled fresh at the current configuration) and a rank-one metric ``I + g g^T`` built from the
 gradient of the mesh-quality penalty.  The rank-one structure makes the
 derivative-to-gradient solve cheap: two unpreconditioned CG iterations are
 exact, and a closed-form inverse is available for cross-checking.
@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import NonpositiveArea, SingularSystem
-from .mesh import ConnectivityComplex, signed_areas
+from .mesh import ConnectivityComplex, basis_gradients, triangle_geometry
 from .penalty import PenaltyParams, penalty_gradient
 
 EUCLIDEAN = "euclidean"
@@ -81,19 +81,15 @@ def lame_parameters(spec: MetricSpec):
 
 
 def assemble_elasticity(coords: np.ndarray, complex: ConnectivityComplex, spec: MetricSpec):
-    """Vector P1 elasticity stiffness plus damped vector mass, vec ordering."""
+    """Vector P1 elasticity stiffness plus ``delta`` times the vector L2 Gram
+    matrix of the hat functions, vec ordering."""
     mu, lam, delta = lame_parameters(spec)
     tris = complex.triangles
     n = 2 * complex.num_vertices
-    p = coords[tris]
-    areas = signed_areas(coords, tris)
+    _, e, areas = triangle_geometry(coords, tris)
     if np.any(areas <= 0.0):
         raise NonpositiveArea("metric assembly requires positive areas")
-
-    diff = p[:, [1, 2, 0]] - p[:, [2, 0, 1]]
-    grads = np.stack([diff[..., 1], -diff[..., 0]], axis=-1) / (
-        2.0 * areas[:, None, None]
-    )
+    grads = basis_gradients(e, areas)
 
     # Strain-displacement matrices, Voigt order (e_xx, e_yy, gamma_xy).
     n_t = tris.shape[0]
@@ -118,9 +114,7 @@ def assemble_elasticity(coords: np.ndarray, complex: ConnectivityComplex, spec: 
             m_loc[:, 2 * a, 2 * b] = areas * m_scalar[a, b]
             m_loc[:, 2 * a + 1, 2 * b + 1] = areas * m_scalar[a, b]
 
-    dofs = np.empty((n_t, 6), dtype=np.int64)
-    dofs[:, 0::2] = 2 * tris
-    dofs[:, 1::2] = 2 * tris + 1
+    dofs = complex.vertex_dofs.reshape(n_t, 6)
     rows = np.repeat(dofs, 6, axis=1).ravel()
     cols = np.tile(dofs, (1, 6)).ravel()
     vals = (k_loc + delta * m_loc).ravel()
@@ -211,16 +205,6 @@ def _cg_rank_one(g: np.ndarray, d: np.ndarray) -> np.ndarray:
 def sherman_morrison_solve(g: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Closed-form solve of ``(I + g g^T) x = d``."""
     return d - g * ((g @ d) / (1.0 + g @ g))
-
-
-def metric_apply(spec: MetricSpec, coords, complex, v: np.ndarray) -> np.ndarray:
-    """Apply the metric tensor at ``coords`` to a tangent vector (vec order)."""
-    return MetricOperator(spec, coords, complex).apply(np.asarray(v, dtype=float))
-
-
-def to_gradient(spec: MetricSpec, coords, complex, derivative: np.ndarray) -> np.ndarray:
-    """Convert a derivative (covector) to the metric gradient (tangent vector)."""
-    return MetricOperator(spec, coords, complex).solve(np.asarray(derivative, dtype=float))
 
 
 def retract_euclidean(coords: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:

@@ -32,7 +32,7 @@ from .fem import (
     solve_state,
 )
 from .geodesic import GeodesicConfig, retract_geodesic
-from .mesh import ConnectivityComplex, edge_lengths, signed_areas
+from .mesh import ConnectivityComplex, heights, signed_areas
 from .metrics import MetricOperator, MetricSpec, retract_euclidean
 from .penalty import PenaltyParams, mesh_quality, penalty_gradient, penalty_value
 
@@ -140,17 +140,12 @@ def initial_step(n, prev_step, prev_pairing, cur_pairing, grad_norm_metric):
     return candidate
 
 
-def euclidean_safeguard(coords, complex: ConnectivityComplex, d, s) -> bool:
-    """True if some vertex would travel at least half an incident height."""
-    return s >= safeguard_critical_step(coords, complex, d)
-
-
 def safeguard_critical_step(coords, complex: ConnectivityComplex, d) -> float:
-    """Smallest step at which the vertex-travel safeguard trips (inf if never)."""
+    """Smallest step at which some vertex would travel at least half an
+    incident height (inf if never)."""
     moves = np.linalg.norm(np.asarray(d, dtype=float).reshape(-1, 2), axis=1)
     tri_moves = moves[complex.triangles]  # (N_T, 3)
-    areas = signed_areas(coords, complex.triangles)
-    h = 2.0 * areas[:, None] / edge_lengths(coords, complex.triangles)
+    h = heights(coords, complex.triangles)
     active = tri_moves > 0.0
     if not np.any(active):
         return np.inf

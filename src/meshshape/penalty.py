@@ -22,12 +22,10 @@ from .errors import NonpositiveArea
 from .mesh import (
     SQRT3,
     ConnectivityComplex,
+    regularized_distance_gradients,
     regularized_distances,
-    signed_areas,
-    smooth_abs,
-    smooth_abs_prime,
-    smooth_pos,
-    smooth_pos_prime,
+    scatter_add,
+    triangle_geometry,
 )
 
 
@@ -60,34 +58,9 @@ class PenaltyParams:
         return all(a == 0.0 for a in self.alpha)
 
 
-@dataclass(frozen=True)
-class AugmentationParams:
-    """Coefficients of the height-based augmentation (reciprocal heights,
-    boundary proximity, squared distance to the reference)."""
-
-    beta: tuple
-    mu: float = 0.1
-
-    def __post_init__(self):
-        if len(self.beta) != 3:
-            raise ValueError("beta must have three entries")
-        if any(b <= 0 for b in self.beta):
-            raise ValueError("beta entries must be positive")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-
-
 # ---------------------------------------------------------------------------
 # Quality measure
 # ---------------------------------------------------------------------------
-
-def _tri_geometry(coords, triangles):
-    p = coords[triangles]  # (N_T, 3, 2)
-    a = p[:, 1] - p[:, 0]
-    b = p[:, 2] - p[:, 1]
-    areas = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-    return p, areas
-
 
 def quality_reciprocal(coords: np.ndarray, tri) -> float:
     """Sum of squared edge lengths over ``4 sqrt(3)`` times the area (>= 1)."""
@@ -96,11 +69,14 @@ def quality_reciprocal(coords: np.ndarray, tri) -> float:
 
 
 def quality_reciprocals(coords: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p, areas = _tri_geometry(coords, triangles)
+    _, e, areas = triangle_geometry(coords, triangles)
+    return _quality_reciprocals(e, areas)
+
+
+def _quality_reciprocals(e, areas):
     if np.any(areas <= 0.0):
         raise NonpositiveArea("quality measure requires positive areas")
-    diffs = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
-    ssq = np.sum(diffs**2, axis=(1, 2))
+    ssq = np.sum(e**2, axis=(1, 2))
     return ssq / (4.0 * SQRT3 * areas)
 
 
@@ -140,12 +116,8 @@ def cutoff_prime(s, threshold: float):
 # Penalty value
 # ---------------------------------------------------------------------------
 
-def _quality_term(coords, complex):
-    return np.mean(quality_reciprocals(coords, complex.triangles))
-
-
-def _area_term(coords, complex):
-    total = np.sum(signed_areas(coords, complex.triangles))
+def _area_term(areas):
+    total = np.sum(areas)
     if total <= 0.0:
         raise NonpositiveArea("total mesh area must be positive")
     return 1.0 / total
@@ -172,10 +144,12 @@ def penalty_value(
     """Evaluate the mesh-quality penalty at ``coords`` with reference ``qref``."""
     a1, a2, a3, a4 = params.alpha
     value = 0.0
+    if a1 != 0.0 or a2 != 0.0:
+        _, e, areas = triangle_geometry(coords, complex.triangles)
     if a1 != 0.0:
-        value += a1 * _quality_term(coords, complex)
+        value += a1 * np.mean(_quality_reciprocals(e, areas))
     if a2 != 0.0:
-        value += a2 * _area_term(coords, complex)
+        value += a2 * _area_term(areas)
     if a3 != 0.0:
         value += a3 * _boundary_term(coords, complex, params)
     if a4 != 0.0:
@@ -191,70 +165,6 @@ def penalty_value(
 _ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def _area_gradients(p):
-    # d area / d p_l = 0.5 * rot90(p_{l+2} - p_{l+1}), rot90 (x,y) -> (-y,x)
-    diff = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]  # entry l: p_{l+2} - p_{l+1}
-    return 0.5 * diff @ _ROT90.T
-
-
-def _quality_gradients(coords, triangles):
-    p, areas = _tri_geometry(coords, triangles)
-    if np.any(areas <= 0.0):
-        raise NonpositiveArea("quality measure requires positive areas")
-    diffs = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
-    ssq = np.sum(diffs**2, axis=(1, 2))
-    denom = 4.0 * SQRT3 * areas
-    vals = ssq / denom
-    # d ssq / d p_l = 2 (2 p_l - p_{l+1} - p_{l+2})
-    dssq = 2.0 * (2.0 * p - p[:, [1, 2, 0]] - p[:, [2, 0, 1]])
-    darea = _area_gradients(p)
-    grads = (dssq - (4.0 * SQRT3 * vals)[:, None, None] * darea) / denom[:, None, None]
-    return vals, grads, areas, darea
-
-
-def _scatter(grad_flat, triangles, per_vertex):
-    np.add.at(grad_flat, 2 * triangles.ravel(), per_vertex[..., 0].ravel())
-    np.add.at(grad_flat, 2 * triangles.ravel() + 1, per_vertex[..., 1].ravel())
-
-
-def _boundary_pair_gradients(coords, pairs, mu):
-    """Regularized distances and their derivatives w.r.t. the three points.
-
-    Returns ``(d, gv, g0, g1)`` where ``gv/g0/g1`` are the (P, 2) gradients
-    with respect to the vertex and the two edge endpoints.
-    """
-    v = coords[pairs[:, 0]]
-    p0 = coords[pairs[:, 1]]
-    p1 = coords[pairs[:, 2]]
-    e = p1 - p0
-    length = np.sqrt(np.sum(e**2, axis=1))
-    t = e / length[:, None]
-    n = np.column_stack([-t[:, 1], t[:, 0]])
-    u = v - p0
-    xi = np.sum(u * t, axis=1)
-    eta = np.sum(u * n, axis=1)
-
-    d = smooth_abs(eta, mu) + smooth_pos(-xi, mu) + smooth_pos(xi - length, mu)
-
-    c_eta = smooth_abs_prime(eta, mu)
-    m_lo = smooth_pos_prime(-xi, mu)
-    m_hi = smooth_pos_prime(xi - length, mu)
-    c_xi = -m_lo + m_hi
-    c_len = -m_hi
-
-    # xi, eta, length differentials in terms of du = dv - dp0, de = dp1 - dp0:
-    #   d xi  = t . du + (eta / length) n . de
-    #   d eta = n . du - (xi  / length) n . de
-    #   d len = t . de
-    gv = c_eta[:, None] * n + c_xi[:, None] * t
-    g1 = (
-        ((c_xi * eta - c_eta * xi) / length)[:, None] * n
-        + c_len[:, None] * t
-    )
-    g0 = -gv - g1
-    return d, gv, g0, g1
-
-
 def penalty_gradient(
     coords: np.ndarray,
     qref: np.ndarray,
@@ -263,90 +173,36 @@ def penalty_gradient(
 ) -> np.ndarray:
     """Exact gradient of :func:`penalty_value` in vec order (length ``2 N_V``)."""
     a1, a2, a3, a4 = params.alpha
-    grad = np.zeros(2 * complex.num_vertices)
-    triangles = complex.triangles
+    terms = []  # (vec DOFs, contributions), summed in this order
 
     if a1 != 0.0 or a2 != 0.0:
-        vals, qgrads, areas, dareas = _quality_gradients(coords, triangles)
+        p, e, areas = triangle_geometry(coords, complex.triangles)
+        vals = _quality_reciprocals(e, areas)  # raises on nonpositive areas
+        # d area / d p_l = 0.5 * rot90(e_l), rot90 (x,y) -> (-y,x)
+        darea = 0.5 * e @ _ROT90.T
         if a1 != 0.0:
-            _scatter(grad, triangles, (a1 / complex.num_triangles) * qgrads)
+            # d ssq / d p_l = 2 (2 p_l - p_{l+1} - p_{l+2})
+            dssq = 2.0 * (2.0 * p - p[:, [1, 2, 0]] - p[:, [2, 0, 1]])
+            denom = 4.0 * SQRT3 * areas
+            qgrads = (dssq - (4.0 * SQRT3 * vals)[:, None, None] * darea) / denom[:, None, None]
+            terms.append((complex.vertex_dofs, (a1 / complex.num_triangles) * qgrads))
         if a2 != 0.0:
             total = np.sum(areas)
-            _scatter(grad, triangles, (-a2 / total**2) * dareas)
+            terms.append((complex.vertex_dofs, (-a2 / total**2) * darea))
 
-    if a3 != 0.0:
+    if a3 != 0.0 and complex.boundary_pairs.shape[0] > 0:
         pairs = complex.boundary_pairs
-        if pairs.shape[0] > 0:
-            d, gv, g0, g1 = _boundary_pair_gradients(coords, pairs, params.mu)
-            outer = -1.0 / d**2
-            if params.cutoff_threshold is not None:
-                outer = outer * cutoff_prime(1.0 / d, params.cutoff_threshold)
-            scale = len(complex.boundary_edges) * len(complex.boundary_vertices)
-            w = (a3 / scale) * outer
-            for idx, g in ((0, gv), (1, g0), (2, g1)):
-                np.add.at(grad, 2 * pairs[:, idx], w * g[:, 0])
-                np.add.at(grad, 2 * pairs[:, idx] + 1, w * g[:, 1])
+        d = regularized_distances(coords, pairs, params.mu)
+        outer = -1.0 / d**2
+        if params.cutoff_threshold is not None:
+            outer = outer * cutoff_prime(1.0 / d, params.cutoff_threshold)
+        scale = len(complex.boundary_edges) * len(complex.boundary_vertices)
+        w = (a3 / scale) * outer
+        endpoint_grads = np.stack(regularized_distance_gradients(coords, pairs, params.mu))
+        terms.append((complex.boundary_pair_dofs, w[:, None] * endpoint_grads))
 
+    n = 2 * complex.num_vertices
+    grad = scatter_add(n, *terms) if terms else np.zeros(n)
     if a4 != 0.0:
         grad += a4 * (coords - qref).ravel()
-    return grad
-
-
-# ---------------------------------------------------------------------------
-# Height-based augmentation (the older proper function)
-# ---------------------------------------------------------------------------
-
-def augmentation_value(coords, qref, complex, params: AugmentationParams) -> float:
-    """Sum of reciprocal heights, boundary proximity and reference-distance terms."""
-    b1, b2, b3 = params.beta
-    p, areas = _tri_geometry(coords, complex.triangles)
-    if np.any(areas <= 0.0):
-        raise NonpositiveArea("augmentation requires positive areas")
-    diffs = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
-    lengths = np.sqrt(np.sum(diffs**2, axis=2))
-    value = b1 * float(np.sum(lengths / (2.0 * areas[:, None])))
-
-    pairs = complex.boundary_pairs
-    if pairs.shape[0] > 0:
-        value += b2 * float(np.sum(1.0 / regularized_distances(coords, pairs, params.mu)))
-
-    diff = coords - qref
-    value += 0.5 * b3 * float(np.sum(diff * diff))
-    return value
-
-
-def augmentation_gradient(coords, qref, complex, params: AugmentationParams) -> np.ndarray:
-    b1, b2, b3 = params.beta
-    triangles = complex.triangles
-    p, areas = _tri_geometry(coords, triangles)
-    if np.any(areas <= 0.0):
-        raise NonpositiveArea("augmentation requires positive areas")
-    grad = np.zeros(2 * complex.num_vertices)
-
-    diffs = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]  # edge l: p_{l+2} - p_{l+1}
-    lengths = np.sqrt(np.sum(diffs**2, axis=2))
-    darea = _area_gradients(p)
-    # 1/h_l = E_l / (2 A): gradient = dE_l/(2A) - E_l dA/(2A^2).
-    # dE_l lives on vertices l+1 and l+2 only.
-    unit = diffs / lengths[..., None]
-    dlen = np.zeros((len(triangles), 3, 3, 2))  # (triangle, vertex, edge, 2)
-    for ell in range(3):
-        dlen[:, (ell + 2) % 3, ell] = unit[:, ell]
-        dlen[:, (ell + 1) % 3, ell] = -unit[:, ell]
-    inv2a = 1.0 / (2.0 * areas)
-    term = dlen * inv2a[:, None, None, None]
-    term = term.sum(axis=2)  # sum over edges
-    coeff = np.sum(lengths, axis=1) * inv2a / areas  # sum_l E_l / (2 A^2)
-    term -= coeff[:, None, None] * darea
-    _scatter(grad, triangles, b1 * term)
-
-    pairs = complex.boundary_pairs
-    if pairs.shape[0] > 0:
-        d, gv, g0, g1 = _boundary_pair_gradients(coords, pairs, params.mu)
-        w = -b2 / d**2
-        for idx, g in ((0, gv), (1, g0), (2, g1)):
-            np.add.at(grad, 2 * pairs[:, idx], w * g[:, 0])
-            np.add.at(grad, 2 * pairs[:, idx] + 1, w * g[:, 1])
-
-    grad += b3 * (coords - qref).ravel()
     return grad

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from meshshape.cli import main
+from meshshape.cli import EXIT_USAGE, main
 from meshshape.fileio import write_mesh
 from meshshape.mesh import make_square5_mesh
 
@@ -37,6 +37,10 @@ def test_check_malformed_file(tmp_path):
 def test_usage_error_exit_code():
     assert run(["optimize", "--variant", "NoSuchVariant"]) == 1
     assert run(["nonsense"]) == 1
+
+
+def test_optimize_has_no_seed_option(tmp_path):
+    assert run(["optimize", "--mesh", "square5", "--seed", "1", "--out", str(tmp_path)]) == EXIT_USAGE
 
 
 def test_eval_objective(capsys):

@@ -18,6 +18,7 @@ from meshshape.mesh import (
     make_disc_mesh,
     make_square5_mesh,
     regularized_distance,
+    scatter_add,
     signed_area,
     signed_areas,
     smooth_abs,
@@ -87,6 +88,85 @@ def test_triangle_adjacency(square5):
     # every fan triangle has two neighbors (left and right), outer edge free
     counts = (cx.triangle_adjacency >= 0).sum(axis=1)
     assert list(counts) == [2, 2, 2, 2]
+
+
+def _loop_adjacency(triangles, num_vertices):
+    # Reference: the per-edge loop build_complex ran before it was vectorized.
+    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    n_t = tris.shape[0]
+    directed = np.stack([tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]]], axis=1).reshape(-1, 2)
+    lo = directed.min(axis=1)
+    hi = directed.max(axis=1)
+    keys = lo * num_vertices + hi
+    order = np.argsort(keys, kind="stable")
+    uniq_keys, first, counts = np.unique(keys[order], return_index=True, return_counts=True)
+    edges = np.column_stack([uniq_keys // num_vertices, uniq_keys % num_vertices])
+    forward = (directed[:, 0] == lo).astype(np.int8)
+    adjacency = -np.ones(3 * n_t, dtype=np.int64)
+    for e, (start, cnt) in enumerate(zip(first, counts)):
+        if cnt == 2:
+            h0, h1 = order[start], order[start + 1]
+            if forward[h0] == forward[h1]:
+                raise InconsistentOrientation(
+                    f"edge {tuple(edges[e])} induced twice with the same orientation"
+                )
+            adjacency[h0] = h1 // 3
+            adjacency[h1] = h0 // 3
+    return adjacency.reshape(n_t, 3)
+
+
+def _loop_boundary_pairs(cx):
+    # Reference: the double loop boundary_pairs ran before it was vectorized.
+    rows = []
+    for j0, j1 in cx.boundary_edges:
+        for i0 in cx.boundary_vertices:
+            if i0 != j0 and i0 != j1:
+                rows.append((i0, j0, j1))
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("mesh", ["square5", "disc3"])
+def test_vectorized_connectivity_matches_loops(mesh, request):
+    cx, _ = request.getfixturevalue(mesh)
+    assert np.array_equal(cx.triangle_adjacency, _loop_adjacency(cx.triangles, cx.num_vertices))
+    pairs = cx.boundary_pairs
+    assert pairs.dtype == np.int64
+    assert np.array_equal(pairs, _loop_boundary_pairs(cx))
+
+
+def test_inconsistent_orientation_names_first_sorted_edge():
+    # edge (1, 2) is bad between the first two triangles, edge (0, 1)
+    # between the last two; the sorted-first one is named
+    tris = [(1, 2, 4), (0, 1, 2), (0, 1, 3)]
+    with pytest.raises(InconsistentOrientation) as expected:
+        _loop_adjacency(tris, 5)
+    with pytest.raises(InconsistentOrientation) as got:
+        build_complex(tris, 5)
+    assert str(got.value) == str(expected.value)
+    first = tuple(np.array([0, 1], dtype=np.int64))
+    assert str(got.value) == f"edge {first} induced twice with the same orientation"
+
+
+def test_scatter_add_equals_add_at(disc3, rng):
+    cx, _ = disc3
+    n = 2 * cx.num_vertices
+    a = rng.standard_normal((cx.num_triangles, 3, 2))
+    b = rng.standard_normal((cx.num_triangles, 3, 2))
+    c = rng.standard_normal((3, len(cx.boundary_pairs), 2))
+    reference = np.zeros(n)
+    tris = cx.triangles.ravel()
+    for per_vertex in (a, b):
+        np.add.at(reference, 2 * tris, per_vertex[..., 0].ravel())
+        np.add.at(reference, 2 * tris + 1, per_vertex[..., 1].ravel())
+    for idx in range(3):
+        np.add.at(reference, 2 * cx.boundary_pairs[:, idx], c[idx, :, 0])
+        np.add.at(reference, 2 * cx.boundary_pairs[:, idx] + 1, c[idx, :, 1])
+    got = scatter_add(n, (cx.vertex_dofs, a), (cx.vertex_dofs, b), (cx.boundary_pair_dofs, c))
+    assert np.array_equal(got, reference)
+
+    single = np.zeros(cx.num_vertices)
+    np.add.at(single, tris, a[..., 0].ravel())
+    assert np.array_equal(scatter_add(cx.num_vertices, (cx.triangles, a[..., 0])), single)
 
 
 # -- elementary geometry -----------------------------------------------------

@@ -11,8 +11,8 @@ from meshshape.optimizer import (
     STEP_FLOOR_FAILURE,
     OptimizerConfig,
     armijo_search,
-    euclidean_safeguard,
     initial_step,
+    safeguard_critical_step,
     steepest_descent,
     stopping_check,
 )
@@ -47,7 +47,7 @@ def test_initial_step_requires_descent():
 
 def test_safeguard_zero_direction(square5):
     cx, q = square5
-    assert not euclidean_safeguard(q, cx, np.zeros(2 * cx.num_vertices), 10.0)
+    assert not (10.0 >= safeguard_critical_step(q, cx, np.zeros(2 * cx.num_vertices)))
 
 
 def test_safeguard_threshold_arithmetic():
@@ -55,8 +55,8 @@ def test_safeguard_threshold_arithmetic():
     q = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.1]])  # min height 0.1 at vertex 2
     d = np.zeros(6)
     d[2 * 2] = 1.0  # move vertex 2 with unit speed
-    assert euclidean_safeguard(q, cx, d, 0.06)  # 0.06 >= 0.05
-    assert not euclidean_safeguard(q, cx, d, 0.04)
+    assert 0.06 >= safeguard_critical_step(q, cx, d)  # 0.06 >= 0.05
+    assert not (0.04 >= safeguard_critical_step(q, cx, d))
 
 
 # -- armijo ------------------------------------------------------------------

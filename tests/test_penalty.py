@@ -12,10 +12,7 @@ from meshshape.mesh import (
     uniform_refine,
 )
 from meshshape.penalty import (
-    AugmentationParams,
     PenaltyParams,
-    augmentation_gradient,
-    augmentation_value,
     cutoff,
     cutoff_prime,
     mesh_quality,
@@ -249,33 +246,6 @@ def test_cutoff_consistency_in_penalty(disc3):
     assert penalty_value(q, q, cx, big) == 0.0
 
 
-# -- height-based augmentation ----------------------------------------------
-
-def test_augmentation_equilateral_heights():
-    tri = build_complex([(0, 1, 2)], 3)
-    eq = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-    params = AugmentationParams((1.0, 1e-30, 1e-30), mu=0.1)
-    val = augmentation_value(eq, eq, tri, params)
-    assert val == pytest.approx(3.0 / (np.sqrt(3) / 2), rel=1e-9)
-    assert val == pytest.approx(2 * np.sqrt(3), rel=1e-9)
-
-
-def test_augmentation_reference_term():
-    tri = build_complex([(0, 1, 2)], 3)
-    q = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    params = AugmentationParams((1e-30, 1e-30, 1.0), mu=0.1)
-    assert augmentation_value(q, q, tri, params) == pytest.approx(0.0, abs=1e-25)
-
-
-def test_augmentation_gradient_fd(disc2, rng):
-    cx, q = disc2
-    coords = q + 0.02 * rng.standard_normal(q.shape)
-    params = AugmentationParams((1.0, 0.5, 0.1), mu=0.1)
-    grad = augmentation_gradient(coords, q, cx, params)
-    fd = central_difference(lambda c: augmentation_value(c, q, cx, params), coords)
-    assert np.max(np.abs(fd - grad)) / np.max(np.abs(grad)) < 1e-6
-
-
 # -- parameter validation ----------------------------------------------------
 
 def test_penalty_params_validation():
@@ -285,5 +255,3 @@ def test_penalty_params_validation():
         PenaltyParams((1, -1, 0, 0))
     with pytest.raises(ValueError):
         PenaltyParams((1, 1, 1, 1), mu=-0.1)
-    with pytest.raises(ValueError):
-        AugmentationParams((1.0, 0.0, 1.0))
