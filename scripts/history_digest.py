@@ -21,6 +21,9 @@ CASES = (
     ("exp2", ["experiment", "2"]),
     ("elaseuc-disc50", ["optimize", "--variant", "ElasEuc", "--mesh", "disc:50", "--max-iter", "8"]),
     ("compcomp-disc1", ["optimize", "--variant", "CompComp", "--mesh", "disc:1", "--max-iter", "2"]),
+    # a3 > 0 puts the boundary term's second derivatives in the geodesic force
+    ("compcomp-a3-disc1", ["optimize", "--variant", "CompComp", "--mesh", "disc:1", "--max-iter", "1",
+                           "--metric-alpha", "a1=10,a2=1,a3=0.1,a4=0.01"]),
     ("compeuc-set1-disc12", ["optimize", "--variant", "CompEuc", "--penalty", "set1", "--mesh", "disc:12"]),
 )
 

@@ -212,9 +212,13 @@ def cmd_optimize(args) -> int:
             if n % args.snapshot_stride == 0:
                 write_svg(outdir / f"snap_{n:06d}.svg", complex, snap_coords)
 
-    result = steepest_descent(
-        complex, coords, rhs, config, timer=timer, on_iterate=on_iterate
-    )
+    try:
+        result = steepest_descent(
+            complex, coords, rhs, config, timer=timer, on_iterate=on_iterate
+        )
+    except MeshShapeError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_OPT_FAILURE
 
     write_history(outdir / "history.csv", result.history)
     write_timing(outdir / "timing.csv", timer)

@@ -8,11 +8,14 @@ geodesic flow is the Hamiltonian flow of
 
 The position-first Stoermer-Verlet scheme is used; both half-steps are
 implicit (H is not separable) and solved by plain fixed-point iteration.
-The force requires directional second derivatives of the penalty, computed
-by central differences of its analytic gradient.  Because the discrete flow
-is equivariant under the time/velocity rescaling ``(V, h) -> (tau V, h/tau)``,
-the dyadic-time snapshots of a single integration provide all the trial
-points of a backtracking line search with factor one half.
+The force ``dH/dq = grad w^T (c^2 / s^2 w - c / s p)``, with ``c = w.p`` and
+``s = 1 + |w|^2``, is exact: ``grad w`` is the analytic penalty Hessian,
+applied as a Hessian-vector product.  It is built once per step at the
+midpoint, together with ``w``, so each momentum iteration costs one product
+and no gradient evaluation.  Because the discrete flow is equivariant under
+the time/velocity rescaling ``(V, h) -> (tau V, h/tau)``, the dyadic-time
+snapshots of a single integration provide all the trial points of a
+backtracking line search with factor one half.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from .errors import FixedPointDivergence
 from .mesh import ConnectivityComplex, signed_areas
 from .metrics import MetricSpec
-from .penalty import penalty_gradient
+from .penalty import penalty_gradient, penalty_hessian
 
 logger = logging.getLogger(__name__)
 
@@ -35,7 +38,6 @@ class GeodesicConfig:
     num_steps: int = 1024
     fixed_point_tol: float = 1e-12
     fixed_point_max_iter: int = 50
-    hessian_fd_step: float = 1e-6
 
     def __post_init__(self):
         n = self.num_steps
@@ -60,36 +62,13 @@ class GeodesicPath:
         raise KeyError(f"no snapshot at t={t}")
 
 
-class _Flow:
-    def __init__(self, w_fn, fd_step):
-        self.w_fn = w_fn
-        self.fd_step = fd_step
+def _inv_metric_apply(w, p):
+    return p - w * ((w @ p) / (1.0 + w @ w))
 
-    def inv_metric_apply(self, q, p):
-        w = self.w_fn(q)
-        return p - w * ((w @ p) / (1.0 + w @ w))
 
-    def hamiltonian(self, q, p):
-        w = self.w_fn(q)
-        c = w @ p
-        return 0.5 * (p @ p - c * c / (1.0 + w @ w))
-
-    def hess_vec(self, q, v):
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return np.zeros_like(v)
-        h = self.fd_step * (1.0 + np.linalg.norm(q))
-        u = (v / nv).reshape(q.shape)
-        gp = self.w_fn(q + h * u)
-        gm = self.w_fn(q - h * u)
-        return (gp - gm) * (nv / (2.0 * h))
-
-    def dh_dq(self, q, p):
-        w = self.w_fn(q)
-        s = 1.0 + w @ w
-        c = w @ p
-        direction = (c * c / (s * s)) * w - (c / s) * p
-        return self.hess_vec(q, direction)
+def _hamiltonian(w, p):
+    c = w @ p
+    return 0.5 * (p @ p - c * c / (1.0 + w @ w))
 
 
 def _fixed_point(update, start, tol, max_iter, what):
@@ -102,22 +81,22 @@ def _fixed_point(update, start, tol, max_iter, what):
     raise FixedPointDivergence(f"{what} did not converge in {max_iter} iterations")
 
 
-def integrate_geodesic(w_fn, coords: np.ndarray, velocity: np.ndarray, cfg: GeodesicConfig,
+def integrate_geodesic(w_fn, hess_fn, coords: np.ndarray, velocity: np.ndarray, cfg: GeodesicConfig,
                        complex: ConnectivityComplex | None = None) -> GeodesicPath:
     """Integrate the geodesic with initial velocity over [0, 1].
 
-    ``w_fn(coords) -> vec`` evaluates the gradient field defining the metric.
-    Returns snapshots at every dyadic time ``2^-k`` reachable with the step
-    count, endpoint first.
+    ``w_fn(coords) -> vec`` evaluates the gradient field defining the metric
+    and ``hess_fn(coords)`` its derivative as a map ``v -> grad w v``, which
+    must be symmetric.  Returns snapshots at every dyadic time ``2^-k``
+    reachable with the step count, endpoint first.
     """
-    flow = _Flow(w_fn, cfg.hessian_fd_step)
     shape = coords.shape
     q = coords.ravel().astype(float)
     v = np.asarray(velocity, dtype=float).ravel()
     w0 = w_fn(coords)
     p = v + w0 * (w0 @ v)  # initial momentum g(q) V
     h = 1.0 / cfg.num_steps
-    h0 = flow.hamiltonian(q.reshape(shape), p)
+    h0 = _hamiltonian(w0, p)
 
     snap_steps = {}
     k = 0
@@ -132,22 +111,30 @@ def integrate_geodesic(w_fn, coords: np.ndarray, velocity: np.ndarray, cfg: Geod
     area_warnings = []
     for step in range(1, cfg.num_steps + 1):
         q_half = _fixed_point(
-            lambda x: q + 0.5 * h * flow.inv_metric_apply(x.reshape(shape), p),
-            q + 0.5 * h * flow.inv_metric_apply(q.reshape(shape), p),
+            lambda x: q + 0.5 * h * _inv_metric_apply(w_fn(x.reshape(shape)), p),
+            q + 0.5 * h * _inv_metric_apply(w_fn(q.reshape(shape)), p),
             cfg.fixed_point_tol,
             cfg.fixed_point_max_iter,
             "position half-step",
         )
         qh_coords = q_half.reshape(shape)
-        force0 = flow.dh_dq(qh_coords, p)
+        w = w_fn(qh_coords)
+        s = 1.0 + w @ w
+        hess = hess_fn(qh_coords)
+
+        def force(x):
+            c = w @ x
+            return hess((c * c / (s * s)) * w - (c / s) * x)
+
+        force0 = force(p)
         p = _fixed_point(
-            lambda x: p - 0.5 * h * (force0 + flow.dh_dq(qh_coords, x)),
+            lambda x: p - 0.5 * h * (force0 + force(x)),
             p - h * force0,
             cfg.fixed_point_tol,
             cfg.fixed_point_max_iter,
             "momentum step",
         )
-        q = q_half + 0.5 * h * flow.inv_metric_apply(qh_coords, p)
+        q = q_half + 0.5 * h * _inv_metric_apply(w, p)
 
         if step in snap_steps:
             snap_coords = q.reshape(shape).copy()
@@ -165,10 +152,32 @@ def integrate_geodesic(w_fn, coords: np.ndarray, velocity: np.ndarray, cfg: Geod
     return GeodesicPath(
         snapshots=snapshots,
         initial_hamiltonian=h0,
-        final_hamiltonian=flow.hamiltonian(q.reshape(shape), p),
+        final_hamiltonian=_hamiltonian(w_fn(q.reshape(shape)), p),
         final_momentum=p,
         area_warnings=area_warnings,
     )
+
+
+def _penalty_field(spec: MetricSpec, complex: ConnectivityComplex, fixed_mask=None):
+    """``(w_fn, hess_fn)`` of the metric penalty gradient ``w = P grad phi``
+    and its derivative ``P H P``, ``P`` zeroing the fixed vertices' DOFs."""
+    free = None
+    if fixed_mask is not None:
+        free = ~np.repeat(np.asarray(fixed_mask, dtype=bool), 2)
+
+    def w_fn(c):
+        g = penalty_gradient(c, spec.qref, complex, spec.penalty)
+        if free is not None:
+            g = np.where(free, g, 0.0)
+        return g
+
+    def hess_fn(c):
+        hess = penalty_hessian(c, spec.qref, complex, spec.penalty)
+        if free is None:
+            return hess
+        return lambda v: np.where(free, hess(np.where(free, v, 0.0)), 0.0)
+
+    return w_fn, hess_fn
 
 
 def retract_geodesic(
@@ -187,14 +196,5 @@ def retract_geodesic(
     """
     if spec.kind != "complete":
         raise ValueError("geodesic retraction requires the rank-one metric")
-    free = None
-    if fixed_mask is not None:
-        free = ~np.repeat(np.asarray(fixed_mask, dtype=bool), 2)
-
-    def w_fn(c):
-        g = penalty_gradient(c, spec.qref, complex, spec.penalty)
-        if free is not None:
-            g = np.where(free, g, 0.0)
-        return g
-
-    return integrate_geodesic(w_fn, coords, velocity, cfg, complex=complex)
+    w_fn, hess_fn = _penalty_field(spec, complex, fixed_mask)
+    return integrate_geodesic(w_fn, hess_fn, coords, velocity, cfg, complex=complex)

@@ -302,6 +302,11 @@ def smooth_abs_prime(t, mu: float):
     return t * (tt + 2.0 * mu * mu) / (tt + mu * mu) ** 1.5
 
 
+def smooth_abs_second(t, mu: float):
+    tt = t * t
+    return mu * mu * (2.0 * mu * mu - tt) / (tt + mu * mu) ** 2.5
+
+
 def _smoothstep(u):
     # C^3 step: 0 for u <= 0, 1 for u >= 1, degree-7 Hermite blend between.
     u = np.clip(u, 0.0, 1.0)
@@ -312,6 +317,12 @@ def _smoothstep_prime(u):
     inside = (u > 0.0) & (u < 1.0)
     u = np.clip(u, 0.0, 1.0)
     return np.where(inside, u**3 * (140.0 + u * (-420.0 + u * (420.0 - 140.0 * u))), 0.0)
+
+
+def _smoothstep_second(u):
+    inside = (u > 0.0) & (u < 1.0)
+    u = np.clip(u, 0.0, 1.0)
+    return np.where(inside, u**2 * (420.0 + u * (-1680.0 + u * (2100.0 - 840.0 * u))), 0.0)
 
 
 def smooth_pos(t, mu: float):
@@ -329,6 +340,17 @@ def smooth_pos_prime(t, mu: float):
     s = _smoothstep(t / mu)
     sp = _smoothstep_prime(t / mu) / mu
     return 0.5 * (1.0 + smooth_abs_prime(t, mu)) * s + 0.5 * (t + smooth_abs(t, mu)) * sp
+
+
+def smooth_pos_second(t, mu: float):
+    s = _smoothstep(t / mu)
+    sp = _smoothstep_prime(t / mu) / mu
+    spp = _smoothstep_second(t / mu) / (mu * mu)
+    return (
+        0.5 * smooth_abs_second(t, mu) * s
+        + (1.0 + smooth_abs_prime(t, mu)) * sp
+        + 0.5 * (t + smooth_abs(t, mu)) * spp
+    )
 
 
 def _pair_frames(coords, pairs):
@@ -363,13 +385,28 @@ def regularized_distance(coords: np.ndarray, vertex: int, edge, mu: float) -> fl
 def regularized_distances(coords, pairs, mu):
     """Vectorized :func:`regularized_distance` over an (P, 3) pair array."""
     _, _, xi, eta, length = _pair_frames(coords, pairs)
+    return _frame_distance(xi, eta, length, mu)
+
+
+def _frame_distance(xi, eta, length, mu):
     return smooth_abs(eta, mu) + smooth_pos(-xi, mu) + smooth_pos(xi - length, mu)
 
 
-def regularized_distance_gradients(coords, pairs, mu):
-    """Gradients of :func:`regularized_distances` with respect to the vertex
-    and the two edge endpoints, as three (P, 2) arrays ``(gv, g0, g1)``."""
+# (u, e) = (v - p0, p1 - p0) as a map of the pair DOFs (v, p0, p1), 2D each.
+_FRAME_TO_DOFS = np.kron(np.array([[1.0, -1.0, 0.0], [0.0, -1.0, 1.0]]), np.eye(2))
+
+
+def regularized_distance_derivatives(coords, pairs, mu, hessians=False):
+    """:func:`regularized_distances` with its exact derivatives, ``(d, grads,
+    hess)``, from one frame computation.
+
+    ``grads`` (3, P, 2) holds the gradients with respect to the vertex and the
+    two edge endpoints; ``hess`` (P, 6, 6), with DOFs ordered ``(v_x, v_y,
+    p0_x, p0_y, p1_x, p1_y)``, is computed only with ``hessians`` and is
+    ``None`` otherwise.
+    """
     t, n, xi, eta, length = _pair_frames(coords, pairs)
+    dist = _frame_distance(xi, eta, length, mu)
     c_eta = smooth_abs_prime(eta, mu)
     m_lo = smooth_pos_prime(-xi, mu)
     m_hi = smooth_pos_prime(xi - length, mu)
@@ -386,7 +423,41 @@ def regularized_distance_gradients(coords, pairs, mu):
         + c_len[:, None] * t
     )
     g0 = -gv - g1
-    return gv, g0, g1
+    grads = np.stack([gv, g0, g1])
+    if not hessians:
+        return dist, grads, None
+
+    # Second derivatives of xi, eta and length in (u, e), by blocks:
+    #   xi:  u-e  n n^T / L,  e-e  -(eta (n t^T + t n^T) + xi n n^T) / L^2
+    #   eta: u-e -t n^T / L,  e-e   (xi (n t^T + t n^T) - eta n n^T) / L^2
+    #   len:                  e-e   n n^T / L
+    inv = 1.0 / length
+    d_xi = np.concatenate([t, (eta * inv)[:, None] * n], axis=1)
+    d_eta = np.concatenate([n, (-xi * inv)[:, None] * n], axis=1)
+    d_hi = d_xi - np.concatenate([np.zeros_like(t), t], axis=1)  # of xi - length
+
+    nn = n[:, :, None] * n[:, None, :]
+    tn = t[:, :, None] * n[:, None, :]
+    sym = tn + tn.transpose(0, 2, 1)
+    mixed = (inv * c_xi)[:, None, None] * nn - (inv * c_eta)[:, None, None] * tn
+    ee = (inv**2)[:, None, None] * (
+        ((c_eta * xi - c_xi * eta)[:, None, None]) * sym
+        - (c_xi * xi + c_eta * eta)[:, None, None] * nn
+    ) + (inv * c_len)[:, None, None] * nn
+    hess = np.zeros((len(xi), 4, 4))
+    hess[:, :2, 2:] = mixed
+    hess[:, 2:, :2] = mixed.transpose(0, 2, 1)
+    hess[:, 2:, 2:] = ee
+
+    def weighted_outer(weight, a):
+        return weight[:, None, None] * a[:, :, None] * a[:, None, :]
+
+    hess += (
+        weighted_outer(smooth_abs_second(eta, mu), d_eta)
+        + weighted_outer(smooth_pos_second(-xi, mu), d_xi)
+        + weighted_outer(smooth_pos_second(xi - length, mu), d_hi)
+    )
+    return dist, grads, _FRAME_TO_DOFS.T @ hess @ _FRAME_TO_DOFS
 
 
 # ---------------------------------------------------------------------------

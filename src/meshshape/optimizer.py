@@ -369,7 +369,8 @@ def steepest_descent(
             status = STEP_FLOOR_FAILURE
             break
 
-        assert np.all(signed_areas(new_coords, complex.triangles) > 0.0)
+        if not np.all(signed_areas(new_coords, complex.triangles) > 0.0):
+            raise NonpositiveArea(f"accepted iterate {n + 1} has a nonpositive area")
         history.append(
             IterationRecord(n, j, phi, total, theta, s, backtracks, pairing)
         )

@@ -3,7 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from meshshape.cli import EXIT_USAGE, main
+from meshshape import cli
+from meshshape.cli import EXIT_OPT_FAILURE, EXIT_USAGE, main
+from meshshape.errors import NonDescentDirection
 from meshshape.fileio import write_mesh
 from meshshape.mesh import make_square5_mesh
 
@@ -106,6 +108,17 @@ def test_optimize_unpenalized_failure_exit_code(tmp_path):
         "--penalty", "none", "--max-iter", "2000", "--tol", "0", "--out", str(tmp_path / "f"),
     ])
     assert code == 3
+
+
+def test_optimize_failure_is_one_error_line(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise NonDescentDirection("pairing 0.5 at iteration 3")
+
+    monkeypatch.setattr(cli, "steepest_descent", fail)
+    code = run(["optimize", "--mesh", "square5", "--out", str(tmp_path / "f")])
+    assert code == EXIT_OPT_FAILURE
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: NonDescentDirection: pairing 0.5 at iteration 3"]
 
 
 def test_optimize_fix_boundary_square5(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from meshshape.errors import FixedPointDivergence
-from meshshape.geodesic import GeodesicConfig, integrate_geodesic, retract_geodesic
+from meshshape.geodesic import GeodesicConfig, _penalty_field, integrate_geodesic, retract_geodesic
 from meshshape.metrics import MetricSpec
 from meshshape.mesh import make_disc_mesh
 from meshshape.penalty import PenaltyParams
@@ -20,7 +20,8 @@ def test_flat_field_gives_straight_line(disc2, rng):
     cx, q = disc2
     v = rng.standard_normal(2 * cx.num_vertices)
     cfg = GeodesicConfig(num_steps=32)
-    path = integrate_geodesic(lambda c: np.zeros(2 * cx.num_vertices), q, v, cfg)
+    zero = np.zeros(2 * cx.num_vertices)
+    path = integrate_geodesic(lambda c: zero, lambda c: lambda x: zero, q, v, cfg)
     end = path.at_time(1.0)
     assert np.max(np.abs(end - (q + v.reshape(q.shape)))) < 1e-13
     # midpoint snapshot is the half step
@@ -104,3 +105,27 @@ def test_fixed_point_divergence_reported():
     cfg = GeodesicConfig(num_steps=2, fixed_point_max_iter=4)
     with pytest.raises(FixedPointDivergence):
         retract_geodesic(q, v, spec, cfg, cx)
+
+
+def test_fixed_mask_hessian_matches_masked_field(disc3):
+    # P H P v equals central differences of the masked gradient w = P grad phi
+    # along directions that keep the fixed vertices in place
+    cx, q0 = disc3
+    rng = np.random.default_rng(8)
+    q = q0 + 0.04 * rng.standard_normal(q0.shape)
+    mask = np.zeros(cx.num_vertices, dtype=bool)
+    mask[cx.boundary_vertices] = True
+    spec = MetricSpec.complete(PenaltyParams((10.0, 1.0, 0.1, 0.01)), q0.copy())
+    w_fn, hess_fn = _penalty_field(spec, cx, fixed_mask=mask)
+    hess = hess_fn(q)
+    free = ~np.repeat(mask, 2)
+    h = 1e-6
+    for _ in range(3):
+        v = np.where(free, rng.standard_normal(q.size), 0.0)
+        fd = (w_fn(q + h * v.reshape(q.shape)) - w_fn(q - h * v.reshape(q.shape))) / (2.0 * h)
+        hv = hess(v)
+        assert np.all(hv[~free] == 0.0)
+        assert np.max(np.abs(hv - fd)) < 1e-6 * np.max(np.abs(hv))
+    # the fixed DOFs of the argument do not enter
+    u = rng.standard_normal(q.size)
+    assert np.array_equal(hess(u), hess(np.where(free, u, 0.0)))

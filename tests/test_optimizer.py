@@ -315,6 +315,41 @@ def test_compcomp_runs_with_geodesic_ladder():
     assert np.all(signed_areas(res.final_coords, cx.triangles) > 0.0)
 
 
+def test_compcomp_with_boundary_term_in_the_metric(monkeypatch):
+    # a3 > 0 puts the boundary term's Hessian into the geodesic force
+    from meshshape import optimizer
+
+    paths = []
+    retract = optimizer.retract_geodesic
+
+    def recording_retract(*args, **kwargs):
+        paths.append(retract(*args, **kwargs))
+        return paths[-1]
+
+    monkeypatch.setattr(optimizer, "retract_geodesic", recording_retract)
+    cx, q = make_disc_mesh(1)
+    cfg = OptimizerConfig(
+        variant="CompComp",
+        penalty=ZERO,
+        metric_penalty=PenaltyParams((10.0, 1.0, 0.1, 0.01)),
+        max_iter=2,
+        stop_tol=0.0,
+        # the first integration drifts by 4.6e-4 with 64 steps, 2.2e-5 with
+        # 256 and 5.4e-6 with 512 (second order in the step)
+        geodesic=GeodesicConfig(num_steps=512),
+    )
+    iterates = []
+    res = steepest_descent(cx, q, model_rhs(), cfg, on_iterate=lambda n, c: iterates.append(c))
+    assert res.status == MAX_ITER
+    assert len(iterates) == 3
+    assert all(np.all(signed_areas(c, cx.triangles) > 0.0) for c in iterates)
+    assert paths
+    for path in paths:
+        assert not path.area_warnings
+        drift = abs(path.final_hamiltonian - path.initial_hamiltonian) / abs(path.initial_hamiltonian)
+        assert drift <= 1e-5
+
+
 def test_geodesic_ladder_relaunches_after_exhaustion():
     # with num_steps = 4 the first integration stores only levels 0..2; a
     # deeper trial must come from a fresh integration at the smallest scale
