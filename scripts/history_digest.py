@@ -20,6 +20,9 @@ from meshshape.cli import main
 CASES = (
     ("exp2", ["experiment", "2"]),
     ("elaseuc-disc50", ["optimize", "--variant", "ElasEuc", "--mesh", "disc:50", "--max-iter", "8"]),
+    # a pinned boundary puts the masked elasticity matrix on the drift check
+    ("elaseuc-fixed-disc7", ["optimize", "--variant", "ElasEuc", "--mesh", "disc:7", "--fix-boundary",
+                             "--max-iter", "20"]),
     ("compcomp-disc1", ["optimize", "--variant", "CompComp", "--mesh", "disc:1", "--max-iter", "2"]),
     # a3 > 0 puts the boundary term's second derivatives in the geodesic force
     ("compcomp-a3-disc1", ["optimize", "--variant", "CompComp", "--mesh", "disc:1", "--max-iter", "1",

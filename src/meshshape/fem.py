@@ -4,7 +4,9 @@ State: -Laplace(y) = r with homogeneous Dirichlet conditions, discretized
 with piecewise linear elements.  The load vector uses a one-point quadrature
 rule at triangle centroids; this exact rule choice is deliberately shared
 with the geometry derivative so that the discrete adjoint is the exact
-derivative of the discrete reduced objective.
+derivative of the discrete reduced objective.  The reduced stiffness is
+symmetric positive definite, so SuperLU factors it in symmetric mode with the
+``MMD_AT_PLUS_A`` ordering (minimum degree on ``A + A^T``).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import NonpositiveArea, SingularSystem
 from .mesh import (
+    SPD_LU,
     ConnectivityComplex,
     basis_gradients,
     scatter_add,
@@ -65,6 +68,7 @@ class AssembledSystem:
     """Stiffness, centroid-rule load and interior-DOF bookkeeping."""
 
     stiffness: sparse.csr_matrix
+    reduced: sparse.csc_matrix  # stiffness[interior][:, interior]
     load: np.ndarray
     volume_weights: np.ndarray  # integral of each nodal basis function
     interior: np.ndarray        # indices of non-boundary vertices
@@ -81,25 +85,17 @@ def assemble(coords: np.ndarray, complex: ConnectivityComplex, rhs: RhsField) ->
     grads = basis_gradients(e, areas)  # (N_T, 3, 2)
     k_loc = areas[:, None, None] * np.einsum("tld,tmd->tlm", grads, grads)
 
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    stiffness = sparse.coo_matrix(
-        (k_loc.ravel(), (rows, cols)), shape=(n_v, n_v)
-    ).tocsr()
-
     centroids = p.mean(axis=1)
     r_c = np.asarray(rhs.value(centroids[:, 0], centroids[:, 1]), dtype=float)
     load = scatter_add(n_v, (tris, np.repeat(areas * r_c / 3.0, 3)))
     weights = scatter_add(n_v, (tris, np.repeat(areas / 3.0, 3)))
 
-    interior = np.setdiff1d(
-        np.arange(n_v), complex.boundary_vertices, assume_unique=True
-    )
     return AssembledSystem(
-        stiffness=stiffness,
+        stiffness=complex.p1_pattern.matrix(k_loc),
+        reduced=complex.interior_p1_pattern.matrix(k_loc),
         load=load,
         volume_weights=weights,
-        interior=interior,
+        interior=complex.interior_vertices,
     )
 
 
@@ -107,10 +103,10 @@ def _reduced_solve(system: AssembledSystem, rhs_full: np.ndarray) -> np.ndarray:
     interior = system.interior
     if interior.size == 0:
         return np.zeros_like(rhs_full)
-    k_red = system.stiffness[interior][:, interior].tocsc()
+    k_red = system.reduced
     b = rhs_full[interior]
     try:
-        lu = splu(k_red)
+        lu = splu(k_red, **SPD_LU)
         x = lu.solve(b)
     except RuntimeError as exc:
         raise SingularSystem(str(exc)) from exc

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -97,6 +97,86 @@ class ConnectivityComplex:
         """Vec-order DOFs of the vertex and the two edge endpoints of each
         boundary pair, shape (3, P, 2), endpoint-major."""
         return 2 * self.boundary_pairs.T[..., None] + np.arange(2)
+
+    @cached_property
+    def interior_vertices(self) -> np.ndarray:
+        """Sorted vertices that are not on the boundary."""
+        return np.setdiff1d(np.arange(self.num_vertices), self.boundary_vertices, assume_unique=True)
+
+    @cached_property
+    def p1_pattern(self) -> "SparsePattern":
+        """CSR pattern of the P1 stiffness: 3x3 blocks over ``triangles``."""
+        return SparsePattern.of_blocks(self.triangles, self.num_vertices, sparse.csr_matrix)
+
+    @cached_property
+    def interior_p1_pattern(self) -> "SparsePattern":
+        """CSC pattern of the P1 stiffness restricted to ``interior_vertices``,
+        each entry summed in the order of ``p1_pattern``."""
+        full, keep, size = self.p1_pattern, self.interior_vertices, self.num_vertices
+        nnz = len(full.indices)
+        ids = sparse.csr_matrix((np.arange(1.0, nnz + 1), full.indices, full.indptr), shape=(size, size))
+        sub = ids[keep][:, keep].tocsc()  # the slicing replayed on the slot ids
+        slot = np.full(nnz + 1, sub.nnz)
+        slot[sub.data.astype(np.int64) - 1] = np.arange(sub.nnz)
+        return SparsePattern(sparse.csc_matrix, sub.indptr, sub.indices, full.order, slot[full.slots])
+
+    @cached_property
+    def elasticity_pattern(self) -> "SparsePattern":
+        """CSC pattern of the vector P1 metric: 6x6 blocks over ``vertex_dofs``."""
+        dofs = self.vertex_dofs.reshape(-1, 6)
+        return SparsePattern.of_blocks(dofs, 2 * self.num_vertices, sparse.csc_matrix)
+
+
+@dataclass(frozen=True, eq=False)
+class SparsePattern:
+    """Compressed pattern of a sum of dense element blocks: :meth:`matrix`
+    adds the flattened element entry ``order[k]`` to stored entry
+    ``slots[k]`` (none for ``len(indices)``), in the order scipy's COO
+    conversion adds them, so it gives ``coo_matrix(...).tocsr()`` (or
+    ``.tocsc()``) byte for byte."""
+
+    container: type  # sparse.csr_matrix or sparse.csc_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    order: np.ndarray
+    slots: np.ndarray
+
+    def __post_init__(self):
+        for shared in (self.indptr, self.indices):  # by every assembled matrix
+            shared.flags.writeable = False
+
+    @classmethod
+    def of_blocks(cls, dofs: np.ndarray, size: int, container: type) -> "SparsePattern":
+        """The ``k x k`` blocks over the rows of ``dofs`` (n, k): flat entry
+        ``(n k + a) k + b`` sits at ``(dofs[n, a], dofs[n, b])``."""
+        k = dofs.shape[1]
+        major, minor = np.repeat(dofs, k, axis=1).ravel(), np.tile(dofs, (1, k)).ravel()
+        if container is sparse.csc_matrix:
+            major, minor = minor, major
+        # Replay the conversion on the entry ids: a stable counting sort by the
+        # major index, then std::sort of each slice by the minor index, which
+        # is not stable but depends on the keys alone.
+        first = np.argsort(major, kind="stable")
+        indptr = np.r_[0, np.cumsum(np.bincount(major, minlength=size))]
+        replay = container((first.astype(float), minor[first], indptr), shape=(size, size))
+        replay.sort_indices()
+        order = replay.data.astype(np.int64)
+        major, minor = major[order], replay.indices
+        starts = np.r_[True, (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])]
+        indptr = np.r_[0, np.cumsum(np.bincount(major[starts], minlength=size))].astype(minor.dtype)
+        return cls(container, indptr, minor[starts], order, np.cumsum(starts) - 1)
+
+    def matrix(self, values: np.ndarray):
+        """The sum of the element blocks ``values``."""
+        weights = np.ravel(values)[self.order]
+        data = np.bincount(self.slots, weights=weights, minlength=len(self.indices) + 1)
+        size = len(self.indptr) - 1
+        return self.container((data[:-1], self.indices, self.indptr), shape=(size, size))
+
+
+# SuperLU options for the symmetric positive definite matrices assembled on
+# these patterns: symmetric mode, minimum degree ordering on A + A^T.
+SPD_LU = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
 
 
 def scatter_add(size: int, *terms) -> np.ndarray:
@@ -180,7 +260,7 @@ def build_complex(triangles, num_vertices: int) -> ConnectivityComplex:
     boundary_vertices = np.unique(boundary_edges)
 
     if n_t > 1:
-        graph = coo_matrix((np.ones(len(h0)), (h0 // 3, h1 // 3)), shape=(n_t, n_t))
+        graph = sparse.coo_matrix((np.ones(len(h0)), (h0 // 3, h1 // 3)), shape=(n_t, n_t))
         n_comp, _ = connected_components(graph, directed=False)
         if n_comp != 1:
             raise NotTwoPathConnected(f"{n_comp} triangle components")
@@ -464,33 +544,21 @@ def regularized_distance_derivatives(coords, pairs, mu, hessians=False):
 # Admissibility
 # ---------------------------------------------------------------------------
 
+_PAIR_BLOCK = 1 << 18  # pairs per block of rows of a pairwise test
+
+
 def _orient(a, b, c):
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    # Elementwise over broadcast (..., 2) points.
+    return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])
 
 
 def _segments_intersect(p0, p1, q0, q1):
-    d1 = _orient(q0, q1, p0)
-    d2 = _orient(q0, q1, p1)
-    d3 = _orient(p0, p1, q0)
-    d4 = _orient(p0, p1, q1)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
-        return True
-
-    def on_segment(a, b, c):
-        return (
-            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-        )
-
-    if d1 == 0 and on_segment(q0, q1, p0):
-        return True
-    if d2 == 0 and on_segment(q0, q1, p1):
-        return True
-    if d3 == 0 and on_segment(p0, p1, q0):
-        return True
-    if d4 == 0 and on_segment(p0, p1, q1):
-        return True
-    return False
+    ends = ((q0, q1, p0), (q0, q1, p1), (p0, p1, q0), (p0, p1, q1))
+    d1, d2, d3, d4 = (_orient(a, b, c) for a, b, c in ends)
+    meet = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
+    for d, (a, b, c) in zip((d1, d2, d3, d4), ends):  # an endpoint on the other segment
+        meet = meet | ((d == 0) & np.all((np.minimum(a, b) <= c) & (c <= np.maximum(a, b)), axis=-1))
+    return meet
 
 
 def is_admissible(complex: ConnectivityComplex, coords: np.ndarray, check_intersections: bool = False) -> bool:
@@ -509,28 +577,25 @@ def is_admissible(complex: ConnectivityComplex, coords: np.ndarray, check_inters
     if not check_intersections:
         return True
 
-    be = complex.boundary_edges
-    for i in range(len(be)):
-        a, b = be[i]
-        for j in range(i + 1, len(be)):
-            c, d = be[j]
-            if len({a, b, c, d}) < 4:
-                continue  # adjacent boundary edges share a vertex
-            if _segments_intersect(coords[a], coords[b], coords[c], coords[d]):
-                return False
+    be, bv, tris = complex.boundary_edges, complex.boundary_vertices, complex.triangles
+    seg, p = coords[be], coords[tris]
 
-    tris = complex.triangles
-    for v in complex.boundary_vertices:
-        pv = coords[v]
-        for k in range(tris.shape[0]):
-            t = tris[k]
-            if v in t:
-                continue
-            d0 = _orient(coords[t[0]], coords[t[1]], pv)
-            d1 = _orient(coords[t[1]], coords[t[2]], pv)
-            d2 = _orient(coords[t[2]], coords[t[0]], pv)
-            if d0 > 0 and d1 > 0 and d2 > 0:
-                return False
+    def edges_cross(rows):  # every pair twice, which leaves the verdict as it is
+        disjoint = ~np.any(be[rows, None, :, None] == be[:, None, :], axis=(2, 3))
+        meet = _segments_intersect(seg[rows, None, 0], seg[rows, None, 1], seg[:, 0], seg[:, 1])
+        return disjoint & meet
+
+    def vertex_inside(rows):
+        pv = coords[bv[rows], None]
+        inside = ~np.any(tris == bv[rows, None, None], axis=2)
+        for k in range(3):
+            inside &= _orient(p[:, k], p[:, (k + 1) % 3], pv) > 0
+        return inside
+
+    for test, n_rows, n_cols in ((edges_cross, len(be), len(be)), (vertex_inside, len(bv), len(tris))):
+        step = max(1, _PAIR_BLOCK // n_cols)
+        if any(np.any(test(slice(r, r + step))) for r in range(0, n_rows, step)):
+            return False
     return True
 
 

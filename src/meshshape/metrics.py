@@ -5,7 +5,9 @@ Three kinds: the Euclidean metric (identity), a linear-elasticity metric
 assembled fresh at the current configuration) and a rank-one metric ``I + g g^T`` built from the
 gradient of the mesh-quality penalty.  The rank-one structure makes the
 derivative-to-gradient solve cheap: two unpreconditioned CG iterations are
-exact, and a closed-form inverse is available for cross-checking.
+exact, and a closed-form inverse is available for cross-checking.  The
+elasticity matrix is symmetric positive definite, so SuperLU factors it in
+symmetric mode with the ``MMD_AT_PLUS_A`` ordering.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import NonpositiveArea, SingularSystem
-from .mesh import ConnectivityComplex, basis_gradients, triangle_geometry
+from .mesh import SPD_LU, ConnectivityComplex, basis_gradients, triangle_geometry
 from .penalty import PenaltyParams, penalty_gradient
 
 EUCLIDEAN = "euclidean"
@@ -85,7 +87,6 @@ def assemble_elasticity(coords: np.ndarray, complex: ConnectivityComplex, spec: 
     matrix of the hat functions, vec ordering."""
     mu, lam, delta = lame_parameters(spec)
     tris = complex.triangles
-    n = 2 * complex.num_vertices
     _, e, areas = triangle_geometry(coords, tris)
     if np.any(areas <= 0.0):
         raise NonpositiveArea("metric assembly requires positive areas")
@@ -114,11 +115,7 @@ def assemble_elasticity(coords: np.ndarray, complex: ConnectivityComplex, spec: 
             m_loc[:, 2 * a, 2 * b] = areas * m_scalar[a, b]
             m_loc[:, 2 * a + 1, 2 * b + 1] = areas * m_scalar[a, b]
 
-    dofs = complex.vertex_dofs.reshape(n_t, 6)
-    rows = np.repeat(dofs, 6, axis=1).ravel()
-    cols = np.tile(dofs, (1, 6)).ravel()
-    vals = (k_loc + delta * m_loc).ravel()
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+    return complex.elasticity_pattern.matrix(k_loc + delta * m_loc)
 
 
 class MetricOperator:
@@ -138,16 +135,16 @@ class MetricOperator:
             self._free = ~np.repeat(fixed_mask, 2)
         if spec.kind == ELASTICITY:
             mat = assemble_elasticity(coords, complex, spec)
-            if self._free is not None:
-                mat = mat.tolil()
-                fixed = np.flatnonzero(~self._free)
-                mat[fixed, :] = 0.0
-                mat[:, fixed] = 0.0
-                mat[fixed, fixed] = 1.0
-                mat = mat.tocsc()
+            if self._free is not None:  # identity rows and columns for the fixed DOFs
+                fixed, rows = ~self._free, mat.indices
+                cols = np.repeat(np.arange(self.n), np.diff(mat.indptr))
+                keep = ~(fixed[rows] | fixed[cols]) | (rows == cols)
+                indptr = np.r_[0, np.cumsum(np.bincount(cols[keep], minlength=self.n))]
+                data = np.where(fixed[rows], 1.0, mat.data)[keep]
+                mat = sparse.csc_matrix((data, rows[keep], indptr), shape=mat.shape)
             self._matrix = mat
             try:
-                self._lu = splu(mat)
+                self._lu = splu(mat, **SPD_LU)
             except RuntimeError as exc:
                 raise SingularSystem(str(exc)) from exc
         elif spec.kind == COMPLETE:

@@ -10,7 +10,15 @@ from meshshape.fem import (
     solve_adjoint,
     solve_state,
 )
-from meshshape.mesh import make_square5_mesh, uniform_refine
+from meshshape.mesh import (
+    basis_gradients,
+    make_disc_mesh,
+    make_square5_mesh,
+    triangle_geometry,
+    uniform_refine,
+)
+from meshshape.metrics import MetricSpec, assemble_elasticity, lame_parameters
+from scipy import sparse
 
 from conftest import central_difference
 
@@ -172,3 +180,94 @@ def test_shape_derivative_symmetry_center(square5):
     grad = shape_derivative(q, cx, solve_state(sys_), solve_adjoint(sys_), rhs)
     assert abs(grad[2 * 4 + 1]) < 1e-12
     assert abs(grad[2 * 4]) < 1e-12
+
+
+# -- assembly from the cached sparse patterns --------------------------------
+
+def _coo_reference(coords, cx):
+    """P1 stiffness and vector elasticity metric as COO conversions: the
+    assembly the cached patterns replace."""
+    tris = cx.triangles
+    n_t = len(tris)
+    _, e, areas = triangle_geometry(coords, tris)
+    grads = basis_gradients(e, areas)
+    k_loc = areas[:, None, None] * np.einsum("tld,tmd->tlm", grads, grads)
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    stiffness = sparse.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(cx.num_vertices,) * 2).tocsr()
+
+    mu, lam, delta = lame_parameters(MetricSpec.elasticity())
+    b_mat = np.zeros((n_t, 3, 6))
+    b_mat[:, 0, 0::2] = grads[..., 0]
+    b_mat[:, 1, 1::2] = grads[..., 1]
+    b_mat[:, 2, 0::2] = grads[..., 1]
+    b_mat[:, 2, 1::2] = grads[..., 0]
+    d_mat = np.array([[2.0 * mu + lam, lam, 0.0], [lam, 2.0 * mu + lam, 0.0], [0.0, 0.0, mu]])
+    k_el = areas[:, None, None] * np.einsum("tiv,ij,tjw->tvw", b_mat, d_mat, b_mat)
+    m_scalar = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    m_loc = np.zeros((n_t, 6, 6))
+    for a in range(3):
+        for b in range(3):
+            m_loc[:, 2 * a, 2 * b] = areas * m_scalar[a, b]
+            m_loc[:, 2 * a + 1, 2 * b + 1] = areas * m_scalar[a, b]
+    dofs = cx.vertex_dofs.reshape(n_t, 6)
+    rows = np.repeat(dofs, 6, axis=1).ravel()
+    cols = np.tile(dofs, (1, 6)).ravel()
+    vals = (k_el + delta * m_loc).ravel()
+    elasticity = sparse.coo_matrix((vals, (rows, cols)), shape=(2 * cx.num_vertices,) * 2).tocsc()
+    return stiffness, elasticity
+
+
+def _perturbed_disc(rings, seed):
+    cx, q = make_disc_mesh(rings)
+    q = q.copy()
+    inner = cx.interior_vertices
+    q[inner] += np.random.default_rng(seed).uniform(-0.2 / rings, 0.2 / rings, size=(len(inner), 2))
+    return cx, q
+
+
+def _same_arrays(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize("mesh", ["square5", "disc3", "disc7"])
+def test_pattern_assembly_matches_coo(mesh):
+    cx, q = make_square5_mesh() if mesh == "square5" else _perturbed_disc(int(mesh[4:]), 5)
+    stiffness, elasticity = _coo_reference(q, cx)
+    sys_ = assemble(q, cx, model_rhs())
+    assert _same_arrays(sys_.stiffness, stiffness)
+    interior = sys_.interior
+    assert _same_arrays(sys_.reduced, stiffness[interior][:, interior].tocsc())
+    assert _same_arrays(assemble_elasticity(q, cx, MetricSpec.elasticity()), elasticity)
+
+
+@pytest.mark.parametrize("refinements", [0, 2])
+def test_symmetric_mode_state_residual(refinements):
+    # The criterion-1 square with its center at (0, 1 - eps), eps = 1e-3,
+    # optionally refined: reduced systems of 1 and 25 unknowns.
+    cx, q = _degenerate_square5(1e-3)
+    for _ in range(refinements):
+        cx, q = uniform_refine(cx, q)
+    sys_ = assemble(q, cx, constant_rhs(1.0))
+    y = solve_state(sys_)
+    interior = sys_.interior
+    b = sys_.load[interior]
+    assert np.linalg.norm(sys_.reduced @ y[interior] - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_second_assemble_rebuilds_no_pattern():
+    cx, q = _perturbed_disc(3, 6)
+    first = assemble(q, cx, model_rhs())
+    cached = (cx.p1_pattern, cx.interior_p1_pattern, cx.interior_vertices)
+    second = assemble(q + 1e-3, cx, model_rhs())
+    assert (cx.p1_pattern, cx.interior_p1_pattern, cx.interior_vertices) == cached
+    # every matrix is built on the cached index arrays, not on copies
+    for sys_ in (first, second):
+        assert sys_.interior is cx.interior_vertices
+        for mat, pattern in ((sys_.stiffness, cx.p1_pattern), (sys_.reduced, cx.interior_p1_pattern)):
+            assert np.shares_memory(mat.indices, pattern.indices)
+            assert np.shares_memory(mat.indptr, pattern.indptr)
+    elasticity = cx.elasticity_pattern
+    for x in (q, q + 1e-3):
+        assert np.shares_memory(assemble_elasticity(x, cx, MetricSpec.elasticity()).indices, elasticity.indices)
+    assert cx.elasticity_pattern is elasticity

@@ -25,6 +25,7 @@ from meshshape.mesh import (
     smooth_pos,
     uniform_refine,
 )
+from meshshape import mesh as mesh_module
 from meshshape.penalty import quality_reciprocal
 
 from conftest import random_admissible_triangle
@@ -345,6 +346,117 @@ def test_boundary_overlap_detected():
     assert np.all(signed_areas(coords, cx.triangles) > 0.0)
     assert is_admissible(cx, coords, check_intersections=False)
     assert not is_admissible(cx, coords, check_intersections=True)
+
+
+def _loop_orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _loop_segments_intersect(p0, p1, q0, q1):
+    d1 = _loop_orient(q0, q1, p0)
+    d2 = _loop_orient(q0, q1, p1)
+    d3 = _loop_orient(p0, p1, q0)
+    d4 = _loop_orient(p0, p1, q1)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
+        return True
+
+    def on_segment(a, b, c):
+        return (
+            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+        )
+
+    return bool(
+        (d1 == 0 and on_segment(q0, q1, p0))
+        or (d2 == 0 and on_segment(q0, q1, p1))
+        or (d3 == 0 and on_segment(p0, p1, q0))
+        or (d4 == 0 and on_segment(p0, p1, q1))
+    )
+
+
+def _loop_boundary_edges_cross(cx, coords):
+    # The loops is_admissible ran before it was vectorized: the reference.
+    be = cx.boundary_edges
+    for i in range(len(be)):
+        a, b = be[i]
+        for j in range(i + 1, len(be)):
+            c, d = be[j]
+            if len({a, b, c, d}) < 4:
+                continue
+            if _loop_segments_intersect(coords[a], coords[b], coords[c], coords[d]):
+                return True
+    return False
+
+
+def _loop_boundary_vertex_inside(cx, coords):
+    tris = cx.triangles
+    for v in cx.boundary_vertices:
+        pv = coords[v]
+        for t in tris:
+            if v in t:
+                continue
+            d0 = _loop_orient(coords[t[0]], coords[t[1]], pv)
+            d1 = _loop_orient(coords[t[1]], coords[t[2]], pv)
+            d2 = _loop_orient(coords[t[2]], coords[t[0]], pv)
+            if d0 > 0 and d1 > 0 and d2 > 0:
+                return True
+    return False
+
+
+def _spiral_fan(last):
+    # Six triangles around the origin; the last rim vertex is free to move.
+    angles = np.deg2rad([0.0, 60.0, 120.0, 180.0, 240.0, 300.0])
+    coords = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angles), np.sin(angles)]), last])
+    return build_complex([(0, k, k + 1) for k in range(1, 7)], 8), coords
+
+
+def _crossing_strip(w=0.1):
+    # A strip of width 2w along the centerline (-1,0) (1,0) (1,1) (0,1) (0,-1):
+    # its first and last arms cross at the origin, far from every vertex.
+    c = np.array([[-1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, -1.0]])
+    d = np.diff(c, axis=0)
+    n = np.column_stack([-d[:, 1], d[:, 0]]) / np.linalg.norm(d, axis=1)[:, None]
+    offsets = w * np.vstack([n[:1], n[:-1] + n[1:], n[-1:]])  # mitred corners
+    coords = np.vstack([c - offsets, c + offsets])  # right rail 0..4, left rail 5..9
+    tris = [t for i in range(4) for t in ((i, i + 1, i + 6), (i, i + 6, i + 5))]
+    return build_complex(tris, 10), coords
+
+
+def _admissibility_case(name):
+    if name.startswith("disc"):
+        rings, _, seed = name[4:].partition("-")
+        cx, q = make_disc_mesh(int(rings))
+        if seed:
+            q = q.copy()
+            inner = cx.interior_vertices
+            q[inner] += np.random.default_rng(int(seed)).uniform(-0.02, 0.02, size=(len(inner), 2))
+        return cx, q
+    if name == "touching":  # the last rim vertex on the first spoke
+        return _spiral_fan([0.5, 0.0])
+    if name == "pushed":  # the last rim vertex inside the first triangle
+        return _spiral_fan(0.5 * np.array([np.cos(np.deg2rad(380.0)), np.sin(np.deg2rad(380.0))]))
+    return _crossing_strip()
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize(
+    "name, crossing, inside",
+    [
+        ("disc3", False, False),
+        ("disc10", False, False),
+        ("disc10-4", False, False),
+        ("touching", True, False),
+        ("crossing", True, False),
+        ("pushed", True, True),
+    ],
+)
+def test_vectorized_admissibility_matches_loops(name, crossing, inside, block, monkeypatch):
+    if block is not None:  # blocks of one or a few rows
+        monkeypatch.setattr(mesh_module, "_PAIR_BLOCK", block)
+    cx, q = _admissibility_case(name)
+    assert np.all(signed_areas(q, cx.triangles) > 0.0)
+    assert (_loop_boundary_edges_cross(cx, q), _loop_boundary_vertex_inside(cx, q)) == (crossing, inside)
+    assert is_admissible(cx, q, check_intersections=True) == (not (crossing or inside))
 
 
 # -- refinement --------------------------------------------------------------

@@ -55,6 +55,26 @@ def test_elasticity_local_stiffness_hand_value():
     assert mat[0, 0] == pytest.approx(0.5 * (2 * mu + lam + mu), rel=1e-12)
 
 
+def test_pinned_elasticity_matches_lil_assignment(disc3, rng):
+    cx, q = disc3
+    q = q.copy()
+    q[cx.interior_vertices] += rng.uniform(-0.05, 0.05, size=(len(cx.interior_vertices), 2))
+    mask = np.zeros(cx.num_vertices, dtype=bool)
+    mask[cx.boundary_vertices] = True
+    # The masked matrix as it was built before: assignments on a LIL copy,
+    # which keep no explicit zero in the fixed rows and columns.
+    ref = assemble_elasticity(q, cx, MetricSpec.elasticity()).tolil()
+    fixed = np.flatnonzero(np.repeat(mask, 2))
+    ref[fixed, :] = 0.0
+    ref[:, fixed] = 0.0
+    ref[fixed, fixed] = 1.0
+    ref = ref.tocsc()
+    mat = MetricOperator(MetricSpec.elasticity(), q, cx, fixed_mask=mask)._matrix
+    assert mat.format == "csc"
+    for field in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(mat, field), getattr(ref, field))
+
+
 def test_metric_symmetry_and_spd(disc2, rng):
     cx, q = disc2
     for spec in _specs(q.copy()):
