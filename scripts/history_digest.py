@@ -24,9 +24,12 @@ CASES = (
     ("elaseuc-fixed-disc7", ["optimize", "--variant", "ElasEuc", "--mesh", "disc:7", "--fix-boundary",
                              "--max-iter", "20"]),
     ("compcomp-disc1", ["optimize", "--variant", "CompComp", "--mesh", "disc:1", "--max-iter", "2"]),
-    # a3 > 0 puts the boundary term's second derivatives in the geodesic force
+    # a3 > 0 puts the boundary term in the geodesic's constraint values and gradients
     ("compcomp-a3-disc1", ["optimize", "--variant", "CompComp", "--mesh", "disc:1", "--max-iter", "1",
                            "--metric-alpha", "a1=10,a2=1,a3=0.1,a4=0.01"]),
+    # a pinned boundary puts the masked geodesic on the drift check
+    ("compcomp-fixed-disc2", ["optimize", "--variant", "CompComp", "--mesh", "disc:2", "--fix-boundary",
+                              "--max-iter", "1"]),
     ("compeuc-set1-disc12", ["optimize", "--variant", "CompEuc", "--penalty", "set1", "--mesh", "disc:12"]),
 )
 

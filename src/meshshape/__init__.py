@@ -3,13 +3,9 @@
 from .mesh import (
     ConnectivityComplex,
     build_complex,
-    edge_length,
-    height,
     is_admissible,
     make_disc_mesh,
     make_square5_mesh,
-    regularized_distance,
-    signed_area,
     uniform_refine,
 )
 from .penalty import (

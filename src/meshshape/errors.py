@@ -42,7 +42,7 @@ class NonDescentDirection(MeshShapeError):
 
 
 class FixedPointDivergence(MeshShapeError):
-    """The implicit sub-step of the geodesic integrator did not converge."""
+    """The constraint solve of the geodesic integrator did not converge."""
 
 
 class StepFloorFailure(MeshShapeError):

@@ -1,21 +1,29 @@
-"""Geodesics of the rank-one metric, integrated in Hamiltonian form.
+"""Geodesics of the rank-one metric, integrated as free motion on a graph.
 
-With ``w(q)`` the penalty gradient at configuration ``q``, the metric is
-``g(q) = I + w w^T`` and its inverse is available in closed form, so the
-geodesic flow is the Hamiltonian flow of
+With ``w = grad phi`` the gradient of the metric penalty, the metric
+``g(q) = I + w w^T`` is the pullback of the Euclidean metric of ``R^{n+1}``
+under ``q -> (q, phi(q))``.  Its geodesics are therefore the shadows of a
+free particle on the hypersurface ``z = phi(q)``: one scalar holonomic
+constraint and no potential.  RATTLE (Andersen, J. Comput. Phys. 52, 1983;
+Hairer, Lubich and Wanner, *Geometric Numerical Integration*, ch. VII.1)
+integrates that motion symplectically and keeps the constraint.  One step
+of length ``h`` from ``(x, z)`` with velocity ``(v, v_z)`` and ``g = w(x)``:
 
-    H(q, p) = 1/2 p^T g(q)^{-1} p = 1/2 (|p|^2 - (w.p)^2 / (1 + |w|^2)).
+1. ``x+ = x + h v + h^2/2 lam g`` and ``z+ = z + h v_z - h^2/2 lam``, the
+   multiplier ``lam`` solving the scalar equation ``z+ = phi(x+)`` by
+   simplified Newton with the slope ``-h^2/2 (1 + |g|^2)``, which takes
+   penalty values only;
+2. one gradient ``g+ = w(x+)``;
+3. the half-step velocity ``(u, u_z) = (v + h/2 lam g, v_z - h/2 lam)`` is
+   projected onto the tangent space at ``x+``: ``v+ = u + mu g+`` and
+   ``v_z+ = u_z - mu``, with ``mu = (u_z - g+.u) / (1 + |g+|^2)``.
 
-The position-first Stoermer-Verlet scheme is used; both half-steps are
-implicit (H is not separable) and solved by plain fixed-point iteration.
-The force ``dH/dq = grad w^T (c^2 / s^2 w - c / s p)``, with ``c = w.p`` and
-``s = 1 + |w|^2``, is exact: ``grad w`` is the analytic penalty Hessian,
-applied as a Hessian-vector product.  It is built once per step at the
-midpoint, together with ``w``, so each momentum iteration costs one product
-and no gradient evaluation.  Because the discrete flow is equivariant under
-the time/velocity rescaling ``(V, h) -> (tau V, h/tau)``, the dyadic-time
-snapshots of a single integration provide all the trial points of a
-backtracking line search with factor one half.
+The energy ``1/2 (|v|^2 + v_z^2)``, with ``v_z = w.v``, is the metric energy
+``1/2 v^T g(q) v``.  A step depends on ``h v`` and ``h^2 lam`` only, so the
+discrete flow is equivariant under the time/velocity rescaling
+``(V, h) -> (tau V, h/tau)``, and the dyadic-time snapshots of a single
+integration provide all the trial points of a backtracking line search with
+factor one half.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import numpy as np
 from .errors import FixedPointDivergence
 from .mesh import ConnectivityComplex, signed_areas
 from .metrics import MetricSpec
-from .penalty import penalty_gradient, penalty_hessian
+from .penalty import penalty_gradient, penalty_value
 
 logger = logging.getLogger(__name__)
 
@@ -36,8 +44,8 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class GeodesicConfig:
     num_steps: int = 1024
-    fixed_point_tol: float = 1e-12
-    fixed_point_max_iter: int = 50
+    fixed_point_tol: float = 1e-12  # relative residual of the constraint solve
+    fixed_point_max_iter: int = 50  # Newton iterations per step
 
     def __post_init__(self):
         n = self.num_steps
@@ -52,7 +60,6 @@ class GeodesicPath:
     snapshots: list  # list of (time, coords)
     initial_hamiltonian: float
     final_hamiltonian: float
-    final_momentum: np.ndarray
     area_warnings: list = field(default_factory=list)
 
     def at_time(self, t: float) -> np.ndarray:
@@ -62,83 +69,53 @@ class GeodesicPath:
         raise KeyError(f"no snapshot at t={t}")
 
 
-def _inv_metric_apply(w, p):
-    return p - w * ((w @ p) / (1.0 + w @ w))
-
-
-def _hamiltonian(w, p):
-    c = w @ p
-    return 0.5 * (p @ p - c * c / (1.0 + w @ w))
-
-
-def _fixed_point(update, start, tol, max_iter, what):
-    x = start
-    for _ in range(max_iter):
-        x_new = update(x)
-        if np.linalg.norm(x_new - x) <= tol * (1.0 + np.linalg.norm(x_new)):
-            return x_new
-        x = x_new
-    raise FixedPointDivergence(f"{what} did not converge in {max_iter} iterations")
-
-
-def integrate_geodesic(w_fn, hess_fn, coords: np.ndarray, velocity: np.ndarray, cfg: GeodesicConfig,
+def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, cfg: GeodesicConfig,
                        complex: ConnectivityComplex | None = None) -> GeodesicPath:
     """Integrate the geodesic with initial velocity over [0, 1].
 
-    ``w_fn(coords) -> vec`` evaluates the gradient field defining the metric
-    and ``hess_fn(coords)`` its derivative as a map ``v -> grad w v``, which
-    must be symmetric.  Returns snapshots at every dyadic time ``2^-k``
-    reachable with the step count, endpoint first.
+    ``phi_fn(coords) -> float`` evaluates the function whose graph carries
+    the motion and ``w_fn(coords) -> vec`` its gradient.  Returns snapshots
+    at every dyadic time ``2^-k`` reachable with the step count, endpoint
+    first.  Raises :class:`FixedPointDivergence` when a constraint solve does
+    not converge or meets a non-finite residual.
     """
     shape = coords.shape
-    q = coords.ravel().astype(float)
+    x = coords.ravel().astype(float)
     v = np.asarray(velocity, dtype=float).ravel()
-    w0 = w_fn(coords)
-    p = v + w0 * (w0 @ v)  # initial momentum g(q) V
+    g = w_fn(coords)
+    z, v_z = phi_fn(coords), g @ v
     h = 1.0 / cfg.num_steps
-    h0 = _hamiltonian(w0, p)
+    h2 = 0.5 * h * h
+    lam = 0.0  # the previous step's multiplier starts each solve
+    h0 = 0.5 * (v @ v + v_z * v_z)
 
-    snap_steps = {}
-    k = 0
-    while True:
-        step_index = cfg.num_steps >> k
-        if step_index < 1:
-            break
-        snap_steps[step_index] = 0.5**k
-        k += 1
-
+    snap_times = {cfg.num_steps >> k: 0.5**k for k in range(cfg.num_steps.bit_length())}
     snapshots = []
     area_warnings = []
     for step in range(1, cfg.num_steps + 1):
-        q_half = _fixed_point(
-            lambda x: q + 0.5 * h * _inv_metric_apply(w_fn(x.reshape(shape)), p),
-            q + 0.5 * h * _inv_metric_apply(w_fn(q.reshape(shape)), p),
-            cfg.fixed_point_tol,
-            cfg.fixed_point_max_iter,
-            "position half-step",
-        )
-        qh_coords = q_half.reshape(shape)
-        w = w_fn(qh_coords)
-        s = 1.0 + w @ w
-        hess = hess_fn(qh_coords)
+        x_free, z_free = x + h * v, z + h * v_z
+        slope = h2 * (1.0 + g @ g)
+        for _ in range(cfg.fixed_point_max_iter):
+            x_new, z_new = x_free + (h2 * lam) * g, z_free - h2 * lam
+            residual = z_new - phi_fn(x_new.reshape(shape))
+            if not np.isfinite(residual):
+                raise FixedPointDivergence(f"non-finite constraint residual at step {step}")
+            if abs(residual) <= cfg.fixed_point_tol * (1.0 + abs(z_new)):
+                break
+            lam += residual / slope
+        else:
+            raise FixedPointDivergence(
+                f"constraint solve did not converge in {cfg.fixed_point_max_iter} iterations"
+            )
+        u, u_z = v + (0.5 * h * lam) * g, v_z - 0.5 * h * lam
+        x, z = x_new, z_new
+        g = w_fn(x.reshape(shape))
+        mu = (u_z - g @ u) / (1.0 + g @ g)
+        v, v_z = u + mu * g, u_z - mu
 
-        def force(x):
-            c = w @ x
-            return hess((c * c / (s * s)) * w - (c / s) * x)
-
-        force0 = force(p)
-        p = _fixed_point(
-            lambda x: p - 0.5 * h * (force0 + force(x)),
-            p - h * force0,
-            cfg.fixed_point_tol,
-            cfg.fixed_point_max_iter,
-            "momentum step",
-        )
-        q = q_half + 0.5 * h * _inv_metric_apply(w, p)
-
-        if step in snap_steps:
-            snap_coords = q.reshape(shape).copy()
-            t = snap_steps[step]
+        if step in snap_times:
+            snap_coords = x.reshape(shape).copy()
+            t = snap_times[step]
             snapshots.append((t, snap_coords))
             if complex is not None:
                 min_area = float(np.min(signed_areas(snap_coords, complex.triangles)))
@@ -152,32 +129,26 @@ def integrate_geodesic(w_fn, hess_fn, coords: np.ndarray, velocity: np.ndarray, 
     return GeodesicPath(
         snapshots=snapshots,
         initial_hamiltonian=h0,
-        final_hamiltonian=_hamiltonian(w_fn(q.reshape(shape)), p),
-        final_momentum=p,
+        final_hamiltonian=0.5 * (v @ v + v_z * v_z),
         area_warnings=area_warnings,
     )
 
 
 def _penalty_field(spec: MetricSpec, complex: ConnectivityComplex, fixed_mask=None):
-    """``(w_fn, hess_fn)`` of the metric penalty gradient ``w = P grad phi``
-    and its derivative ``P H P``, ``P`` zeroing the fixed vertices' DOFs."""
+    """``(phi_fn, w_fn)``: the metric penalty and its gradient ``w = P grad
+    phi``, ``P`` zeroing the fixed vertices' DOFs."""
     free = None
     if fixed_mask is not None:
         free = ~np.repeat(np.asarray(fixed_mask, dtype=bool), 2)
 
+    def phi_fn(c):
+        return penalty_value(c, spec.qref, complex, spec.penalty)
+
     def w_fn(c):
         g = penalty_gradient(c, spec.qref, complex, spec.penalty)
-        if free is not None:
-            g = np.where(free, g, 0.0)
-        return g
+        return g if free is None else np.where(free, g, 0.0)
 
-    def hess_fn(c):
-        hess = penalty_hessian(c, spec.qref, complex, spec.penalty)
-        if free is None:
-            return hess
-        return lambda v: np.where(free, hess(np.where(free, v, 0.0)), 0.0)
-
-    return w_fn, hess_fn
+    return phi_fn, w_fn
 
 
 def retract_geodesic(
@@ -196,5 +167,5 @@ def retract_geodesic(
     """
     if spec.kind != "complete":
         raise ValueError("geodesic retraction requires the rank-one metric")
-    w_fn, hess_fn = _penalty_field(spec, complex, fixed_mask)
-    return integrate_geodesic(w_fn, hess_fn, coords, velocity, cfg, complex=complex)
+    phi_fn, w_fn = _penalty_field(spec, complex, fixed_mask)
+    return integrate_geodesic(phi_fn, w_fn, coords, velocity, cfg, complex=complex)

@@ -279,17 +279,6 @@ def build_complex(triangles, num_vertices: int) -> ConnectivityComplex:
 # Elementary geometric quantities
 # ---------------------------------------------------------------------------
 
-def signed_area(coords: np.ndarray, tri) -> float:
-    """Signed area of one triangle: half the determinant of two edge vectors.
-
-    Positive for counter-clockwise orientation; antisymmetric under swapping
-    any two vertices.
-    """
-    p0, p1, p2 = coords[tri[0]], coords[tri[1]], coords[tri[2]]
-    a, b = p1 - p0, p2 - p1
-    return 0.5 * (a[0] * b[1] - a[1] * b[0])
-
-
 def triangle_geometry(coords: np.ndarray, triangles: np.ndarray):
     """Per-triangle geometry, vectorized: ``(p, e, areas)``.
 
@@ -308,13 +297,6 @@ def signed_areas(coords: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return triangle_geometry(coords, triangles)[2]
 
 
-def edge_length(coords: np.ndarray, tri, ell: int) -> float:
-    """Length of the edge opposite local vertex ``ell`` (indices mod 3)."""
-    i = tri[(ell + 1) % 3]
-    j = tri[(ell + 2) % 3]
-    return float(np.linalg.norm(coords[i] - coords[j]))
-
-
 def edge_lengths(coords: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """All edge lengths as an (N_T, 3) array; column ``ell`` is opposite vertex ``ell``."""
     e = triangle_geometry(coords, triangles)[1]
@@ -329,23 +311,6 @@ def basis_gradients(e: np.ndarray, areas: np.ndarray) -> np.ndarray:
     """
     rot = np.stack([-e[..., 1], e[..., 0]], axis=-1)
     return rot / (2.0 * areas[:, None, None])
-
-
-def height(coords: np.ndarray, tri, ell: int) -> float:
-    """Triangle height onto the edge opposite vertex ``ell``.
-
-    Equals twice the signed area divided by the opposite edge length, so its
-    sign follows the orientation.
-
-    Raises
-    ------
-    DegenerateEdge
-        If the opposite edge has zero length.
-    """
-    e = edge_length(coords, tri, ell)
-    if e == 0.0:
-        raise DegenerateEdge("zero-length edge has no height")
-    return 2.0 * signed_area(coords, tri) / e
 
 
 def heights(coords: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -382,11 +347,6 @@ def smooth_abs_prime(t, mu: float):
     return t * (tt + 2.0 * mu * mu) / (tt + mu * mu) ** 1.5
 
 
-def smooth_abs_second(t, mu: float):
-    tt = t * t
-    return mu * mu * (2.0 * mu * mu - tt) / (tt + mu * mu) ** 2.5
-
-
 def _smoothstep(u):
     # C^3 step: 0 for u <= 0, 1 for u >= 1, degree-7 Hermite blend between.
     u = np.clip(u, 0.0, 1.0)
@@ -397,12 +357,6 @@ def _smoothstep_prime(u):
     inside = (u > 0.0) & (u < 1.0)
     u = np.clip(u, 0.0, 1.0)
     return np.where(inside, u**3 * (140.0 + u * (-420.0 + u * (420.0 - 140.0 * u))), 0.0)
-
-
-def _smoothstep_second(u):
-    inside = (u > 0.0) & (u < 1.0)
-    u = np.clip(u, 0.0, 1.0)
-    return np.where(inside, u**2 * (420.0 + u * (-1680.0 + u * (2100.0 - 840.0 * u))), 0.0)
 
 
 def smooth_pos(t, mu: float):
@@ -422,17 +376,6 @@ def smooth_pos_prime(t, mu: float):
     return 0.5 * (1.0 + smooth_abs_prime(t, mu)) * s + 0.5 * (t + smooth_abs(t, mu)) * sp
 
 
-def smooth_pos_second(t, mu: float):
-    s = _smoothstep(t / mu)
-    sp = _smoothstep_prime(t / mu) / mu
-    spp = _smoothstep_second(t / mu) / (mu * mu)
-    return (
-        0.5 * smooth_abs_second(t, mu) * s
-        + (1.0 + smooth_abs_prime(t, mu)) * sp
-        + 0.5 * (t + smooth_abs(t, mu)) * spp
-    )
-
-
 def _pair_frames(coords, pairs):
     # Edge-aligned frame of each (vertex, j0, j1) row: unit tangent t, unit
     # normal n, the vertex's coordinates (xi, eta) relative to j0, and |e|.
@@ -449,21 +392,14 @@ def _pair_frames(coords, pairs):
     return t, n, np.sum(u * t, axis=1), np.sum(u * n, axis=1), length
 
 
-def regularized_distance(coords: np.ndarray, vertex: int, edge, mu: float) -> float:
-    """Smoothed 1-norm distance from a vertex to a non-incident segment.
-
-    A nonnegative ``C^3`` underestimate of the minimum, over points of the
-    segment, of the 1-norm in the edge-aligned frame; zero exactly when the
-    vertex lies on the segment.
-    """
-    if mu <= 0.0:
-        raise ValueError("smoothing parameter must be positive")
-    pair = np.array([[vertex, edge[0], edge[1]]], dtype=np.int64)
-    return float(regularized_distances(coords, pair, mu)[0])
-
-
 def regularized_distances(coords, pairs, mu):
-    """Vectorized :func:`regularized_distance` over an (P, 3) pair array."""
+    """Smoothed 1-norm distances from vertices to non-incident segments.
+
+    Each row ``(i, j0, j1)`` of the (P, 3) ``pairs`` gives a nonnegative
+    ``C^3`` underestimate of the minimum, over points of the segment
+    ``[j0, j1]``, of the 1-norm in the edge-aligned frame; zero exactly when
+    vertex ``i`` lies on the segment.
+    """
     _, _, xi, eta, length = _pair_frames(coords, pairs)
     return _frame_distance(xi, eta, length, mu)
 
@@ -472,19 +408,10 @@ def _frame_distance(xi, eta, length, mu):
     return smooth_abs(eta, mu) + smooth_pos(-xi, mu) + smooth_pos(xi - length, mu)
 
 
-# (u, e) = (v - p0, p1 - p0) as a map of the pair DOFs (v, p0, p1), 2D each.
-_FRAME_TO_DOFS = np.kron(np.array([[1.0, -1.0, 0.0], [0.0, -1.0, 1.0]]), np.eye(2))
-
-
-def regularized_distance_derivatives(coords, pairs, mu, hessians=False):
-    """:func:`regularized_distances` with its exact derivatives, ``(d, grads,
-    hess)``, from one frame computation.
-
-    ``grads`` (3, P, 2) holds the gradients with respect to the vertex and the
-    two edge endpoints; ``hess`` (P, 6, 6), with DOFs ordered ``(v_x, v_y,
-    p0_x, p0_y, p1_x, p1_y)``, is computed only with ``hessians`` and is
-    ``None`` otherwise.
-    """
+def regularized_distance_derivatives(coords, pairs, mu):
+    """:func:`regularized_distances` with their exact gradients, ``(d, grads)``,
+    from one frame computation; ``grads`` (3, P, 2) holds the gradients with
+    respect to the vertex and the two edge endpoints."""
     t, n, xi, eta, length = _pair_frames(coords, pairs)
     dist = _frame_distance(xi, eta, length, mu)
     c_eta = smooth_abs_prime(eta, mu)
@@ -503,41 +430,7 @@ def regularized_distance_derivatives(coords, pairs, mu, hessians=False):
         + c_len[:, None] * t
     )
     g0 = -gv - g1
-    grads = np.stack([gv, g0, g1])
-    if not hessians:
-        return dist, grads, None
-
-    # Second derivatives of xi, eta and length in (u, e), by blocks:
-    #   xi:  u-e  n n^T / L,  e-e  -(eta (n t^T + t n^T) + xi n n^T) / L^2
-    #   eta: u-e -t n^T / L,  e-e   (xi (n t^T + t n^T) - eta n n^T) / L^2
-    #   len:                  e-e   n n^T / L
-    inv = 1.0 / length
-    d_xi = np.concatenate([t, (eta * inv)[:, None] * n], axis=1)
-    d_eta = np.concatenate([n, (-xi * inv)[:, None] * n], axis=1)
-    d_hi = d_xi - np.concatenate([np.zeros_like(t), t], axis=1)  # of xi - length
-
-    nn = n[:, :, None] * n[:, None, :]
-    tn = t[:, :, None] * n[:, None, :]
-    sym = tn + tn.transpose(0, 2, 1)
-    mixed = (inv * c_xi)[:, None, None] * nn - (inv * c_eta)[:, None, None] * tn
-    ee = (inv**2)[:, None, None] * (
-        ((c_eta * xi - c_xi * eta)[:, None, None]) * sym
-        - (c_xi * xi + c_eta * eta)[:, None, None] * nn
-    ) + (inv * c_len)[:, None, None] * nn
-    hess = np.zeros((len(xi), 4, 4))
-    hess[:, :2, 2:] = mixed
-    hess[:, 2:, :2] = mixed.transpose(0, 2, 1)
-    hess[:, 2:, 2:] = ee
-
-    def weighted_outer(weight, a):
-        return weight[:, None, None] * a[:, :, None] * a[:, None, :]
-
-    hess += (
-        weighted_outer(smooth_abs_second(eta, mu), d_eta)
-        + weighted_outer(smooth_pos_second(-xi, mu), d_xi)
-        + weighted_outer(smooth_pos_second(xi - length, mu), d_hi)
-    )
-    return dist, grads, _FRAME_TO_DOFS.T @ hess @ _FRAME_TO_DOFS
+    return dist, np.stack([gv, g0, g1])
 
 
 # ---------------------------------------------------------------------------

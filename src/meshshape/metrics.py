@@ -2,10 +2,9 @@
 
 Three kinds: the Euclidean metric (identity), a linear-elasticity metric
 (vector P1 stiffness plus a damping multiple of the vector L2 Gram matrix,
-assembled fresh at the current configuration) and a rank-one metric ``I + g g^T`` built from the
-gradient of the mesh-quality penalty.  The rank-one structure makes the
-derivative-to-gradient solve cheap: two unpreconditioned CG iterations are
-exact, and a closed-form inverse is available for cross-checking.  The
+assembled fresh at the current configuration) and a rank-one metric
+``I + g g^T`` built from the gradient of the mesh-quality penalty, which the
+derivative-to-gradient solve inverts in closed form (Sherman-Morrison).  The
 elasticity matrix is symmetric positive definite, so SuperLU factors it in
 symmetric mode with the ``MMD_AT_PLUS_A`` ordering.
 """
@@ -174,34 +173,11 @@ class MetricOperator:
             if norm_d > 0 and np.linalg.norm(self._matrix @ x - d) > 1e-10 * norm_d:
                 raise SingularSystem("metric solve residual too large")
             return x
-        return _cg_rank_one(self._g, d)
+        g = self._g
+        return d - g * ((g @ d) / (1.0 + g @ g))
 
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(max(v @ self.apply(v), 0.0)))
-
-
-def _cg_rank_one(g: np.ndarray, d: np.ndarray) -> np.ndarray:
-    # Two CG iterations are exact for I + g g^T (two distinct eigenvalues).
-    x = np.zeros_like(d)
-    r = d - (x + g * (g @ x))
-    p = r.copy()
-    rs = r @ r
-    for _ in range(2):
-        if rs == 0.0:
-            break
-        ap = p + g * (g @ p)
-        alpha = rs / (p @ ap)
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = r @ r
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x
-
-
-def sherman_morrison_solve(g: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Closed-form solve of ``(I + g g^T) x = d``."""
-    return d - g * ((g @ d) / (1.0 + g @ g))
 
 
 def retract_euclidean(coords: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Mesh-quality penalization and its analytic first and second derivatives.
+"""Mesh-quality penalization and its analytic gradient.
 
 The per-triangle quality reciprocal is
 
@@ -8,15 +8,12 @@ which is bounded below by 1 with equality exactly for equilateral triangles.
 The penalty combines its mesh average, the reciprocal total area, smoothed
 reciprocal distances between boundary vertices and non-incident boundary
 edges, and the squared Frobenius distance to a reference configuration.  The
-gradient and the Hessian-vector product are exact (chain rule), in vec order
-``[x_0, y_0, x_1, y_1, ...]``.
+gradient is exact (chain rule), in vec order ``[x_0, y_0, x_1, y_1, ...]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .errors import NonpositiveArea
@@ -113,14 +110,6 @@ def cutoff_prime(s, threshold: float):
     return np.where(s >= 2.0 * threshold, 1.0, np.where(s <= threshold, 0.0, blend))
 
 
-def cutoff_second(s, threshold: float):
-    s = np.asarray(s, dtype=float)
-    u = np.clip(s / threshold - 1.0, 0.0, 1.0)
-    c4, c5, c6, c7 = _CUTOFF_COEFFS
-    blend = u**2 * (12 * c4 + u * (20 * c5 + u * (30 * c6 + u * 42 * c7))) / threshold
-    return np.where((s <= threshold) | (s >= 2.0 * threshold), 0.0, blend)
-
-
 # ---------------------------------------------------------------------------
 # Penalty value
 # ---------------------------------------------------------------------------
@@ -173,51 +162,8 @@ def penalty_value(
 _ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-@dataclass
-class _ElementDerivatives:
-    """Per-element first derivatives at one configuration, shared by the
-    gradient and the Hessian, and the pair distances' Hessians where the
-    Hessian asks for them; ``None`` where the term is off."""
-
-    areas: np.ndarray | None = None  # A, (N_T,)
-    quality: np.ndarray | None = None  # f = ssq / (4 sqrt(3) A), (N_T,)
-    darea: np.ndarray | None = None  # dA/dp, (N_T, 3, 2)
-    dquality: np.ndarray | None = None  # df/dp, (N_T, 3, 2)
-    dist: np.ndarray | None = None  # regularized distance d, (P,)
-    ddist: np.ndarray | None = None  # dd/d(v, p0, p1), (3, P, 2)
-    hdist: np.ndarray | None = None  # d^2 d, (P, 6, 6), with ``pair_hessians``
-
-
-def _element_derivatives(coords, complex, params, pair_hessians=False) -> _ElementDerivatives:
-    a1, a2, a3, _ = params.alpha
-    out = _ElementDerivatives()
-    if a1 != 0.0 or a2 != 0.0:
-        p, e, areas = triangle_geometry(coords, complex.triangles)
-        vals = _quality_reciprocals(e, areas)  # raises on nonpositive areas
-        # d area / d p_l = 0.5 * rot90(e_l), rot90 (x,y) -> (-y,x)
-        out.areas, out.quality, out.darea = areas, vals, 0.5 * e @ _ROT90.T
-        if a1 != 0.0:
-            # d ssq / d p_l = 2 (2 p_l - p_{l+1} - p_{l+2})
-            dssq = 2.0 * (2.0 * p - p[:, [1, 2, 0]] - p[:, [2, 0, 1]])
-            denom = 4.0 * SQRT3 * areas
-            out.dquality = (dssq - (4.0 * SQRT3 * vals)[:, None, None] * out.darea) / denom[:, None, None]
-    if a3 != 0.0 and complex.boundary_pairs.shape[0] > 0:
-        out.dist, out.ddist, out.hdist = regularized_distance_derivatives(
-            coords, complex.boundary_pairs, params.mu, hessians=pair_hessians
-        )
-    return out
-
-
 def _boundary_scale(complex):
     return len(complex.boundary_edges) * len(complex.boundary_vertices)
-
-
-def _boundary_slope(dist, params):
-    # d/dd chi(1/d) = -chi'(1/d) / d^2, chi the identity without cutoff
-    slope = -1.0 / dist**2
-    if params.cutoff_threshold is not None:
-        slope = slope * cutoff_prime(1.0 / dist, params.cutoff_threshold)
-    return slope
 
 
 def penalty_gradient(
@@ -228,102 +174,31 @@ def penalty_gradient(
 ) -> np.ndarray:
     """Exact gradient of :func:`penalty_value` in vec order (length ``2 N_V``)."""
     a1, a2, a3, a4 = params.alpha
-    der = _element_derivatives(coords, complex, params)
     terms = []  # (vec DOFs, contributions), summed in this order
-    if a1 != 0.0:
-        terms.append((complex.vertex_dofs, (a1 / complex.num_triangles) * der.dquality))
-    if a2 != 0.0:
-        total = np.sum(der.areas)
-        terms.append((complex.vertex_dofs, (-a2 / total**2) * der.darea))
-    if der.dist is not None:
-        w = (a3 / _boundary_scale(complex)) * _boundary_slope(der.dist, params)
-        terms.append((complex.boundary_pair_dofs, w[:, None] * der.ddist))
+    if a1 != 0.0 or a2 != 0.0:
+        p, e, areas = triangle_geometry(coords, complex.triangles)
+        vals = _quality_reciprocals(e, areas)  # raises on nonpositive areas
+        darea = 0.5 * e @ _ROT90.T  # d area / d p_l = 0.5 * rot90(e_l), rot90 (x,y) -> (-y,x)
+        if a1 != 0.0:
+            # d ssq / d p_l = 2 (2 p_l - p_{l+1} - p_{l+2})
+            dssq = 2.0 * (2.0 * p - p[:, [1, 2, 0]] - p[:, [2, 0, 1]])
+            denom = 4.0 * SQRT3 * areas
+            dquality = (dssq - (4.0 * SQRT3 * vals)[:, None, None] * darea) / denom[:, None, None]
+            terms.append((complex.vertex_dofs, (a1 / complex.num_triangles) * dquality))
+        if a2 != 0.0:
+            total = np.sum(areas)
+            terms.append((complex.vertex_dofs, (-a2 / total**2) * darea))
+    if a3 != 0.0 and complex.boundary_pairs.shape[0] > 0:
+        dist, ddist = regularized_distance_derivatives(coords, complex.boundary_pairs, params.mu)
+        # d/dd chi(1/d) = -chi'(1/d) / d^2, chi the identity without cutoff
+        slope = -1.0 / dist**2
+        if params.cutoff_threshold is not None:
+            slope = slope * cutoff_prime(1.0 / dist, params.cutoff_threshold)
+        w = (a3 / _boundary_scale(complex)) * slope
+        terms.append((complex.boundary_pair_dofs, w[:, None] * ddist))
 
     n = 2 * complex.num_vertices
     grad = scatter_add(n, *terms) if terms else np.zeros(n)
     if a4 != 0.0:
         grad += a4 * (coords - qref).ravel()
     return grad
-
-
-# Constant second derivatives of one triangle in its local DOFs (vertex l,
-# component k) -> 2 l + k: ssq = sum of squared edge lengths, and the signed
-# area, whose gradient 0.5 rot90(p_{l+2} - p_{l+1}) is linear.
-_D2SSQ = 2.0 * np.kron(3.0 * np.eye(3) - np.ones((3, 3)), np.eye(2))
-_D2AREA = 0.5 * np.kron(np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]), _ROT90)
-
-
-def penalty_hessian(
-    coords: np.ndarray,
-    qref: np.ndarray,
-    complex: ConnectivityComplex,
-    params: PenaltyParams,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact Hessian of :func:`penalty_value` at ``coords`` as the map
-    ``v -> H v`` on vec-order vectors.
-
-    Per-triangle and per-boundary-pair 6x6 blocks are built once; each
-    product is one gather, one batched block product and one scatter, plus
-    the rank-one part of the area term and the identity of the reference
-    term.
-    """
-    a1, a2, a3, a4 = params.alpha
-    der = _element_derivatives(coords, complex, params, pair_hessians=True)
-    n = 2 * complex.num_vertices
-    dofs, blocks = [], []
-    rank_one = None
-
-    if a1 != 0.0 or a2 != 0.0:
-        tri_block = np.zeros((complex.num_triangles, 6, 6))
-        if a1 != 0.0:
-            # grad^2 f = (grad^2 ssq / c - df dA^T - dA df^T - f grad^2 A) / A
-            df = der.dquality.reshape(-1, 6)
-            da = der.darea.reshape(-1, 6)
-            cross = df[:, :, None] * da[:, None, :]
-            hf = (
-                _D2SSQ / (4.0 * SQRT3)
-                - cross
-                - cross.transpose(0, 2, 1)
-                - der.quality[:, None, None] * _D2AREA
-            ) / der.areas[:, None, None]
-            tri_block += (a1 / complex.num_triangles) * hf
-        if a2 != 0.0:
-            # a2 / T: -a2 / T^2 grad^2 T + 2 a2 / T^3 grad T grad T^T
-            total = np.sum(der.areas)
-            tri_block -= (a2 / total**2) * _D2AREA
-            rank_one = (2.0 * a2 / total**3, scatter_add(n, (complex.vertex_dofs, der.darea)))
-        dofs.append(complex.vertex_dofs.reshape(-1, 6))
-        blocks.append(tri_block)
-
-    if der.dist is not None:
-        # d^2/dd^2 chi(1/d) = chi''(1/d) / d^4 + 2 chi'(1/d) / d^3
-        recip = 1.0 / der.dist
-        first = _boundary_slope(der.dist, params)
-        second = -2.0 * recip * first
-        if params.cutoff_threshold is not None:
-            second = second + cutoff_second(recip, params.cutoff_threshold) * recip**4
-        scale = a3 / _boundary_scale(complex)
-        dd = der.ddist.transpose(1, 0, 2).reshape(-1, 6)
-        blocks.append(
-            (scale * second)[:, None, None] * dd[:, :, None] * dd[:, None, :]
-            + (scale * first)[:, None, None] * der.hdist
-        )
-        dofs.append(complex.boundary_pair_dofs.transpose(1, 0, 2).reshape(-1, 6))
-
-    index = np.concatenate(dofs) if dofs else None
-    block = np.concatenate(blocks) if blocks else None
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        v = np.ravel(v)
-        if index is None:
-            hv = np.zeros(n)
-        else:
-            hv = scatter_add(n, (index, np.einsum("kij,kj->ki", block, v[index])))
-        if rank_one is not None:
-            weight, grad_total = rank_one
-            hv += (weight * (grad_total @ v)) * grad_total
-        if a4 != 0.0:
-            hv += a4 * v
-        return hv
-
-    return apply

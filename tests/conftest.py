@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from meshshape.mesh import make_disc_mesh, make_square5_mesh
+from meshshape.errors import DegenerateEdge
+from meshshape.mesh import make_disc_mesh, make_square5_mesh, regularized_distances
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +45,62 @@ def central_difference(fn, coords, h=1e-6):
             - fn((flat - bump).reshape(coords.shape))
         ) / (2.0 * h)
     return out
+
+
+# -- reference oracles --------------------------------------------------------
+# Scalar, one-element versions of the vectorized geometry in meshshape.mesh,
+# and the CG solve the paper uses for the rank-one metric.
+
+def signed_area(coords, tri):
+    """Signed area of one triangle: half the determinant of two edge vectors.
+
+    Positive for counter-clockwise orientation; antisymmetric under swapping
+    any two vertices.
+    """
+    p0, p1, p2 = coords[tri[0]], coords[tri[1]], coords[tri[2]]
+    a, b = p1 - p0, p2 - p1
+    return 0.5 * (a[0] * b[1] - a[1] * b[0])
+
+
+def edge_length(coords, tri, ell):
+    """Length of the edge opposite local vertex ``ell`` (indices mod 3)."""
+    i = tri[(ell + 1) % 3]
+    j = tri[(ell + 2) % 3]
+    return float(np.linalg.norm(coords[i] - coords[j]))
+
+
+def height(coords, tri, ell):
+    """Triangle height onto the edge opposite vertex ``ell``, sign following
+    the orientation; raises ``DegenerateEdge`` on a zero-length edge."""
+    e = edge_length(coords, tri, ell)
+    if e == 0.0:
+        raise DegenerateEdge("zero-length edge has no height")
+    return 2.0 * signed_area(coords, tri) / e
+
+
+def regularized_distance(coords, vertex, edge, mu):
+    """Smoothed 1-norm distance from one vertex to a non-incident segment."""
+    if mu <= 0.0:
+        raise ValueError("smoothing parameter must be positive")
+    pair = np.array([[vertex, edge[0], edge[1]]], dtype=np.int64)
+    return float(regularized_distances(coords, pair, mu)[0])
+
+
+def cg_rank_one(g, d):
+    """Two unpreconditioned CG iterations on ``(I + g g^T) x = d``, exact in
+    exact arithmetic because the matrix has two distinct eigenvalues."""
+    x = np.zeros_like(d)
+    r = d - (x + g * (g @ x))
+    p = r.copy()
+    rs = r @ r
+    for _ in range(2):
+        if rs == 0.0:
+            break
+        ap = p + g * (g @ p)
+        alpha = rs / (p @ ap)
+        x = x + alpha * p
+        r = r - alpha * ap
+        rs_new = r @ r
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x

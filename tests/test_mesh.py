@@ -12,14 +12,10 @@ from meshshape.errors import (
 )
 from meshshape.mesh import (
     build_complex,
-    edge_length,
-    height,
     is_admissible,
     make_disc_mesh,
     make_square5_mesh,
-    regularized_distance,
     scatter_add,
-    signed_area,
     signed_areas,
     smooth_abs,
     smooth_pos,
@@ -28,7 +24,7 @@ from meshshape.mesh import (
 from meshshape import mesh as mesh_module
 from meshshape.penalty import quality_reciprocal
 
-from conftest import random_admissible_triangle
+from conftest import edge_length, height, random_admissible_triangle, regularized_distance, signed_area
 
 
 # -- build_complex -----------------------------------------------------------

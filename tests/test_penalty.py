@@ -17,7 +17,6 @@ from meshshape.penalty import (
     cutoff_prime,
     mesh_quality,
     penalty_gradient,
-    penalty_hessian,
     penalty_value,
     quality_reciprocal,
     quality_reciprocals,
@@ -196,66 +195,6 @@ def test_penalty_gradient_translation_invariance(disc3):
     ty[1::2] = 1.0
     assert abs(grad @ tx) < 1e-10
     assert abs(grad @ ty) < 1e-10
-
-
-# -- Hessian -----------------------------------------------------------------
-
-def _perturbed_disc3(disc3):
-    cx, q = disc3
-    rng = np.random.default_rng(4)
-    return cx, q + 0.04 * rng.standard_normal(q.shape), q.copy()
-
-
-def _dense(hess, n):
-    return np.column_stack([hess(e) for e in np.eye(n)])
-
-
-def _fd_hessian(grad, coords, h=1e-6):
-    # central differences of the exact gradient, column by column
-    flat = coords.ravel()
-    cols = []
-    for e in np.eye(flat.size):
-        plus = grad((flat + h * e).reshape(coords.shape))
-        minus = grad((flat - h * e).reshape(coords.shape))
-        cols.append((plus - minus) / (2.0 * h))
-    return np.column_stack(cols)
-
-
-@pytest.mark.parametrize(
-    "alpha, threshold",
-    [
-        ((1.0, 0.0, 0.0, 0.0), None),
-        ((0.0, 1.0, 0.0, 0.0), None),
-        ((0.0, 0.0, 1.0, 0.0), None),
-        # reciprocal distances span 0.41..3.7: zero, blend and identity parts
-        ((0.0, 0.0, 1.0, 0.0), 0.5),
-        ((0.0, 0.0, 0.0, 1.0), None),
-    ],
-    ids=["a1", "a2", "a3", "a3-cutoff", "a4"],
-)
-def test_penalty_hessian_fd(disc3, alpha, threshold):
-    cx, coords, qref = _perturbed_disc3(disc3)
-    params = PenaltyParams(alpha, mu=0.1, cutoff_threshold=threshold)
-    dense = _dense(penalty_hessian(coords, qref, cx, params), coords.size)
-    fd = _fd_hessian(lambda c: penalty_gradient(c, qref, cx, params), coords)
-    assert np.max(np.abs(dense)) > 0.0
-    assert np.max(np.abs(dense - fd)) < 1e-6 * np.max(np.abs(dense))
-
-
-def test_penalty_hessian_symmetric(disc3):
-    cx, coords, qref = _perturbed_disc3(disc3)
-    params = PenaltyParams((10.0, 1.0, 0.1, 0.01), mu=0.1, cutoff_threshold=0.5)
-    hess = penalty_hessian(coords, qref, cx, params)
-    rng = np.random.default_rng(6)
-    for _ in range(5):
-        u, v = rng.standard_normal((2, coords.size))
-        assert u @ hess(v) == pytest.approx(v @ hess(u), rel=1e-12, abs=1e-12)
-
-
-def test_penalty_hessian_zero_penalty(square5):
-    cx, q = square5
-    hess = penalty_hessian(q, q, cx, PenaltyParams((0.0, 0.0, 0.0, 0.0)))
-    assert np.all(hess(np.ones(q.size)) == 0.0)
 
 
 # -- cutoff ------------------------------------------------------------------
