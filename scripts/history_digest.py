@@ -31,6 +31,8 @@ CASES = (
     ("compcomp-fixed-disc2", ["optimize", "--variant", "CompComp", "--mesh", "disc:2", "--fix-boundary",
                               "--max-iter", "1"]),
     ("compeuc-set1-disc12", ["optimize", "--variant", "CompEuc", "--penalty", "set1", "--mesh", "disc:12"]),
+    # the thread pool puts the per-thread geometry cache on the drift check
+    ("exp3-parallel", ["experiment", "3", "--rings", "3", "--max-iter", "20", "--parallel"]),
 )
 
 

@@ -115,14 +115,14 @@ def _reduced_solve(system: AssembledSystem, rhs_full: np.ndarray) -> np.ndarray:
     norm_b = np.linalg.norm(b)
     if norm_b > 0.0:
         # ill-conditioned (near-degenerate) meshes may need refinement steps
-        for _ in range(3):
+        for refinements in range(4):
             residual = b - k_red @ x
-            if np.linalg.norm(residual) <= 1e-10 * norm_b:
+            res_norm = np.linalg.norm(residual)
+            if res_norm <= 1e-10 * norm_b or refinements == 3:
                 break
             x = x + lu.solve(residual)
-        residual = np.linalg.norm(k_red @ x - b)
-        if not np.isfinite(residual) or residual > 1e-10 * norm_b:
-            raise SingularSystem(f"relative residual {residual / norm_b:.3e}")
+        if not np.isfinite(res_norm) or res_norm > 1e-10 * norm_b:
+            raise SingularSystem(f"relative residual {res_norm / norm_b:.3e}")
     full = np.zeros_like(rhs_full)
     full[interior] = x
     return full

@@ -12,6 +12,7 @@ flattened coordinate vector is ``coords.ravel()``, i.e.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -279,16 +280,41 @@ def build_complex(triangles, num_vertices: int) -> ConnectivityComplex:
 # Elementary geometric quantities
 # ---------------------------------------------------------------------------
 
+_NEXT, _AFTER_NEXT = np.array([1, 2, 0]), np.array([2, 0, 1])  # local vertices l + 1, l + 2
+_GEOMETRY_CACHE_SIZE = 3
+_geometry_cache = threading.local()
+
+
 def triangle_geometry(coords: np.ndarray, triangles: np.ndarray):
     """Per-triangle geometry, vectorized: ``(p, e, areas)``.
 
     ``p`` (N_T, 3, 2) holds the gathered vertices, ``e[:, l] = p[:, l+2] -
     p[:, l+1]`` (N_T, 3, 2) the edge vector opposite local vertex ``l``, and
     ``areas`` (N_T,) the signed areas.
+
+    Each thread keeps its last three results, keyed by the ``triangles``
+    array itself (by identity) and by the shape, dtype and bytes of
+    ``coords``, so every layer asking about one vertex configuration shares
+    one computation, and changing ``coords`` in place gives fresh geometry.
+    The returned arrays are read-only.
     """
+    key = (coords.shape, coords.dtype, coords.tobytes())
+    try:
+        entries = _geometry_cache.entries
+    except AttributeError:
+        entries = _geometry_cache.entries = []
+    for k, (tris, entry_key, result) in enumerate(entries):
+        if tris is triangles and entry_key == key:
+            if k:
+                entries.insert(0, entries.pop(k))
+            return result
     p = coords[triangles]
-    e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+    e = p[:, _AFTER_NEXT] - p[:, _NEXT]  # local edge major in memory, which fixes later sums' order
     areas = 0.5 * (e[:, 2, 0] * e[:, 0, 1] - e[:, 2, 1] * e[:, 0, 0])
+    for a in (p, e, areas):
+        a.setflags(write=False)
+    entries.insert(0, (triangles, key, (p, e, areas)))
+    del entries[_GEOMETRY_CACHE_SIZE:]
     return p, e, areas
 
 
@@ -315,10 +341,11 @@ def basis_gradients(e: np.ndarray, areas: np.ndarray) -> np.ndarray:
 
 def heights(coords: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """All heights as an (N_T, 3) array, sign following the signed area."""
-    e = edge_lengths(coords, triangles)
-    if np.any(e == 0.0):
+    _, e, areas = triangle_geometry(coords, triangles)
+    lengths = np.sqrt(np.sum(e**2, axis=2))
+    if np.any(lengths == 0.0):
         raise DegenerateEdge("zero-length edge has no height")
-    return 2.0 * signed_areas(coords, triangles)[:, None] / e
+    return 2.0 * areas[:, None] / lengths
 
 
 # ---------------------------------------------------------------------------
@@ -541,31 +568,23 @@ def make_disc_mesh(rings: int):
     if rings < 1:
         raise ValueError("rings must be >= 1")
 
-    coords = [np.zeros(2)]
-    offsets = [0, 1]
+    coords = [np.zeros((1, 2))]
+    triangles = []
     for k in range(1, rings + 1):
         r = k / rings
         angles = 2.0 * np.pi * np.arange(6 * k) / (6 * k)
-        coords.extend(np.column_stack([r * np.cos(angles), r * np.sin(angles)]))
-        offsets.append(offsets[-1] + 6 * k)
+        coords.append(np.column_stack([r * np.cos(angles), r * np.sin(angles)]))
+        # Per sector s, the k triangles (o_a, o_b, inner) on the outer ring's
+        # edges, then the k - 1 triangles (o_b, i_b, i_a) on the inner ring's.
+        out0 = 1 + 3 * k * (k - 1)  # the first vertex of ring k
+        in0 = 1 + 3 * (k - 1) * (k - 2) if k > 1 else 0
+        s, u = np.arange(6)[:, None], np.arange(k)
+        o_a = out0 + (s * k + u) % (6 * k)
+        o_b = out0 + (s * k + u + 1) % (6 * k)
+        inner = in0 + (s * (k - 1) + u) % max(6 * (k - 1), 1)  # the centre when k == 1
+        outward = np.stack([o_a, o_b, inner], axis=-1)
+        inward = np.stack([o_b[:, :-1], inner[:, 1:], inner[:, :-1]], axis=-1)
+        triangles.append(np.concatenate([outward, inward], axis=1).reshape(-1, 3))
 
-    triangles = []
-    for k in range(1, rings + 1):
-        n_out = 6 * k
-        n_in = 6 * (k - 1)
-        out0 = offsets[k]
-        in0 = offsets[k - 1]
-        for s in range(6):
-            for u in range(k):
-                o_a = out0 + (s * k + u) % n_out
-                o_b = out0 + (s * k + u + 1) % n_out
-                inner = 0 if k == 1 else in0 + (s * (k - 1) + u) % n_in
-                triangles.append((o_a, o_b, inner))
-            for u in range(k - 1):
-                o_b = out0 + (s * k + u + 1) % n_out
-                i_a = in0 + (s * (k - 1) + u) % n_in
-                i_b = in0 + (s * (k - 1) + u + 1) % n_in
-                triangles.append((o_b, i_b, i_a))
-
-    complex = build_complex(triangles, offsets[-1])
-    return complex, np.asarray(coords)
+    complex = build_complex(np.concatenate(triangles), 3 * rings * (rings + 1) + 1)
+    return complex, np.concatenate(coords)

@@ -81,6 +81,9 @@ def lame_parameters(spec: MetricSpec):
     return mu, lam, delta
 
 
+_VECTOR_MASS = np.kron((np.ones((3, 3)) + np.eye(3)) / 12.0, np.eye(2))
+
+
 def assemble_elasticity(coords: np.ndarray, complex: ConnectivityComplex, spec: MetricSpec):
     """Vector P1 elasticity stiffness plus ``delta`` times the vector L2 Gram
     matrix of the hat functions, vec ordering."""
@@ -91,30 +94,21 @@ def assemble_elasticity(coords: np.ndarray, complex: ConnectivityComplex, spec: 
         raise NonpositiveArea("metric assembly requires positive areas")
     grads = basis_gradients(e, areas)
 
-    # Strain-displacement matrices, Voigt order (e_xx, e_yy, gamma_xy).
-    n_t = tris.shape[0]
-    b_mat = np.zeros((n_t, 3, 6))
-    b_mat[:, 0, 0::2] = grads[..., 0]
-    b_mat[:, 1, 1::2] = grads[..., 1]
-    b_mat[:, 2, 0::2] = grads[..., 1]
-    b_mat[:, 2, 1::2] = grads[..., 0]
-    d_mat = np.array(
-        [
-            [2.0 * mu + lam, lam, 0.0],
-            [lam, 2.0 * mu + lam, 0.0],
-            [0.0, 0.0, mu],
-        ]
-    )
-    k_loc = areas[:, None, None] * np.einsum("tiv,ij,tjw->tvw", b_mat, d_mat, b_mat)
-
-    m_scalar = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    m_loc = np.zeros((n_t, 6, 6))
-    for a in range(3):
-        for b in range(3):
-            m_loc[:, 2 * a, 2 * b] = areas * m_scalar[a, b]
-            m_loc[:, 2 * a + 1, 2 * b + 1] = areas * m_scalar[a, b]
-
-    return complex.elasticity_pattern.matrix(k_loc + delta * m_loc)
+    # Entry (2a + c, 2b + d) of B^T D B, B the Voigt strain-displacement
+    # matrix (e_xx, e_yy, gamma_xy), has two nonzero terms (B_iv D_ij) B_jw.
+    gx, gy = grads[:, :, None, 0], grads[:, :, None, 1]
+    gxb, gyb = grads[:, None, :, 0], grads[:, None, :, 1]
+    k_loc = np.empty((len(areas), 3, 2, 3, 2))
+    k_loc[..., 0, :, 0] = (gx * (2.0 * mu + lam)) * gxb + (gy * mu) * gyb
+    k_loc[..., 0, :, 1] = (gx * lam) * gyb + (gy * mu) * gxb
+    k_loc[..., 1, :, 0] = (gy * lam) * gxb + (gx * mu) * gyb
+    k_loc[..., 1, :, 1] = (gy * (2.0 * mu + lam)) * gyb + (gx * mu) * gxb
+    k_loc = k_loc.reshape(-1, 6, 6)
+    k_loc *= areas[:, None, None]
+    mass = areas[:, None, None] * _VECTOR_MASS  # the vector P1 Gram block
+    mass *= delta
+    k_loc += mass
+    return complex.elasticity_pattern.matrix(k_loc)
 
 
 class MetricOperator:

@@ -19,6 +19,7 @@ from meshshape.mesh import (
     signed_areas,
     smooth_abs,
     smooth_pos,
+    triangle_geometry,
     uniform_refine,
 )
 from meshshape import mesh as mesh_module
@@ -498,6 +499,42 @@ def test_disc_mesh_counts(rings, nv, nt):
     assert is_admissible(cx, q, check_intersections=True)
 
 
+def _loop_disc_mesh(rings):
+    # make_disc_mesh as it was, with the triangles from nested Python loops
+    coords = [np.zeros(2)]
+    offsets = [0, 1]
+    for k in range(1, rings + 1):
+        r = k / rings
+        angles = 2.0 * np.pi * np.arange(6 * k) / (6 * k)
+        coords.extend(np.column_stack([r * np.cos(angles), r * np.sin(angles)]))
+        offsets.append(offsets[-1] + 6 * k)
+    triangles = []
+    for k in range(1, rings + 1):
+        n_out, n_in = 6 * k, 6 * (k - 1)
+        out0, in0 = offsets[k], offsets[k - 1]
+        for s in range(6):
+            for u in range(k):
+                o_a = out0 + (s * k + u) % n_out
+                o_b = out0 + (s * k + u + 1) % n_out
+                inner = 0 if k == 1 else in0 + (s * (k - 1) + u) % n_in
+                triangles.append((o_a, o_b, inner))
+            for u in range(k - 1):
+                o_b = out0 + (s * k + u + 1) % n_out
+                i_a = in0 + (s * (k - 1) + u) % n_in
+                i_b = in0 + (s * (k - 1) + u + 1) % n_in
+                triangles.append((o_b, i_b, i_a))
+    return build_complex(triangles, offsets[-1]), np.asarray(coords)
+
+
+@pytest.mark.parametrize("rings", [*range(1, 13), 30])
+def test_vectorized_disc_mesh_matches_loops(rings):
+    cx, q = make_disc_mesh(rings)
+    ref_cx, ref_q = _loop_disc_mesh(rings)
+    for got, want in ((q, ref_q), (cx.triangles, ref_cx.triangles)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_square5_mesh_properties(square5):
     cx, q = square5
     assert is_admissible(cx, q)
@@ -508,3 +545,59 @@ def test_square5_mesh_properties(square5):
 def test_disc_requires_positive_rings():
     with pytest.raises(ValueError):
         make_disc_mesh(0)
+
+
+# -- geometry cache ----------------------------------------------------------
+
+def _uncached_geometry(coords, triangles):
+    p = coords[triangles]
+    e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+    return p, e, 0.5 * (e[:, 2, 0] * e[:, 0, 1] - e[:, 2, 1] * e[:, 0, 0])
+
+
+def _assert_identical(got, want):
+    # equal strides too: the summation order of later reductions follows them
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and a.strides == b.strides and a.tobytes() == b.tobytes()
+
+
+def test_geometry_is_read_only(disc3):
+    cx, q = disc3
+    for a in triangle_geometry(q, cx.triangles):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_geometry_shared_per_configuration(disc3):
+    cx, q = disc3
+    first = triangle_geometry(q, cx.triangles)
+    again = triangle_geometry(q.copy(), cx.triangles)  # equal bytes, another array
+    assert all(a is b for a, b in zip(first, again))
+
+
+def test_geometry_follows_in_place_changes(disc3, rng):
+    cx, q0 = disc3
+    q = q0.copy()
+    before = triangle_geometry(q, cx.triangles)
+    q[cx.interior_vertices] += rng.uniform(-0.05, 0.05, size=(len(cx.interior_vertices), 2))
+    after = triangle_geometry(q, cx.triangles)
+    _assert_identical(after, _uncached_geometry(q, cx.triangles))
+    assert not np.array_equal(before[2], after[2])
+
+
+def test_geometry_keyed_by_triangles(disc3):
+    cx, q = disc3
+    rotated = cx.triangles[:, [1, 2, 0]]  # the same triangles, other local order
+    reversed_order = cx.triangles[::-1].copy()
+    for tris in (cx.triangles, rotated, reversed_order, cx.triangles):
+        _assert_identical(triangle_geometry(q, tris), _uncached_geometry(q, tris))
+
+
+def test_geometry_cache_is_bounded(disc3):
+    cx, q = disc3
+    assert mesh_module._GEOMETRY_CACHE_SIZE <= 3
+    for k in range(10):
+        moved = q * (1.0 + 0.01 * k)
+        _assert_identical(triangle_geometry(moved, cx.triangles), _uncached_geometry(moved, cx.triangles))
+        assert len(mesh_module._geometry_cache.entries) <= mesh_module._GEOMETRY_CACHE_SIZE

@@ -56,6 +56,52 @@ def test_elasticity_local_stiffness_hand_value():
     assert mat[0, 0] == pytest.approx(0.5 * (2 * mu + lam + mu), rel=1e-12)
 
 
+def _einsum_elasticity(coords, cx, spec):
+    # The assembly as it was: B^T D B by a three-operand einsum, the mass
+    # block entry by entry.
+    from meshshape.mesh import basis_gradients, triangle_geometry
+
+    mu, lam, delta = lame_parameters(spec)
+    _, e, areas = triangle_geometry(coords, cx.triangles)
+    grads = basis_gradients(e, areas)
+    n_t = cx.num_triangles
+    b_mat = np.zeros((n_t, 3, 6))
+    b_mat[:, 0, 0::2] = grads[..., 0]
+    b_mat[:, 1, 1::2] = grads[..., 1]
+    b_mat[:, 2, 0::2] = grads[..., 1]
+    b_mat[:, 2, 1::2] = grads[..., 0]
+    d_mat = np.array([[2.0 * mu + lam, lam, 0.0], [lam, 2.0 * mu + lam, 0.0], [0.0, 0.0, mu]])
+    k_loc = areas[:, None, None] * np.einsum("tiv,ij,tjw->tvw", b_mat, d_mat, b_mat)
+    m_scalar = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    m_loc = np.zeros((n_t, 6, 6))
+    for a in range(3):
+        for b in range(3):
+            m_loc[:, 2 * a, 2 * b] = areas * m_scalar[a, b]
+            m_loc[:, 2 * a + 1, 2 * b + 1] = areas * m_scalar[a, b]
+    return cx.elasticity_pattern.matrix(k_loc + delta * m_loc)
+
+
+@pytest.mark.parametrize(
+    "rings,perturb,params",
+    [
+        (2, False, {}),
+        (7, True, {}),
+        (7, True, {"young_E": 2.5, "poisson_nu": 0.3, "damping_delta": 0.7}),
+    ],
+)
+def test_closed_form_elasticity_matches_einsum(rings, perturb, params, rng):
+    from meshshape.mesh import make_disc_mesh
+
+    cx, q = make_disc_mesh(rings)
+    if perturb:
+        q = q.copy()
+        q[cx.interior_vertices] += rng.uniform(-0.02, 0.02, size=(len(cx.interior_vertices), 2))
+    spec = MetricSpec.elasticity(**params)
+    mat, ref = assemble_elasticity(q, cx, spec), _einsum_elasticity(q, cx, spec)
+    for field in ("data", "indices", "indptr"):
+        assert getattr(mat, field).tobytes() == getattr(ref, field).tobytes()
+
+
 def test_pinned_elasticity_matches_lil_assignment(disc3, rng):
     cx, q = disc3
     q = q.copy()
