@@ -45,11 +45,9 @@ EXIT_OPT_FAILURE = 3
 
 PENALTY_PRESETS = {
     "none": (0.0, 0.0, 0.0, 0.0),
-    "set1": (1.0, 0.5, 0.0, 0.1),
-    "set2": (0.1, 0.01, 0.0, 0.001),
-    "set3": (0.015, 0.005, 0.0, 0.0005),
+    **{f"set{k}": alpha for k, alpha in experiments.PENALTY_SETS.items()},
 }
-METRIC_ALPHA_PRESET = (10.0, 1.0, 0.0, 0.01)
+METRIC_ALPHA_PRESET = experiments.METRIC_ALPHA
 
 
 class _Parser(argparse.ArgumentParser):
@@ -261,8 +259,18 @@ def cmd_eval(args) -> int:
     if all(a == 0.0 for a in alpha):
         alpha = (1.0, 0.5, 0.25, 0.1)
     params = PenaltyParams(alpha, mu=args.mu, cutoff_threshold=args.cutoff)
-    err_phi = _fd_error_penalty(coords, complex, params)
-    err_shape = _fd_error_shape(coords, complex, rhs)
+    qref = coords.copy()
+    err_phi = _fd_error(
+        lambda c: penalty_value(c, qref, complex, params),
+        penalty_gradient(coords, qref, complex, params),
+        coords,
+    )
+    system = assemble(coords, complex, rhs)
+    err_shape = _fd_error(
+        lambda c: objective_value(c, complex, solve_state(assemble(c, complex, rhs))),
+        shape_derivative(coords, complex, solve_state(system), solve_adjoint(system), rhs),
+        coords,
+    )
     print(f"penalty_gradient max relative FD error: {err_phi:.3e}")
     print(f"shape_derivative max relative FD error: {err_shape:.3e}")
     ok = err_phi < 1e-6 and err_shape < 1e-5
@@ -270,42 +278,17 @@ def cmd_eval(args) -> int:
     return EXIT_OK if ok else EXIT_OPT_FAILURE
 
 
-def _fd_error_penalty(coords, complex, params, h=1e-6):
-    grad = penalty_gradient(coords, coords.copy(), complex, params)
-    qref = coords.copy()
-    fd = np.zeros_like(grad)
-    flat = coords.ravel()
-    for i in range(flat.size):
-        bump = np.zeros_like(flat)
-        bump[i] = h
-        plus = (flat + bump).reshape(coords.shape)
-        minus = (flat - bump).reshape(coords.shape)
-        fd[i] = (
-            penalty_value(plus, qref, complex, params)
-            - penalty_value(minus, qref, complex, params)
-        ) / (2 * h)
-    scale = np.max(np.abs(grad))
-    return float(np.max(np.abs(fd - grad)) / (scale if scale > 0 else 1.0))
-
-
-def _fd_error_shape(coords, complex, rhs, h=1e-6):
-    system = assemble(coords, complex, rhs)
-    y = solve_state(system)
-    p = solve_adjoint(system)
-    grad = shape_derivative(coords, complex, y, p, rhs)
-
-    def reduced(c):
-        sys_c = assemble(c, complex, rhs)
-        return objective_value(c, complex, solve_state(sys_c))
-
+def _fd_error(value, grad, coords, h=1e-6):
+    """Largest central-difference error of ``grad``, the gradient of ``value``
+    at ``coords``, relative to the largest entry of ``grad``."""
     fd = np.zeros_like(grad)
     flat = coords.ravel()
     for i in range(flat.size):
         bump = np.zeros_like(flat)
         bump[i] = h
         fd[i] = (
-            reduced((flat + bump).reshape(coords.shape))
-            - reduced((flat - bump).reshape(coords.shape))
+            value((flat + bump).reshape(coords.shape))
+            - value((flat - bump).reshape(coords.shape))
         ) / (2 * h)
     scale = np.max(np.abs(grad))
     return float(np.max(np.abs(fd - grad)) / (scale if scale > 0 else 1.0))

@@ -65,17 +65,16 @@ def constant_rhs(c: float) -> RhsField:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Stiffness, centroid-rule load and interior-DOF bookkeeping."""
+    """Reduced stiffness, centroid-rule load and interior-DOF bookkeeping."""
 
-    stiffness: sparse.csr_matrix
-    reduced: sparse.csc_matrix  # stiffness[interior][:, interior]
+    reduced: sparse.csc_matrix  # P1 stiffness restricted to the interior DOFs
     load: np.ndarray
     volume_weights: np.ndarray  # integral of each nodal basis function
     interior: np.ndarray        # indices of non-boundary vertices
 
 
 def assemble(coords: np.ndarray, complex: ConnectivityComplex, rhs: RhsField) -> AssembledSystem:
-    """Assemble stiffness, load and volume weights on the current mesh."""
+    """Assemble the reduced stiffness, load and volume weights on the current mesh."""
     tris = complex.triangles
     n_v = complex.num_vertices
     p, e, areas = triangle_geometry(coords, tris)
@@ -91,7 +90,6 @@ def assemble(coords: np.ndarray, complex: ConnectivityComplex, rhs: RhsField) ->
     weights = scatter_add(n_v, (tris, np.repeat(areas / 3.0, 3)))
 
     return AssembledSystem(
-        stiffness=complex.p1_pattern.matrix(k_loc),
         reduced=complex.interior_p1_pattern.matrix(k_loc),
         load=load,
         volume_weights=weights,

@@ -106,7 +106,8 @@ class ConnectivityComplex:
 
     @cached_property
     def p1_pattern(self) -> "SparsePattern":
-        """CSR pattern of the P1 stiffness: 3x3 blocks over ``triangles``."""
+        """CSR pattern of the full P1 stiffness: 3x3 blocks over ``triangles``;
+        ``interior_p1_pattern`` takes its summation order from it."""
         return SparsePattern.of_blocks(self.triangles, self.num_vertices, sparse.csr_matrix)
 
     @cached_property
@@ -321,12 +322,6 @@ def triangle_geometry(coords: np.ndarray, triangles: np.ndarray):
 def signed_areas(coords: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Signed areas of all triangles, vectorized."""
     return triangle_geometry(coords, triangles)[2]
-
-
-def edge_lengths(coords: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """All edge lengths as an (N_T, 3) array; column ``ell`` is opposite vertex ``ell``."""
-    e = triangle_geometry(coords, triangles)[1]
-    return np.sqrt(np.sum(e**2, axis=2))
 
 
 def basis_gradients(e: np.ndarray, areas: np.ndarray) -> np.ndarray:

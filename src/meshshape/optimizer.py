@@ -70,12 +70,6 @@ class PhaseTimer:
             self.seconds[name] += time.perf_counter() - start
 
 
-class _NullTimer:
-    @contextmanager
-    def phase(self, name):
-        yield
-
-
 @dataclass
 class OptimizerConfig:
     variant: str
@@ -129,7 +123,7 @@ def initial_step(n, prev_step, prev_pairing, cur_pairing, grad_norm_metric):
     resetting to ``1 / |d|`` on the first iteration or when the carried-over
     step becomes tiny relative to the direction norm."""
     if cur_pairing >= 0.0:
-        raise NonDescentDirection(f"pairing {cur_pairing} is not negative")
+        raise NonDescentDirection(f"pairing {cur_pairing} at iteration {n}")
     if grad_norm_metric <= 0.0:
         raise ValueError("direction norm must be positive")
     if n == 0:
@@ -235,10 +229,14 @@ def steepest_descent(
 ) -> RunResult:
     """Run the descent from the reference configuration.
 
-    Records one row per visited iterate; the terminal iterate carries a zero
-    step.  All accepted iterates have strictly positive signed areas.
+    Records one row per visited iterate.  The terminal row has step 0 and NaN
+    for what its exit left uncomputed: everything but ``theta`` after a failed
+    state solve, the pairing after a failed adjoint solve and on
+    ``Converged``/``MaxIter``.  A failed state or adjoint solve ends the run
+    as ``StepFloorFailure``, like a trial step below the floor.  All accepted
+    iterates have strictly positive signed areas.
     """
-    timer = timer if timer is not None else _NullTimer()
+    timer = timer if timer is not None else PhaseTimer()
     spec = _metric_spec(config, qref)
     mask = config.fixed_vertex_mask
     free = None
@@ -248,55 +246,48 @@ def steepest_descent(
     coords = np.array(qref, dtype=float)
     history: list[IterationRecord] = []
     totals: list[float] = []
-    status = MAX_ITER
     prev_step = None
     prev_pairing = None
     use_geodesic = config.variant == "CompComp"
 
+    def evaluate(q, value_phase):
+        """System, state, objective and penalty of the configuration ``q``;
+        the two values are timed under ``value_phase``."""
+        with timer.phase("state"):
+            system = assemble(q, complex, rhs)
+            y = solve_state(system)
+        with timer.phase(value_phase):
+            j = objective_value(q, complex, y)
+            phi = penalty_value(q, qref, complex, config.penalty)
+        return system, y, j, phi
+
     def merit(candidate):
         try:
-            with timer.phase("state"):
-                system = assemble(candidate, complex, rhs)
-                y = solve_state(system)
-            with timer.phase("backtracking"):
-                j = objective_value(candidate, complex, y)
-                phi = penalty_value(candidate, qref, complex, config.penalty)
+            _, _, j, phi = evaluate(candidate, "backtracking")
         except SingularSystem:
             return float("inf")
         return j + phi
 
     n = 0
     while True:
+        j = phi = total = pairing = float("nan")
         if on_iterate is not None:
             on_iterate(n, coords)
         theta = mesh_quality(coords, complex)
         try:
-            with timer.phase("state"):
-                system = assemble(coords, complex, rhs)
-                y = solve_state(system)
+            system, y, j, phi = evaluate(coords, "state")
         except SingularSystem as exc:
             # accepted iterate too close to degeneracy for the solver
             logger.warning("terminating: %s", exc)
-            history.append(
-                IterationRecord(n, float("nan"), float("nan"), float("nan"), theta, 0.0, 0, float("nan"))
-            )
             status = STEP_FLOOR_FAILURE
             break
-        j = objective_value(coords, complex, y)
-        phi = penalty_value(coords, qref, complex, config.penalty)
         total = j + phi
         totals.append(total)
 
         if stopping_check(totals, config.window, config.stop_tol):
-            history.append(
-                IterationRecord(n, j, phi, total, theta, 0.0, 0, float("nan"))
-            )
             status = CONVERGED
             break
         if n >= config.max_iter:
-            history.append(
-                IterationRecord(n, j, phi, total, theta, 0.0, 0, float("nan"))
-            )
             status = MAX_ITER
             break
 
@@ -305,7 +296,6 @@ def steepest_descent(
                 p = solve_adjoint(system)
         except SingularSystem as exc:
             logger.warning("terminating: %s", exc)
-            history.append(IterationRecord(n, j, phi, total, theta, 0.0, 0, float("nan")))
             status = STEP_FLOOR_FAILURE
             break
         with timer.phase("dObjective"):
@@ -319,9 +309,6 @@ def steepest_descent(
             derivative = np.where(free, derivative, 0.0)
 
         if np.linalg.norm(derivative) < 1e-12:
-            history.append(
-                IterationRecord(n, j, phi, total, theta, 0.0, 0, float("nan"))
-            )
             status = CONVERGED
             break
 
@@ -330,11 +317,7 @@ def steepest_descent(
         with timer.phase("gradient"):
             d = -operator.solve(derivative)
         pairing = float(derivative @ d)
-        dnorm = operator.norm(d)
-        if pairing >= 0.0:
-            raise NonDescentDirection(f"pairing {pairing} at iteration {n}")
-
-        s_init = initial_step(n, prev_step, prev_pairing, pairing, dnorm)
+        s_init = initial_step(n, prev_step, prev_pairing, pairing, operator.norm(d))
 
         trial_point = None
         if use_geodesic:
@@ -357,15 +340,11 @@ def steepest_descent(
                 trial_point=trial_point,
             )
         except StepFloorFailure:
-            history.append(
-                IterationRecord(n, j, phi, total, theta, 0.0, 0, pairing)
-            )
             status = STEP_FLOOR_FAILURE
             break
         except (NonpositiveArea, SingularSystem) as exc:
             # Defensive: trial gating should prevent this.
             logger.warning("line search aborted: %s", exc)
-            history.append(IterationRecord(n, j, phi, total, theta, 0.0, 0, pairing))
             status = STEP_FLOOR_FAILURE
             break
 
@@ -378,6 +357,7 @@ def steepest_descent(
         prev_step, prev_pairing = s, pairing
         n += 1
 
+    history.append(IterationRecord(n, j, phi, total, theta, 0.0, 0, pairing))
     return RunResult(final_coords=coords, status=status, history=history)
 
 

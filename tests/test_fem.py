@@ -34,9 +34,9 @@ def test_reference_assembly_center(square5):
     cx, q = square5
     sys_ = assemble(q, cx, constant_rhs(1.0))
     # hand assembly on four right isoceles triangles: diagonal entry 4, load 4/3
-    assert sys_.stiffness[4, 4] == pytest.approx(4.0, abs=1e-12)
-    assert sys_.load[4] == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert list(sys_.interior) == [4]
+    assert sys_.reduced[0, 0] == pytest.approx(4.0, abs=1e-12)
+    assert sys_.load[4] == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.1, 0.01])
@@ -45,14 +45,17 @@ def test_degenerate_family_assembly(eps):
     cx, qe = _degenerate_square5(eps)
     sys_ = assemble(qe, cx, constant_rhs(1.0))
     expected = 2.0 + 1.0 / eps + 1.0 / (2.0 - eps)
-    assert sys_.stiffness[4, 4] == pytest.approx(expected, rel=1e-12)
+    assert list(sys_.interior) == [4]
+    assert sys_.reduced[0, 0] == pytest.approx(expected, rel=1e-12)
     assert sys_.load[4] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 def test_stiffness_row_sums_zero(disc3):
+    # on the full P1 stiffness, which the assembled reduced one matches entry
+    # for entry (test_pattern_assembly_matches_coo)
     cx, q = disc3
-    sys_ = assemble(q, cx, model_rhs())
-    row_sums = np.asarray(sys_.stiffness.sum(axis=1)).ravel()
+    stiffness, _ = _coo_reference(q, cx)
+    row_sums = np.asarray(stiffness.sum(axis=1)).ravel()
     assert np.max(np.abs(row_sums)) < 1e-12
 
 
@@ -75,9 +78,8 @@ def test_state_residual_contract(disc3):
     sys_ = assemble(q, cx, model_rhs())
     y = solve_state(sys_)
     interior = sys_.interior
-    k = sys_.stiffness[interior][:, interior]
     b = sys_.load[interior]
-    assert np.linalg.norm(k @ y[interior] - b) <= 1e-10 * np.linalg.norm(b)
+    assert np.linalg.norm(sys_.reduced @ y[interior] - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_adjoint_center(square5):
@@ -235,7 +237,6 @@ def test_pattern_assembly_matches_coo(mesh):
     cx, q = make_square5_mesh() if mesh == "square5" else _perturbed_disc(int(mesh[4:]), 5)
     stiffness, elasticity = _coo_reference(q, cx)
     sys_ = assemble(q, cx, model_rhs())
-    assert _same_arrays(sys_.stiffness, stiffness)
     interior = sys_.interior
     assert _same_arrays(sys_.reduced, stiffness[interior][:, interior].tocsc())
     assert _same_arrays(assemble_elasticity(q, cx, MetricSpec.elasticity()), elasticity)
@@ -264,9 +265,8 @@ def test_second_assemble_rebuilds_no_pattern():
     # every matrix is built on the cached index arrays, not on copies
     for sys_ in (first, second):
         assert sys_.interior is cx.interior_vertices
-        for mat, pattern in ((sys_.stiffness, cx.p1_pattern), (sys_.reduced, cx.interior_p1_pattern)):
-            assert np.shares_memory(mat.indices, pattern.indices)
-            assert np.shares_memory(mat.indptr, pattern.indptr)
+        assert np.shares_memory(sys_.reduced.indices, cx.interior_p1_pattern.indices)
+        assert np.shares_memory(sys_.reduced.indptr, cx.interior_p1_pattern.indptr)
     elasticity = cx.elasticity_pattern
     for x in (q, q + 1e-3):
         assert np.shares_memory(assemble_elasticity(x, cx, MetricSpec.elasticity()).indices, elasticity.indices)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meshshape.errors import NonDescentDirection, StepFloorFailure
+from meshshape.errors import NonDescentDirection, SingularSystem, StepFloorFailure
 from meshshape.fem import constant_rhs, model_rhs
 from meshshape.geodesic import GeodesicConfig
 from meshshape.mesh import build_complex, make_disc_mesh, make_square5_mesh, signed_areas
@@ -278,6 +278,101 @@ def test_unpenalized_euceuc_fails(disc3):
     res = steepest_descent(cx, q, model_rhs(), cfg)
     assert res.status == STEP_FLOOR_FAILURE
     assert res.history[-1].theta > 10.0
+
+
+# -- terminal records ----------------------------------------------------------
+
+SET1 = PenaltyParams((1.0, 0.5, 0.0, 0.1))
+
+
+def _fail_after(monkeypatch, name, iteration, visited):
+    """Make ``optimizer.<name>`` raise SingularSystem from its first call
+    after ``on_iterate(iteration, ...)``; returns that callback, which also
+    appends each visited configuration to ``visited``."""
+    from meshshape import optimizer
+
+    wrapped = getattr(optimizer, name)
+
+    def failing(*args, **kwargs):
+        if len(visited) > iteration:
+            raise SingularSystem(f"{name} made to fail")
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, name, failing)
+    return lambda n, coords: visited.append(coords.copy())
+
+
+def _terminal(res, status):
+    """The terminal row, after checking the status, one row per visited
+    iterate, and step 0 with no backtracks on the terminal row alone."""
+    assert res.status == status
+    assert [r.iter for r in res.history] == list(range(len(res.history)))
+    assert all(r.step > 0.0 for r in res.history[:-1])
+    last = res.history[-1]
+    assert last.step == 0.0 and last.backtracks == 0
+    assert np.isfinite(last.theta)
+    return last
+
+
+def test_terminal_record_after_a_failed_state_solve(disc3, monkeypatch):
+    cx, q = disc3
+    visited = []
+    on_iterate = _fail_after(monkeypatch, "solve_state", 2, visited)
+    cfg = OptimizerConfig(variant="EucEuc", penalty=SET1, max_iter=50)
+    res = steepest_descent(cx, q, model_rhs(), cfg, on_iterate=on_iterate)
+    last = _terminal(res, STEP_FLOOR_FAILURE)
+    assert last.iter == 2
+    assert np.isnan([last.objective, last.penalty, last.total, last.grad_deriv_pairing]).all()
+    assert np.array_equal(res.final_coords, visited[2])
+
+
+def test_terminal_record_after_a_failed_adjoint_solve(disc3, monkeypatch):
+    cx, q = disc3
+    visited = []
+    on_iterate = _fail_after(monkeypatch, "solve_adjoint", 1, visited)
+    cfg = OptimizerConfig(variant="EucEuc", penalty=SET1, max_iter=50)
+    res = steepest_descent(cx, q, model_rhs(), cfg, on_iterate=on_iterate)
+    last = _terminal(res, STEP_FLOOR_FAILURE)
+    assert last.iter == 1
+    assert np.isfinite([last.objective, last.penalty, last.total]).all()
+    assert last.total == last.objective + last.penalty
+    assert np.isnan(last.grad_deriv_pairing)
+    assert np.array_equal(res.final_coords, visited[1])
+
+
+def test_terminal_record_at_the_step_floor(disc3):
+    # a floor above every initial step 1 / |d| fails the first line search
+    cx, q = disc3
+    cfg = OptimizerConfig(variant="EucEuc", penalty=SET1, step_floor=1e9)
+    res = steepest_descent(cx, q, model_rhs(), cfg)
+    last = _terminal(res, STEP_FLOOR_FAILURE)
+    assert last.iter == 0 and np.isfinite(last.total)
+    assert np.isfinite(last.grad_deriv_pairing) and last.grad_deriv_pairing < 0.0
+    assert np.array_equal(res.final_coords, q)
+
+
+def test_terminal_record_at_max_iter(disc3):
+    cx, q = disc3
+    cfg = OptimizerConfig(variant="EucEuc", penalty=SET1, max_iter=3)
+    last = _terminal(steepest_descent(cx, q, model_rhs(), cfg), MAX_ITER)
+    assert last.iter == 3 and np.isfinite(last.total)
+    assert np.isnan(last.grad_deriv_pairing)
+
+
+def test_terminal_records_on_convergence(disc3):
+    # the totals stall over the window
+    cx, q = disc3
+    cfg = OptimizerConfig(variant="EucEuc", penalty=SET1, max_iter=1000)
+    res = steepest_descent(cx, q, model_rhs(), cfg)
+    last = _terminal(res, CONVERGED)
+    assert stopping_check([r.total for r in res.history], cfg.window, cfg.stop_tol)
+    assert np.isfinite(last.total) and np.isnan(last.grad_deriv_pairing)
+    # the derivative vanishes at the symmetric center
+    cx, q = make_square5_mesh()
+    cfg = OptimizerConfig(variant="EucEuc", penalty=PenaltyParams((0, 0, 0, 1.0)))
+    last = _terminal(steepest_descent(cx, q, constant_rhs(0.0), cfg), CONVERGED)
+    assert last.iter == 0 and np.isfinite(last.total)
+    assert np.isnan(last.grad_deriv_pairing)
 
 
 def test_variants_agree_at_stationary_point():

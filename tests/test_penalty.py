@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from meshshape.errors import NonpositiveArea
 from meshshape.mesh import (
     build_complex,
-    edge_lengths,
     make_square5_mesh,
     signed_areas,
     uniform_refine,
