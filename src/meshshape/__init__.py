@@ -13,7 +13,6 @@ from .penalty import (
     mesh_quality,
     penalty_gradient,
     penalty_value,
-    quality_reciprocal,
 )
 from .fem import (
     AssembledSystem,

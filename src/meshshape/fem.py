@@ -6,7 +6,8 @@ rule at triangle centroids; this exact rule choice is deliberately shared
 with the geometry derivative so that the discrete adjoint is the exact
 derivative of the discrete reduced objective.  The reduced stiffness is
 symmetric positive definite, so SuperLU factors it in symmetric mode with the
-``MMD_AT_PLUS_A`` ordering (minimum degree on ``A + A^T``).
+``MMD_AT_PLUS_A`` ordering (minimum degree on ``A + A^T``).  The assembled
+system is kept per vertex configuration; each solve factors it afresh.
 """
 
 from __future__ import annotations
@@ -19,14 +20,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import NonpositiveArea, SingularSystem
-from .mesh import (
-    SPD_LU,
-    ConnectivityComplex,
-    basis_gradients,
-    scatter_add,
-    signed_areas,
-    triangle_geometry,
-)
+from .mesh import SPD_LU, ConnectivityComplex, Configuration, configuration, scatter_add, signed_areas
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,7 @@ def constant_rhs(c: float) -> RhsField:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Reduced stiffness, centroid-rule load and interior-DOF bookkeeping."""
+    """Reduced stiffness, centroid-rule load and interior-DOF bookkeeping, read-only."""
 
     reduced: sparse.csc_matrix  # P1 stiffness restricted to the interior DOFs
     load: np.ndarray
@@ -74,27 +68,31 @@ class AssembledSystem:
 
 
 def assemble(coords: np.ndarray, complex: ConnectivityComplex, rhs: RhsField) -> AssembledSystem:
-    """Assemble the reduced stiffness, load and volume weights on the current mesh."""
-    tris = complex.triangles
-    n_v = complex.num_vertices
-    p, e, areas = triangle_geometry(coords, tris)
-    if np.any(areas <= 0.0):
+    """Assemble the reduced stiffness, load and volume weights on the current
+    mesh, once per :class:`~meshshape.mesh.Configuration` and ``rhs``."""
+    record = configuration(coords, complex.triangles)
+    if np.any(record.areas <= 0.0):
         raise NonpositiveArea("assembly requires positive areas")
+    return record.memo(_assembled_system, complex, rhs)
 
-    grads = basis_gradients(e, areas)  # (N_T, 3, 2)
+
+def _assembled_system(record: Configuration, complex: ConnectivityComplex, rhs: RhsField) -> AssembledSystem:
+    tris, n_v, areas, grads = complex.triangles, complex.num_vertices, record.areas, record.basis_gradients
     k_loc = areas[:, None, None] * np.einsum("tld,tmd->tlm", grads, grads)
-
-    centroids = p.mean(axis=1)
-    r_c = np.asarray(rhs.value(centroids[:, 0], centroids[:, 1]), dtype=float)
-    load = scatter_add(n_v, (tris, np.repeat(areas * r_c / 3.0, 3)))
+    load = scatter_add(n_v, (tris, np.repeat(areas * record.memo(_centroid_rhs, rhs) / 3.0, 3)))
     weights = scatter_add(n_v, (tris, np.repeat(areas / 3.0, 3)))
+    reduced = complex.interior_p1_pattern.matrix(k_loc)
+    for a in (reduced.data, load, weights):
+        a.setflags(write=False)
+    return AssembledSystem(reduced=reduced, load=load, volume_weights=weights, interior=complex.interior_vertices)
 
-    return AssembledSystem(
-        reduced=complex.interior_p1_pattern.matrix(k_loc),
-        load=load,
-        volume_weights=weights,
-        interior=complex.interior_vertices,
-    )
+
+def _centroid_rhs(record: Configuration, rhs: RhsField) -> np.ndarray:
+    """The right-hand side at the triangle centroids (the load's quadrature points)."""
+    centroids = record.centroids
+    r_c = np.asarray(rhs.value(centroids[:, 0], centroids[:, 1]), dtype=float)
+    r_c.setflags(write=False)
+    return r_c
 
 
 def _reduced_solve(system: AssembledSystem, rhs_full: np.ndarray) -> np.ndarray:
@@ -158,18 +156,19 @@ def shape_derivative(
     gradient is *not* included here.
     """
     tris = complex.triangles
-    pts, e, areas = triangle_geometry(coords, tris)
+    record = configuration(coords, tris)
+    areas = record.areas
     if np.any(areas <= 0.0):
         raise NonpositiveArea("derivative requires positive areas")
-    grads = basis_gradients(e, areas)  # (N_T, 3, 2): grad of hat at local vertex
+    grads = record.basis_gradients  # (N_T, 3, 2): grad of hat at local vertex
 
     y_loc = y[tris]
     p_loc = p[tris]
     grad_y = np.einsum("tl,tld->td", y_loc, grads)
     grad_p = np.einsum("tl,tld->td", p_loc, grads)
 
-    centroids = pts.mean(axis=1)
-    r_c = np.asarray(rhs.value(centroids[:, 0], centroids[:, 1]), dtype=float)
+    centroids = record.centroids
+    r_c = record.memo(_centroid_rhs, rhs)
     rgx, rgy = rhs.gradient(centroids[:, 0], centroids[:, 1])
     r_grad = np.column_stack([np.asarray(rgx, dtype=float), np.asarray(rgy, dtype=float)])
 

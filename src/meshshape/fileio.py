@@ -86,10 +86,8 @@ def write_mesh(path, complex: ConnectivityComplex, coords: np.ndarray) -> None:
     """Write a mesh in the text format; round-trips coordinates exactly."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{complex.num_vertices} {complex.num_triangles}\n")
-        for x, y in coords:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        for a, b, c in complex.triangles:
-            fh.write(f"{a} {b} {c}\n")
+        fh.writelines(f"{x!r} {y!r}\n" for x, y in coords.tolist())
+        fh.writelines(f"{a} {b} {c}\n" for a, b, c in complex.triangles.tolist())
 
 
 def write_svg(path, complex: ConnectivityComplex, coords: np.ndarray) -> None:
@@ -102,22 +100,19 @@ def write_svg(path, complex: ConnectivityComplex, coords: np.ndarray) -> None:
     view = (xmin - pad_x, -(ymax + pad_y), w + 2 * pad_x, h + 2 * pad_y)
     stroke = 0.002 * max(w, h)
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
-        f'viewBox="{view[0]:.6g} {view[1]:.6g} {view[2]:.6g} {view[3]:.6g}">\n'
-    ]
-    # SVG y grows downward; mirror so the drawing matches math orientation.
-    for a, b in complex.edges:
-        x1, y1 = coords[a]
-        x2, y2 = coords[b]
-        parts.append(
-            f'<line x1="{x1:.8g}" y1="{-y1:.8g}" x2="{x2:.8g}" y2="{-y2:.8g}" '
-            f'stroke="black" stroke-width="{stroke:.4g}"/>\n'
-        )
-    parts.append("</svg>\n")
+    tail = f'stroke="black" stroke-width="{stroke:.4g}"/>\n'
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(parts))
+        fh.write(
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
+            f'viewBox="{view[0]:.6g} {view[1]:.6g} {view[2]:.6g} {view[3]:.6g}">\n'
+        )
+        # SVG y grows downward; mirror so the drawing matches math orientation.
+        fh.writelines(
+            f'<line x1="{x1:.8g}" y1="{-y1:.8g}" x2="{x2:.8g}" y2="{-y2:.8g}" {tail}'
+            for x1, y1, x2, y2 in coords[complex.edges].reshape(-1, 4).tolist()
+        )
+        fh.write("</svg>\n")
 
 
 def format_float(x: float) -> str:

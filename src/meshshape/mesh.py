@@ -4,6 +4,8 @@ A mesh is split into two independent objects: a :class:`ConnectivityComplex`
 holding the purely combinatorial data (triangles, derived edges, boundary
 sets, triangle adjacency) and a vertex configuration, which is simply an
 ``(N_V, 2)`` float array whose row ``j`` is the position of vertex ``j``.
+What the package derives from one configuration is computed once, in its
+:class:`Configuration` record.
 
 Vectorized quantities use the "vec" ordering throughout the package: the
 flattened coordinate vector is ``coords.ravel()``, i.e.
@@ -31,7 +33,7 @@ from .errors import (
 SQRT3 = np.sqrt(3.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as a memo key
 class ConnectivityComplex:
     """Oriented abstract simplicial 2-complex of a triangular mesh.
 
@@ -282,65 +284,103 @@ def build_complex(triangles, num_vertices: int) -> ConnectivityComplex:
 # ---------------------------------------------------------------------------
 
 _NEXT, _AFTER_NEXT = np.array([1, 2, 0]), np.array([2, 0, 1])  # local vertices l + 1, l + 2
-_GEOMETRY_CACHE_SIZE = 3
-_geometry_cache = threading.local()
+_CONFIGURATION_CACHE_SIZE = 3
+_configuration_cache = threading.local()
 
 
-def triangle_geometry(coords: np.ndarray, triangles: np.ndarray):
-    """Per-triangle geometry, vectorized: ``(p, e, areas)``.
+class Configuration:
+    """Everything derived from one vertex configuration on one triangle array.
 
     ``p`` (N_T, 3, 2) holds the gathered vertices, ``e[:, l] = p[:, l+2] -
     p[:, l+1]`` (N_T, 3, 2) the edge vector opposite local vertex ``l``, and
-    ``areas`` (N_T,) the signed areas.
+    ``areas`` (N_T,) the signed areas; ``basis_gradients`` and ``centroids``
+    are computed on first use, and :meth:`memo` keeps what other layers
+    derive (the assembled P1 system, the penalty's quality terms).  Every
+    array is read-only, so all callers can share them.
+    """
 
-    Each thread keeps its last three results, keyed by the ``triangles``
+    def __init__(self, coords: np.ndarray, triangles: np.ndarray):
+        p = coords[triangles]
+        e = p[:, _AFTER_NEXT] - p[:, _NEXT]  # local edge major in memory, which fixes later sums' order
+        areas = 0.5 * (e[:, 2, 0] * e[:, 0, 1] - e[:, 2, 1] * e[:, 0, 0])
+        for a in (p, e, areas):
+            a.setflags(write=False)
+        self.p, self.e, self.areas = p, e, areas
+        self._memo = {}
+
+    @cached_property
+    def basis_gradients(self) -> np.ndarray:
+        """Gradients of the P1 hat functions, (N_T, 3, 2): the hat function of
+        local vertex ``l`` has gradient ``rot90(e_l) / (2 A)``, with
+        ``rot90 (x, y) = (-y, x)``."""
+        e = self.e
+        grads = np.stack([-e[..., 1], e[..., 0]], axis=-1) / (2.0 * self.areas[:, None, None])
+        grads.setflags(write=False)
+        return grads
+
+    @cached_property
+    def centroids(self) -> np.ndarray:
+        centroids = self.p.mean(axis=1)
+        centroids.setflags(write=False)
+        return centroids
+
+    def release(self):
+        """Drop all but the geometry; the rest is computed again if asked for."""
+        self._memo.clear()
+        self.__dict__.pop("basis_gradients", None)
+        self.__dict__.pop("centroids", None)
+
+    def memo(self, compute, *args):
+        """``compute(self, *args)`` (read-only), once per ``compute`` and ``args``
+        themselves; a ``compute`` that raises stores nothing."""
+        key = (compute, *args)
+        result = self._memo.get(key)
+        if result is None:
+            result = self._memo[key] = compute(self, *args)
+        return result
+
+
+def configuration(coords: np.ndarray, triangles: np.ndarray) -> Configuration:
+    """The :class:`Configuration` of ``coords`` on ``triangles``.
+
+    Each thread keeps its last three records, keyed by the ``triangles``
     array itself (by identity) and by the shape, dtype and bytes of
     ``coords``, so every layer asking about one vertex configuration shares
-    one computation, and changing ``coords`` in place gives fresh geometry.
-    The returned arrays are read-only.
+    one record, and changing ``coords`` in place gives a fresh one.  The
+    older two are released: every layer reads derived quantities only at the
+    configuration it has just asked for, and they raised the peak memory.
     """
     key = (coords.shape, coords.dtype, coords.tobytes())
     try:
-        entries = _geometry_cache.entries
+        entries = _configuration_cache.entries
     except AttributeError:
-        entries = _geometry_cache.entries = []
-    for k, (tris, entry_key, result) in enumerate(entries):
+        entries = _configuration_cache.entries = []
+    for k, (tris, entry_key, record) in enumerate(entries):
         if tris is triangles and entry_key == key:
-            if k:
-                entries.insert(0, entries.pop(k))
-            return result
-    p = coords[triangles]
-    e = p[:, _AFTER_NEXT] - p[:, _NEXT]  # local edge major in memory, which fixes later sums' order
-    areas = 0.5 * (e[:, 2, 0] * e[:, 0, 1] - e[:, 2, 1] * e[:, 0, 0])
-    for a in (p, e, areas):
-        a.setflags(write=False)
-    entries.insert(0, (triangles, key, (p, e, areas)))
-    del entries[_GEOMETRY_CACHE_SIZE:]
-    return p, e, areas
+            break
+    else:
+        record = Configuration(coords, triangles)
+        entries.append((triangles, key, record))
+        k = len(entries) - 1
+    if k:
+        entries[0][2].release()
+        entries.insert(0, entries.pop(k))
+        del entries[_CONFIGURATION_CACHE_SIZE:]
+    return record
 
 
 def signed_areas(coords: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Signed areas of all triangles, vectorized."""
-    return triangle_geometry(coords, triangles)[2]
-
-
-def basis_gradients(e: np.ndarray, areas: np.ndarray) -> np.ndarray:
-    """Gradients of the P1 hat functions, (N_T, 3, 2), from edge vectors and areas.
-
-    The hat function of local vertex ``l`` has gradient ``rot90(e_l) / (2 A)``,
-    with ``rot90 (x, y) = (-y, x)``.
-    """
-    rot = np.stack([-e[..., 1], e[..., 0]], axis=-1)
-    return rot / (2.0 * areas[:, None, None])
+    return configuration(coords, triangles).areas
 
 
 def heights(coords: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """All heights as an (N_T, 3) array, sign following the signed area."""
-    _, e, areas = triangle_geometry(coords, triangles)
-    lengths = np.sqrt(np.sum(e**2, axis=2))
+    record = configuration(coords, triangles)
+    lengths = np.sqrt(np.sum(record.e**2, axis=2))
     if np.any(lengths == 0.0):
         raise DegenerateEdge("zero-length edge has no height")
-    return 2.0 * areas[:, None] / lengths
+    return 2.0 * record.areas[:, None] / lengths
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +410,8 @@ def smooth_abs_prime(t, mu: float):
 
 
 def _smoothstep(u):
-    # C^3 step: 0 for u <= 0, 1 for u >= 1, degree-7 Hermite blend between.
-    u = np.clip(u, 0.0, 1.0)
+    # C^3 step of u clipped to [0, 1]: 0 at 0, 1 at 1, degree-7 Hermite blend between.
     return u**4 * (35.0 + u * (-84.0 + u * (70.0 - 20.0 * u)))
-
-
-def _smoothstep_prime(u):
-    inside = (u > 0.0) & (u < 1.0)
-    u = np.clip(u, 0.0, 1.0)
-    return np.where(inside, u**3 * (140.0 + u * (-420.0 + u * (420.0 - 140.0 * u))), 0.0)
 
 
 def smooth_pos(t, mu: float):
@@ -389,13 +422,19 @@ def smooth_pos(t, mu: float):
     take for negative arguments, keeping the result nonnegative with zero set
     exactly ``t <= 0``.
     """
-    return 0.5 * (t + smooth_abs(t, mu)) * _smoothstep(t / mu)
+    return 0.5 * (t + smooth_abs(t, mu)) * _smoothstep(np.clip(t / mu, 0.0, 1.0))
 
 
-def smooth_pos_prime(t, mu: float):
-    s = _smoothstep(t / mu)
-    sp = _smoothstep_prime(t / mu) / mu
-    return 0.5 * (1.0 + smooth_abs_prime(t, mu)) * s + 0.5 * (t + smooth_abs(t, mu)) * sp
+def smooth_pos_with_slope(t, mu: float):
+    """``smooth_pos(t, mu)`` and its derivative in ``t``, evaluating
+    ``smooth_abs``, the step and its clip once for both."""
+    u = t / mu
+    half_sum = 0.5 * (t + smooth_abs(t, mu))
+    inside = (u > 0.0) & (u < 1.0)
+    u = np.clip(u, 0.0, 1.0)
+    step = _smoothstep(u)
+    step_slope = np.where(inside, u**3 * (140.0 + u * (-420.0 + u * (420.0 - 140.0 * u))), 0.0) / mu
+    return half_sum * step, 0.5 * (1.0 + smooth_abs_prime(t, mu)) * step + half_sum * step_slope
 
 
 def _pair_frames(coords, pairs):
@@ -423,10 +462,6 @@ def regularized_distances(coords, pairs, mu):
     vertex ``i`` lies on the segment.
     """
     _, _, xi, eta, length = _pair_frames(coords, pairs)
-    return _frame_distance(xi, eta, length, mu)
-
-
-def _frame_distance(xi, eta, length, mu):
     return smooth_abs(eta, mu) + smooth_pos(-xi, mu) + smooth_pos(xi - length, mu)
 
 
@@ -435,10 +470,10 @@ def regularized_distance_derivatives(coords, pairs, mu):
     from one frame computation; ``grads`` (3, P, 2) holds the gradients with
     respect to the vertex and the two edge endpoints."""
     t, n, xi, eta, length = _pair_frames(coords, pairs)
-    dist = _frame_distance(xi, eta, length, mu)
+    lo, m_lo = smooth_pos_with_slope(-xi, mu)
+    hi, m_hi = smooth_pos_with_slope(xi - length, mu)
+    dist = smooth_abs(eta, mu) + lo + hi
     c_eta = smooth_abs_prime(eta, mu)
-    m_lo = smooth_pos_prime(-xi, mu)
-    m_hi = smooth_pos_prime(xi - length, mu)
     c_xi = -m_lo + m_hi
     c_len = -m_hi
 

@@ -18,7 +18,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import NonpositiveArea, SingularSystem
-from .mesh import SPD_LU, ConnectivityComplex, basis_gradients, triangle_geometry
+from .mesh import SPD_LU, ConnectivityComplex, configuration
 from .penalty import PenaltyParams, penalty_gradient
 
 EUCLIDEAN = "euclidean"
@@ -88,11 +88,11 @@ def assemble_elasticity(coords: np.ndarray, complex: ConnectivityComplex, spec: 
     """Vector P1 elasticity stiffness plus ``delta`` times the vector L2 Gram
     matrix of the hat functions, vec ordering."""
     mu, lam, delta = lame_parameters(spec)
-    tris = complex.triangles
-    _, e, areas = triangle_geometry(coords, tris)
+    record = configuration(coords, complex.triangles)
+    areas = record.areas
     if np.any(areas <= 0.0):
         raise NonpositiveArea("metric assembly requires positive areas")
-    grads = basis_gradients(e, areas)
+    grads = record.basis_gradients
 
     # Entry (2a + c, 2b + d) of B^T D B, B the Voigt strain-displacement
     # matrix (e_xx, e_yy, gamma_xy), has two nonzero terms (B_iv D_ij) B_jw.

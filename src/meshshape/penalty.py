@@ -20,10 +20,11 @@ from .errors import NonpositiveArea
 from .mesh import (
     SQRT3,
     ConnectivityComplex,
+    Configuration,
+    configuration,
     regularized_distance_derivatives,
     regularized_distances,
     scatter_add,
-    triangle_geometry,
 )
 
 
@@ -60,22 +61,17 @@ class PenaltyParams:
 # Quality measure
 # ---------------------------------------------------------------------------
 
-def quality_reciprocal(coords: np.ndarray, tri) -> float:
-    """Sum of squared edge lengths over ``4 sqrt(3)`` times the area (>= 1)."""
-    vals = quality_reciprocals(coords, np.asarray(tri, dtype=np.int64).reshape(1, 3))
-    return float(vals[0])
-
-
 def quality_reciprocals(coords: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    _, e, areas = triangle_geometry(coords, triangles)
-    return _quality_reciprocals(e, areas)
+    """Per-triangle sum of squared edge lengths over ``4 sqrt(3)`` times the area (>= 1)."""
+    return configuration(coords, triangles).memo(_quality_reciprocals)
 
 
-def _quality_reciprocals(e, areas):
-    if np.any(areas <= 0.0):
+def _quality_reciprocals(record: Configuration) -> np.ndarray:
+    if np.any(record.areas <= 0.0):
         raise NonpositiveArea("quality measure requires positive areas")
-    ssq = np.sum(e**2, axis=(1, 2))
-    return ssq / (4.0 * SQRT3 * areas)
+    vals = np.sum(record.e**2, axis=(1, 2)) / (4.0 * SQRT3 * record.areas)
+    vals.setflags(write=False)
+    return vals
 
 
 def mesh_quality(coords: np.ndarray, complex: ConnectivityComplex) -> float:
@@ -142,11 +138,11 @@ def penalty_value(
     a1, a2, a3, a4 = params.alpha
     value = 0.0
     if a1 != 0.0 or a2 != 0.0:
-        _, e, areas = triangle_geometry(coords, complex.triangles)
+        record = configuration(coords, complex.triangles)
     if a1 != 0.0:
-        value += a1 * np.mean(_quality_reciprocals(e, areas))
+        value += a1 * np.mean(record.memo(_quality_reciprocals))
     if a2 != 0.0:
-        value += a2 * _area_term(areas)
+        value += a2 * _area_term(record.areas)
     if a3 != 0.0:
         value += a3 * _boundary_term(coords, complex, params)
     if a4 != 0.0:
@@ -166,6 +162,20 @@ def _boundary_scale(complex):
     return len(complex.boundary_edges) * len(complex.boundary_vertices)
 
 
+def _area_and_quality_slopes(record: Configuration):
+    """Per-triangle derivatives of the area and the quality reciprocal, (N_T, 3, 2) each."""
+    p, e, areas = record.p, record.e, record.areas
+    vals = record.memo(_quality_reciprocals)  # raises on nonpositive areas
+    darea = 0.5 * e @ _ROT90.T  # d area / d p_l = 0.5 * rot90(e_l), rot90 (x,y) -> (-y,x)
+    # d ssq / d p_l = 2 (2 p_l - p_{l+1} - p_{l+2})
+    dssq = 2.0 * (2.0 * p - p[:, [1, 2, 0]] - p[:, [2, 0, 1]])
+    denom = 4.0 * SQRT3 * areas
+    dquality = (dssq - (4.0 * SQRT3 * vals)[:, None, None] * darea) / denom[:, None, None]
+    for a in (darea, dquality):
+        a.setflags(write=False)
+    return darea, dquality
+
+
 def penalty_gradient(
     coords: np.ndarray,
     qref: np.ndarray,
@@ -176,17 +186,12 @@ def penalty_gradient(
     a1, a2, a3, a4 = params.alpha
     terms = []  # (vec DOFs, contributions), summed in this order
     if a1 != 0.0 or a2 != 0.0:
-        p, e, areas = triangle_geometry(coords, complex.triangles)
-        vals = _quality_reciprocals(e, areas)  # raises on nonpositive areas
-        darea = 0.5 * e @ _ROT90.T  # d area / d p_l = 0.5 * rot90(e_l), rot90 (x,y) -> (-y,x)
+        record = configuration(coords, complex.triangles)
+        darea, dquality = record.memo(_area_and_quality_slopes)
         if a1 != 0.0:
-            # d ssq / d p_l = 2 (2 p_l - p_{l+1} - p_{l+2})
-            dssq = 2.0 * (2.0 * p - p[:, [1, 2, 0]] - p[:, [2, 0, 1]])
-            denom = 4.0 * SQRT3 * areas
-            dquality = (dssq - (4.0 * SQRT3 * vals)[:, None, None] * darea) / denom[:, None, None]
             terms.append((complex.vertex_dofs, (a1 / complex.num_triangles) * dquality))
         if a2 != 0.0:
-            total = np.sum(areas)
+            total = np.sum(record.areas)
             terms.append((complex.vertex_dofs, (-a2 / total**2) * darea))
     if a3 != 0.0 and complex.boundary_pairs.shape[0] > 0:
         dist, ddist = regularized_distance_derivatives(coords, complex.boundary_pairs, params.mu)

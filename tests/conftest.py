@@ -3,6 +3,7 @@ import pytest
 
 from meshshape.errors import DegenerateEdge
 from meshshape.mesh import make_disc_mesh, make_square5_mesh, regularized_distances
+from meshshape.penalty import quality_reciprocals
 
 
 @pytest.fixture(scope="session")
@@ -76,6 +77,13 @@ def height(coords, tri, ell):
     if e == 0.0:
         raise DegenerateEdge("zero-length edge has no height")
     return 2.0 * signed_area(coords, tri) / e
+
+
+def quality_reciprocal(coords, tri):
+    """Sum of squared edge lengths over ``4 sqrt(3)`` times the area (>= 1)
+    of one triangle, from the vectorized ``quality_reciprocals``."""
+    vals = quality_reciprocals(coords, np.asarray(tri, dtype=np.int64).reshape(1, 3))
+    return float(vals[0])
 
 
 def regularized_distance(coords, vertex, edge, mu):

@@ -38,10 +38,9 @@ from meshshape.penalty import (
     mesh_quality,
     penalty_gradient,
     penalty_value,
-    quality_reciprocal,
 )
 
-from conftest import central_difference, cg_rank_one, random_admissible_triangle
+from conftest import central_difference, cg_rank_one, quality_reciprocal, random_admissible_triangle
 
 METRIC_ALPHA = PenaltyParams((10.0, 1.0, 0.0, 0.01))
 SET1 = PenaltyParams((1.0, 0.5, 0.0, 0.1))

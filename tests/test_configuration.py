@@ -1,0 +1,226 @@
+"""The per-configuration record: what it caches equals an uncached
+computation byte for byte, is read-only, and is shared only where the inputs
+are the same."""
+
+import threading
+
+import numpy as np
+import pytest
+
+from meshshape import fem, mesh as mesh_module, optimizer
+from meshshape.experiments import run_experiment
+from meshshape.fem import assemble, constant_rhs, model_rhs, shape_derivative, solve_adjoint, solve_state
+from meshshape.mesh import SQRT3, SparsePattern, configuration
+from meshshape.optimizer import OptimizerConfig, steepest_descent
+from meshshape.penalty import (
+    PenaltyParams,
+    _area_and_quality_slopes,
+    _quality_reciprocals,
+    penalty_gradient,
+    penalty_value,
+)
+
+SET1 = PenaltyParams((1.0, 0.5, 0.0, 0.1))
+METRIC = PenaltyParams((10.0, 1.0, 0.1, 0.01))
+
+
+@pytest.fixture(params=["square5", "disc3-perturbed"])
+def mesh(request, rng):
+    if request.param == "square5":
+        cx, q = request.getfixturevalue("square5")
+        return cx, q.copy()
+    cx, q = request.getfixturevalue("disc3")
+    q = q.copy()
+    q[cx.interior_vertices] += rng.uniform(-0.03, 0.03, size=(len(cx.interior_vertices), 2))
+    return cx, q
+
+
+def _fresh_cache():
+    mesh_module._configuration_cache.entries = []
+
+
+def _assert_identical(got, want):
+    # equal strides too: the summation order of later reductions follows them
+    assert got.shape == want.shape and got.strides == want.strides and got.tobytes() == want.tobytes()
+
+
+def _uncached_geometry(coords, triangles):
+    p = coords[triangles]
+    e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+    return p, e, 0.5 * (e[:, 2, 0] * e[:, 0, 1] - e[:, 2, 1] * e[:, 0, 0])
+
+
+def _uncached_basis_gradients(e, areas):
+    rot = np.stack([-e[..., 1], e[..., 0]], axis=-1)
+    return rot / (2.0 * areas[:, None, None])
+
+
+def _uncached_system(coords, cx, rhs):
+    # The assembly as it was, every quantity computed on the spot.
+    p, e, areas = _uncached_geometry(coords, cx.triangles)
+    grads = _uncached_basis_gradients(e, areas)
+    k_loc = areas[:, None, None] * np.einsum("tld,tmd->tlm", grads, grads)
+    centroids = p.mean(axis=1)
+    r_c = np.asarray(rhs.value(centroids[:, 0], centroids[:, 1]), dtype=float)
+    load = mesh_module.scatter_add(cx.num_vertices, (cx.triangles, np.repeat(areas * r_c / 3.0, 3)))
+    weights = mesh_module.scatter_add(cx.num_vertices, (cx.triangles, np.repeat(areas / 3.0, 3)))
+    return cx.interior_p1_pattern.matrix(k_loc), load, weights, r_c
+
+
+def _uncached_quality_terms(coords, triangles):
+    p, e, areas = _uncached_geometry(coords, triangles)
+    vals = np.sum(e**2, axis=(1, 2)) / (4.0 * SQRT3 * areas)
+    darea = 0.5 * e @ np.array([[0.0, -1.0], [1.0, 0.0]]).T
+    dssq = 2.0 * (2.0 * p - p[:, [1, 2, 0]] - p[:, [2, 0, 1]])
+    dquality = (dssq - (4.0 * SQRT3 * vals)[:, None, None] * darea) / (4.0 * SQRT3 * areas)[:, None, None]
+    return vals, darea, dquality
+
+
+def _cached_arrays(coords, cx, rhs):
+    """Every array the record of ``coords`` holds after assembly, the shape
+    derivative and the penalty gradient, by name."""
+    system = assemble(coords, cx, rhs)
+    y, p = solve_state(system), solve_adjoint(system)
+    shape_derivative(coords, cx, y, p, rhs)
+    penalty_gradient(coords, coords, cx, SET1)
+    record = configuration(coords, cx.triangles)
+    darea, dquality = record.memo(_area_and_quality_slopes)
+    return record, {
+        "p": record.p, "e": record.e, "areas": record.areas,
+        "basis_gradients": record.basis_gradients, "centroids": record.centroids,
+        "reduced.data": system.reduced.data, "load": system.load, "volume_weights": system.volume_weights,
+        "centroid_rhs": record.memo(fem._centroid_rhs, rhs),
+        "quality": record.memo(_quality_reciprocals), "darea": darea, "dquality": dquality,
+    }
+
+
+def test_cached_quantities_equal_uncached(mesh):
+    cx, q = mesh
+    rhs = model_rhs()
+    _fresh_cache()
+    _, cached = _cached_arrays(q, cx, rhs)
+    p, e, areas = _uncached_geometry(q, cx.triangles)
+    reduced, load, weights, r_c = _uncached_system(q, cx, rhs)
+    vals, darea, dquality = _uncached_quality_terms(q, cx.triangles)
+    want = {
+        "p": p, "e": e, "areas": areas,
+        "basis_gradients": _uncached_basis_gradients(e, areas), "centroids": p.mean(axis=1),
+        "reduced.data": reduced.data, "load": load, "volume_weights": weights, "centroid_rhs": r_c,
+        "quality": vals, "darea": darea, "dquality": dquality,
+    }
+    assert cached.keys() == want.keys()
+    for name in want:
+        _assert_identical(cached[name], want[name])
+
+
+def test_cached_arrays_are_read_only(mesh):
+    cx, q = mesh
+    rhs = model_rhs()
+    _, cached = _cached_arrays(q, cx, rhs)
+    for name, a in cached.items():
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # SuperLU factors the read-only matrix, and the solves give fresh arrays
+    y = solve_state(assemble(q, cx, rhs))
+    assert y.flags.writeable
+
+
+def test_moving_coordinates_in_place_gives_a_fresh_record(mesh, rng):
+    cx, q = mesh
+    rhs = model_rhs()
+    before = configuration(q, cx.triangles)
+    system_before = assemble(q, cx, rhs)
+    load_before = system_before.load.copy()
+    q[cx.interior_vertices] += rng.uniform(-0.01, 0.01, size=(len(cx.interior_vertices), 2))
+    after = configuration(q, cx.triangles)
+    system_after = assemble(q, cx, rhs)
+    assert after is not before and system_after is not system_before
+    _assert_identical(system_before.load, load_before)  # the old record is untouched
+    reduced, load, _, _ = _uncached_system(q, cx, rhs)
+    _assert_identical(system_after.reduced.data, reduced.data)
+    _assert_identical(system_after.load, load)
+
+
+def test_right_hand_sides_keep_separate_systems(mesh):
+    cx, q = mesh
+    fields = (model_rhs(), constant_rhs(1.0), model_rhs())  # the last: equal code, another field
+    systems = [assemble(q, cx, rhs) for rhs in fields]
+    assert len({id(s) for s in systems}) == 3
+    for rhs, system in zip(fields, systems):
+        assert assemble(q, cx, rhs) is system
+        _, load, _, _ = _uncached_system(q, cx, rhs)
+        _assert_identical(system.load, load)
+    assert not np.array_equal(systems[0].load, systems[1].load)
+
+
+def test_penalty_parameters_keep_separate_results(mesh):
+    cx, q = mesh
+    qref = q + 0.01
+    params = (SET1, METRIC, PenaltyParams((0.0, 2.0, 0.0, 0.0)), SET1)
+    fresh = []
+    for par in params:
+        _fresh_cache()
+        fresh.append((penalty_value(q, qref, cx, par), penalty_gradient(q, qref, cx, par)))
+    _fresh_cache()
+    for _ in range(2):  # alternating parameters at one configuration
+        for par, (value, grad) in zip(params, fresh):
+            assert penalty_value(q, qref, cx, par) == value
+            _assert_identical(penalty_gradient(q, qref, cx, par), grad)
+
+
+def test_accepted_trial_is_assembled_once(monkeypatch, disc2):
+    cx, q = disc2
+    builds, calls = [], []
+    original_matrix, original_assemble = SparsePattern.matrix, optimizer.assemble
+
+    def spy_matrix(pattern, values):
+        builds.append(pattern is cx.interior_p1_pattern)
+        return original_matrix(pattern, values)
+
+    def spy_assemble(*args):
+        calls.append(args)
+        return original_assemble(*args)
+
+    monkeypatch.setattr(SparsePattern, "matrix", spy_matrix)
+    monkeypatch.setattr(optimizer, "assemble", spy_assemble)
+    config = OptimizerConfig(variant="ElasEuc", penalty=SET1, max_iter=3, stop_tol=0.0)
+    result = steepest_descent(cx, q, model_rhs(), config)
+    iterations = len(result.history) - 1
+    assert result.status == "MaxIter" and iterations == 3
+    assert len(calls) >= 2 * iterations + 1  # a trial per iteration, and again every accepted one
+    # each accepted trial is evaluated again at the top of the loop, from its record
+    assert sum(builds) == len(calls) - iterations
+
+
+def test_cache_stays_bounded_under_parallel_experiment(monkeypatch, tmp_path):
+    caches = []
+
+    class Recorded(threading.local):
+        def __init__(self):
+            self.entries = []
+            caches.append((threading.get_ident(), self.entries))
+
+    monkeypatch.setattr(mesh_module, "_configuration_cache", Recorded())
+    assert run_experiment(3, tmp_path, rings=3, max_iter=5, parallel=True) == 0
+    main = threading.get_ident()
+    workers = [entries for ident, entries in caches if ident != main]
+    assert workers  # the runs used the pool's threads, each with its own cache
+    assert all(0 < len(entries) <= mesh_module._CONFIGURATION_CACHE_SIZE for entries in workers)
+
+
+def test_older_records_keep_only_their_geometry(mesh, rng):
+    cx, q = mesh
+    rhs = model_rhs()
+    record, cached = _cached_arrays(q, cx, rhs)
+    moved = q.copy()
+    moved[cx.interior_vertices] += rng.uniform(-0.01, 0.01, size=(len(cx.interior_vertices), 2))
+    assemble(moved, cx, rhs)
+    # the geometry stays; the derived quantities are computed again, equal
+    assert configuration(q, cx.triangles) is record
+    assert record.p is cached["p"] and record.e is cached["e"] and record.areas is cached["areas"]
+    _, again = _cached_arrays(q, cx, rhs)
+    for name in cached:
+        _assert_identical(again[name], cached[name])
+    assert again["basis_gradients"] is not cached["basis_gradients"]
+    assert again["load"] is not cached["load"]

@@ -10,13 +10,7 @@ from meshshape.fem import (
     solve_adjoint,
     solve_state,
 )
-from meshshape.mesh import (
-    basis_gradients,
-    make_disc_mesh,
-    make_square5_mesh,
-    triangle_geometry,
-    uniform_refine,
-)
+from meshshape.mesh import configuration, make_disc_mesh, make_square5_mesh, uniform_refine
 from meshshape.metrics import MetricSpec, assemble_elasticity, lame_parameters
 from scipy import sparse
 
@@ -191,8 +185,8 @@ def _coo_reference(coords, cx):
     assembly the cached patterns replace."""
     tris = cx.triangles
     n_t = len(tris)
-    _, e, areas = triangle_geometry(coords, tris)
-    grads = basis_gradients(e, areas)
+    record = configuration(coords, tris)
+    areas, grads = record.areas, record.basis_gradients
     k_loc = areas[:, None, None] * np.einsum("tld,tmd->tlm", grads, grads)
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()

@@ -65,3 +65,51 @@ def test_svg_output(tmp_path, square5):
     text = path.read_text()
     assert text.count("<line") == cx.num_edges
     assert "viewBox" in text
+
+
+def _loop_write_mesh(path, complex, coords):
+    # The writer as it was, one numpy scalar at a time: the byte reference.
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{complex.num_vertices} {complex.num_triangles}\n")
+        for x, y in coords:
+            fh.write(f"{float(x)!r} {float(y)!r}\n")
+        for a, b, c in complex.triangles:
+            fh.write(f"{a} {b} {c}\n")
+
+
+def _loop_write_svg(path, complex, coords):
+    # The SVG writer as it was, indexing ``coords`` once per edge endpoint.
+    xmin, ymin = coords.min(axis=0)
+    xmax, ymax = coords.max(axis=0)
+    w = max(xmax - xmin, 1e-12)
+    h = max(ymax - ymin, 1e-12)
+    pad_x, pad_y = 0.05 * w, 0.05 * h
+    view = (xmin - pad_x, -(ymax + pad_y), w + 2 * pad_x, h + 2 * pad_y)
+    stroke = 0.002 * max(w, h)
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
+        f'viewBox="{view[0]:.6g} {view[1]:.6g} {view[2]:.6g} {view[3]:.6g}">\n'
+    ]
+    for a, b in complex.edges:
+        x1, y1 = coords[a]
+        x2, y2 = coords[b]
+        parts.append(
+            f'<line x1="{x1:.8g}" y1="{-y1:.8g}" x2="{x2:.8g}" y2="{-y2:.8g}" '
+            f'stroke="black" stroke-width="{stroke:.4g}"/>\n'
+        )
+    parts.append("</svg>\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(parts))
+
+
+@pytest.mark.parametrize("mesh", ["square5", "disc3"])
+def test_writers_match_scalar_loops(tmp_path, mesh, request, rng):
+    cx, q = request.getfixturevalue(mesh)
+    q = q.copy()
+    q[cx.interior_vertices] += rng.uniform(-0.01, 0.01, size=(len(cx.interior_vertices), 2))
+    q[0] = (0.0, -0.0)  # signed zeros print as "0.0"/"-0.0" and "0"/"-0"
+    for new, old, name in ((write_mesh, _loop_write_mesh, "m.mesh"), (write_svg, _loop_write_svg, "m.svg")):
+        new(tmp_path / f"new-{name}", cx, q)
+        old(tmp_path / f"old-{name}", cx, q)
+        assert (tmp_path / f"new-{name}").read_bytes() == (tmp_path / f"old-{name}").read_bytes()

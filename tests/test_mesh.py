@@ -12,6 +12,7 @@ from meshshape.errors import (
 )
 from meshshape.mesh import (
     build_complex,
+    configuration,
     is_admissible,
     make_disc_mesh,
     make_square5_mesh,
@@ -19,13 +20,18 @@ from meshshape.mesh import (
     signed_areas,
     smooth_abs,
     smooth_pos,
-    triangle_geometry,
     uniform_refine,
 )
 from meshshape import mesh as mesh_module
-from meshshape.penalty import quality_reciprocal
 
-from conftest import edge_length, height, random_admissible_triangle, regularized_distance, signed_area
+from conftest import (
+    edge_length,
+    height,
+    quality_reciprocal,
+    random_admissible_triangle,
+    regularized_distance,
+    signed_area,
+)
 
 
 # -- build_complex -----------------------------------------------------------
@@ -549,6 +555,11 @@ def test_disc_requires_positive_rings():
 
 # -- geometry cache ----------------------------------------------------------
 
+def triangle_geometry(coords, triangles):
+    record = configuration(coords, triangles)
+    return record.p, record.e, record.areas
+
+
 def _uncached_geometry(coords, triangles):
     p = coords[triangles]
     e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
@@ -596,8 +607,8 @@ def test_geometry_keyed_by_triangles(disc3):
 
 def test_geometry_cache_is_bounded(disc3):
     cx, q = disc3
-    assert mesh_module._GEOMETRY_CACHE_SIZE <= 3
+    assert mesh_module._CONFIGURATION_CACHE_SIZE <= 3
     for k in range(10):
         moved = q * (1.0 + 0.01 * k)
         _assert_identical(triangle_geometry(moved, cx.triangles), _uncached_geometry(moved, cx.triangles))
-        assert len(mesh_module._geometry_cache.entries) <= mesh_module._GEOMETRY_CACHE_SIZE
+        assert len(mesh_module._configuration_cache.entries) <= mesh_module._CONFIGURATION_CACHE_SIZE

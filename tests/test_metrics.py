@@ -59,11 +59,11 @@ def test_elasticity_local_stiffness_hand_value():
 def _einsum_elasticity(coords, cx, spec):
     # The assembly as it was: B^T D B by a three-operand einsum, the mass
     # block entry by entry.
-    from meshshape.mesh import basis_gradients, triangle_geometry
+    from meshshape.mesh import configuration
 
     mu, lam, delta = lame_parameters(spec)
-    _, e, areas = triangle_geometry(coords, cx.triangles)
-    grads = basis_gradients(e, areas)
+    record = configuration(coords, cx.triangles)
+    areas, grads = record.areas, record.basis_gradients
     n_t = cx.num_triangles
     b_mat = np.zeros((n_t, 3, 6))
     b_mat[:, 0, 0::2] = grads[..., 0]

@@ -17,11 +17,10 @@ from meshshape.penalty import (
     mesh_quality,
     penalty_gradient,
     penalty_value,
-    quality_reciprocal,
     quality_reciprocals,
 )
 
-from conftest import central_difference, random_admissible_triangle
+from conftest import central_difference, quality_reciprocal, random_admissible_triangle
 
 SQRT3 = np.sqrt(3.0)
 
