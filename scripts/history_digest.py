@@ -7,15 +7,27 @@ byte-identical histories exactly when this script prints the same lines for
 both, so compare two commits with ``diff``:
 
     PYTHONPATH=src python scripts/history_digest.py > after.txt
+
+``--keep DIR`` runs the cases in ``DIR`` instead and keeps their output: the
+CSVs, each case's console output (``console.txt``) and the printed lines
+(``digest.txt``).  ``--compare A B`` reads two such directories and prints,
+per case and run, the exit codes, the statuses, the iteration counts and the
+largest relative difference of ``Obj``, ``Total`` and ``mshQua`` over the
+rows both histories have:
+
+    PYTHONPATH=src python scripts/history_digest.py --keep after > after.txt
+    python scripts/history_digest.py --compare before after
 """
+import argparse
 import contextlib
+import csv
 import hashlib
+import io
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
-
-from meshshape.cli import main
 
 CASES = (
     ("exp2", ["experiment", "2"]),
@@ -37,22 +49,97 @@ CASES = (
     ("euceuc-disc5", ["optimize", "--variant", "EucEuc", "--mesh", "disc:5", "--max-iter", "1000", "--tol", "0"]),
     ("euceuc-disc2", ["optimize", "--variant", "EucEuc", "--mesh", "disc:2", "--max-iter", "2000", "--tol", "0"]),
 )
+COMPARED = ("Obj", "Total", "mshQua")
 
 
-def digest_lines():
+def digest_lines(root):
+    from meshshape.cli import main as meshshape
+
     os.environ.pop("MESHSHAPE_OUT", None)  # it would override --out
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in CASES:
-            out = Path(tmp) / name
-            with contextlib.redirect_stdout(sys.stderr):
-                code = main([*argv, "--out", str(out)])
-            yield f"exit {code}  {name}"
-            for path in sorted(out.rglob("*.csv")):
-                if path.name in ("history.csv", "summary.csv"):
-                    sha = hashlib.sha256(path.read_bytes()).hexdigest()
-                    yield f"{sha}  {path.relative_to(tmp)}"
+    for name, argv in CASES:
+        out = root / name
+        console = io.StringIO()
+        with contextlib.redirect_stdout(console):
+            code = meshshape([*argv, "--out", str(out)])
+        sys.stderr.write(console.getvalue())
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "console.txt").write_text(console.getvalue())
+        yield f"exit {code}  {name}"
+        for path in sorted(out.rglob("*.csv")):
+            if path.name in ("history.csv", "summary.csv"):
+                sha = hashlib.sha256(path.read_bytes()).hexdigest()
+                yield f"{sha}  {path.relative_to(root)}"
+
+
+def _runs(root, name):
+    """Status and history rows of each run of one kept case, by run name."""
+    case = Path(root) / name
+    statuses = {}
+    console = case / "console.txt"
+    if console.exists():
+        match = re.search(r"^status: (\S+)", console.read_text(), re.MULTILINE)
+        if match:
+            statuses["."] = match.group(1)
+    for summary in case.rglob("summary.csv"):
+        with summary.open() as f:
+            statuses.update((row["label"], row["status"]) for row in csv.DictReader(f))
+    runs = {}
+    for history in sorted(case.rglob("history.csv")):
+        run = str(history.parent.relative_to(case))
+        with history.open() as f:
+            runs[run] = (statuses.get(run, "-"), list(csv.DictReader(f)))
+    for run, status in statuses.items():
+        runs.setdefault(run, (status, []))
+    return runs
+
+
+def _relative_difference(a, b):
+    a, b = float(a), float(b)
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale > 0 else 0.0
+
+
+def compare_lines(before, after):
+    exits = ({}, {})
+    for root, codes in zip((before, after), exits):
+        for line in (Path(root) / "digest.txt").read_text().splitlines():
+            if line.startswith("exit "):
+                _, code, name = line.split()
+                codes[name] = code
+    for name, _ in CASES:
+        yield f"{name}: exit {exits[0].get(name, '-')} -> {exits[1].get(name, '-')}"
+        runs_before, runs_after = _runs(before, name), _runs(after, name)
+        for run in sorted(set(runs_before) | set(runs_after)):
+            status_b, rows_b = runs_before.get(run, ("-", []))
+            status_a, rows_a = runs_after.get(run, ("-", []))
+            iters = [rows[-1]["iter"] if rows else "-" for rows in (rows_b, rows_a)]
+            common = list(zip(rows_b, rows_a))
+            diffs = "  ".join(
+                f"{col} {max((_relative_difference(b[col], a[col]) for b, a in common), default=0.0):.1e}"
+                for col in COMPARED
+            )
+            yield (f"  {run}: status {status_b} -> {status_a}  iterations {iters[0]} -> {iters[1]}  "
+                   f"max rel diff over {len(common)} rows: {diffs}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--keep", metavar="DIR", help="run the cases in DIR and keep their output")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two kept directories")
+    args = parser.parse_args(argv)
+    if args.compare:
+        for line in compare_lines(*args.compare):
+            print(line, flush=True)
+        return
+    with contextlib.ExitStack() as stack:
+        root = Path(args.keep or stack.enter_context(tempfile.TemporaryDirectory()))
+        root.mkdir(parents=True, exist_ok=True)
+        kept = stack.enter_context((root / "digest.txt").open("w"))
+        for line in digest_lines(root):
+            print(line, flush=True)
+            print(line, file=kept, flush=True)
 
 
 if __name__ == "__main__":
-    for line in digest_lines():
-        print(line, flush=True)
+    main()

@@ -234,18 +234,26 @@ def cmd_eval(args) -> int:
     try:
         complex, coords = load_mesh(args.mesh)
         rhs = parse_rhs(args.rhs)
+        alpha = parse_alpha(args.penalty)
     except (ParseError, OSError, ValueError, MeshShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not is_admissible(complex, coords):
         print("error: mesh is not admissible", file=sys.stderr)
         return EXIT_INADMISSIBLE
+    try:
+        return _evaluate(args, complex, coords, rhs, alpha)
+    except MeshShapeError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_OPT_FAILURE
 
+
+def _evaluate(args, complex, coords, rhs, alpha) -> int:
     if args.which == "theta":
         print(f"{mesh_quality(coords, complex)!r}")
         return EXIT_OK
     if args.which == "phi":
-        params = PenaltyParams(parse_alpha(args.penalty), mu=args.mu, cutoff_threshold=args.cutoff)
+        params = PenaltyParams(alpha, mu=args.mu, cutoff_threshold=args.cutoff)
         print(f"{penalty_value(coords, coords, complex, params)!r}")
         return EXIT_OK
     if args.which == "objective":
@@ -255,7 +263,6 @@ def cmd_eval(args) -> int:
         return EXIT_OK
 
     # gradcheck: central finite differences of both derivative paths
-    alpha = parse_alpha(args.penalty)
     if all(a == 0.0 for a in alpha):
         alpha = (1.0, 0.5, 0.25, 0.1)
     params = PenaltyParams(alpha, mu=args.mu, cutoff_threshold=args.cutoff)

@@ -4,10 +4,10 @@ State: -Laplace(y) = r with homogeneous Dirichlet conditions, discretized
 with piecewise linear elements.  The load vector uses a one-point quadrature
 rule at triangle centroids; this exact rule choice is deliberately shared
 with the geometry derivative so that the discrete adjoint is the exact
-derivative of the discrete reduced objective.  The reduced stiffness is
-symmetric positive definite, so SuperLU factors it in symmetric mode with the
-``MMD_AT_PLUS_A`` ordering (minimum degree on ``A + A^T``).  The assembled
-system is kept per vertex configuration; each solve factors it afresh.
+derivative of the discrete reduced objective.  The SPD reduced stiffness is
+stored in the complex's fill-reducing ``interior_order``, so SuperLU factors
+it as stored, in symmetric mode.  The assembled system is kept per vertex
+configuration; each solve factors it afresh.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import NonpositiveArea, SingularSystem
-from .mesh import SPD_LU, ConnectivityComplex, Configuration, configuration, scatter_add, signed_areas
+from .mesh import PREORDERED_LU, ConnectivityComplex, Configuration, configuration, scatter_add, signed_areas
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,10 @@ def constant_rhs(c: float) -> RhsField:
 class AssembledSystem:
     """Reduced stiffness, centroid-rule load and interior-DOF bookkeeping, read-only."""
 
-    reduced: sparse.csc_matrix  # P1 stiffness restricted to the interior DOFs
+    reduced: sparse.csc_matrix  # P1 stiffness on the interior DOFs, ordered as ``interior``
     load: np.ndarray
     volume_weights: np.ndarray  # integral of each nodal basis function
-    interior: np.ndarray        # indices of non-boundary vertices
+    interior: np.ndarray        # non-boundary vertices in factorization order
 
 
 def assemble(coords: np.ndarray, complex: ConnectivityComplex, rhs: RhsField) -> AssembledSystem:
@@ -84,7 +84,7 @@ def _assembled_system(record: Configuration, complex: ConnectivityComplex, rhs: 
     reduced = complex.interior_p1_pattern.matrix(k_loc)
     for a in (reduced.data, load, weights):
         a.setflags(write=False)
-    return AssembledSystem(reduced=reduced, load=load, volume_weights=weights, interior=complex.interior_vertices)
+    return AssembledSystem(reduced=reduced, load=load, volume_weights=weights, interior=complex.interior_order)
 
 
 def _centroid_rhs(record: Configuration, rhs: RhsField) -> np.ndarray:
@@ -102,7 +102,7 @@ def _reduced_solve(system: AssembledSystem, rhs_full: np.ndarray) -> np.ndarray:
     k_red = system.reduced
     b = rhs_full[interior]
     try:
-        lu = splu(k_red, **SPD_LU)
+        lu = splu(k_red, **PREORDERED_LU)
         x = lu.solve(b)
     except RuntimeError as exc:
         raise SingularSystem(str(exc)) from exc

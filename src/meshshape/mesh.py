@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 from .errors import (
     DegenerateEdge,
@@ -113,10 +114,20 @@ class ConnectivityComplex:
         return SparsePattern.of_blocks(self.triangles, self.num_vertices, sparse.csr_matrix)
 
     @cached_property
+    def interior_order(self) -> np.ndarray:
+        """``interior_vertices`` in the fill-reducing order of the interior P1 graph."""
+        return fill_reducing_order(self.p1_pattern, self.interior_vertices)
+
+    @cached_property
+    def dof_order(self) -> np.ndarray:
+        """Vec-order DOFs, x and y adjacent, vertices in the fill-reducing order of the P1 graph."""
+        return (2 * fill_reducing_order(self.p1_pattern, np.arange(self.num_vertices))[:, None] + np.arange(2)).ravel()
+
+    @cached_property
     def interior_p1_pattern(self) -> "SparsePattern":
-        """CSC pattern of the P1 stiffness restricted to ``interior_vertices``,
-        each entry summed in the order of ``p1_pattern``."""
-        full, keep, size = self.p1_pattern, self.interior_vertices, self.num_vertices
+        """CSC pattern of the P1 stiffness restricted to ``interior_vertices``
+        in ``interior_order``, each entry summed in the order of ``p1_pattern``."""
+        full, keep, size = self.p1_pattern, self.interior_order, self.num_vertices
         nnz = len(full.indices)
         ids = sparse.csr_matrix((np.arange(1.0, nnz + 1), full.indices, full.indptr), shape=(size, size))
         sub = ids[keep][:, keep].tocsc()  # the slicing replayed on the slot ids
@@ -126,8 +137,8 @@ class ConnectivityComplex:
 
     @cached_property
     def elasticity_pattern(self) -> "SparsePattern":
-        """CSC pattern of the vector P1 metric: 6x6 blocks over ``vertex_dofs``."""
-        dofs = self.vertex_dofs.reshape(-1, 6)
+        """CSC pattern of the vector P1 metric in ``dof_order``: 6x6 blocks over ``vertex_dofs``."""
+        dofs = np.argsort(self.dof_order)[self.vertex_dofs.reshape(-1, 6)]  # each DOF's place in the order
         return SparsePattern.of_blocks(dofs, 2 * self.num_vertices, sparse.csc_matrix)
 
 
@@ -179,8 +190,21 @@ class SparsePattern:
 
 
 # SuperLU options for the symmetric positive definite matrices assembled on
-# these patterns: symmetric mode, minimum degree ordering on A + A^T.
+# these patterns: symmetric mode, minimum degree ordering on A + A^T, which
+# fill_reducing_order computes once per pattern.  The patterns are stored in
+# that order, so their matrices are factored as stored (PREORDERED_LU).
 SPD_LU = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+PREORDERED_LU = {**SPD_LU, "permc_spec": "NATURAL"}
+
+
+def fill_reducing_order(pattern: SparsePattern, keep: np.ndarray) -> np.ndarray:
+    """``keep`` in the order in which SuperLU, under ``SPD_LU``, factors rows and columns ``keep``
+    of the symmetric ``pattern``; read off a stand-in: -1 off the diagonal, the column count on it."""
+    n = len(pattern.indptr) - 1
+    graph = sparse.csr_matrix((-np.ones(len(pattern.indices)), pattern.indices, pattern.indptr), shape=(n, n))
+    stand_in = graph[keep][:, keep].tocsc()
+    stand_in.setdiag(np.diff(stand_in.indptr))
+    return keep[np.argsort(splu(stand_in, **SPD_LU).perm_c)]
 
 
 def scatter_add(size: int, *terms) -> np.ndarray:

@@ -5,8 +5,8 @@ Three kinds: the Euclidean metric (identity), a linear-elasticity metric
 assembled fresh at the current configuration) and a rank-one metric
 ``I + g g^T`` built from the gradient of the mesh-quality penalty, which the
 derivative-to-gradient solve inverts in closed form (Sherman-Morrison).  The
-elasticity matrix is symmetric positive definite, so SuperLU factors it in
-symmetric mode with the ``MMD_AT_PLUS_A`` ordering.
+SPD elasticity matrix is assembled in the complex's fill-reducing ``dof_order``,
+so SuperLU factors it as stored, in symmetric mode.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import NonpositiveArea, SingularSystem
-from .mesh import SPD_LU, ConnectivityComplex, configuration
+from .mesh import PREORDERED_LU, ConnectivityComplex, configuration
 from .penalty import PenaltyParams, penalty_gradient
 
 EUCLIDEAN = "euclidean"
@@ -86,7 +86,7 @@ _VECTOR_MASS = np.kron((np.ones((3, 3)) + np.eye(3)) / 12.0, np.eye(2))
 
 def assemble_elasticity(coords: np.ndarray, complex: ConnectivityComplex, spec: MetricSpec):
     """Vector P1 elasticity stiffness plus ``delta`` times the vector L2 Gram
-    matrix of the hat functions, vec ordering."""
+    matrix of the hat functions, rows and columns in ``complex.dof_order``."""
     mu, lam, delta = lame_parameters(spec)
     record = configuration(coords, complex.triangles)
     areas = record.areas
@@ -122,14 +122,12 @@ class MetricOperator:
     def __init__(self, spec: MetricSpec, coords, complex, fixed_mask=None):
         self.spec = spec
         self.n = 2 * complex.num_vertices
-        self._free = None
-        if fixed_mask is not None:
-            fixed_mask = np.asarray(fixed_mask, dtype=bool)
-            self._free = ~np.repeat(fixed_mask, 2)
+        self._free = None if fixed_mask is None else ~np.repeat(np.asarray(fixed_mask, dtype=bool), 2)
         if spec.kind == ELASTICITY:
+            self._order, self._place = complex.dof_order, np.argsort(complex.dof_order)
             mat = assemble_elasticity(coords, complex, spec)
-            if self._free is not None:  # identity rows and columns for the fixed DOFs
-                fixed, rows = ~self._free, mat.indices
+            if self._free is not None:  # identity rows and columns for the fixed DOFs: no new fill
+                fixed, rows = ~self._free[self._order], mat.indices
                 cols = np.repeat(np.arange(self.n), np.diff(mat.indptr))
                 keep = ~(fixed[rows] | fixed[cols]) | (rows == cols)
                 indptr = np.r_[0, np.cumsum(np.bincount(cols[keep], minlength=self.n))]
@@ -137,7 +135,7 @@ class MetricOperator:
                 mat = sparse.csc_matrix((data, rows[keep], indptr), shape=mat.shape)
             self._matrix = mat
             try:
-                self._lu = splu(mat, **SPD_LU)
+                self._lu = splu(mat, **PREORDERED_LU)
             except RuntimeError as exc:
                 raise SingularSystem(str(exc)) from exc
         elif spec.kind == COMPLETE:
@@ -151,7 +149,7 @@ class MetricOperator:
         if self.spec.kind == EUCLIDEAN:
             return np.array(v, dtype=float)
         if self.spec.kind == ELASTICITY:
-            return self._matrix @ v
+            return (self._matrix @ v[self._order])[self._place]
         return v + self._g * (self._g @ v)
 
     def solve(self, d: np.ndarray) -> np.ndarray:
@@ -160,13 +158,14 @@ class MetricOperator:
         if self.spec.kind == EUCLIDEAN:
             return np.array(d, dtype=float)
         if self.spec.kind == ELASTICITY:
+            d = d[self._order]
             x = self._lu.solve(d)
             if not np.all(np.isfinite(x)):
                 raise SingularSystem("non-finite metric solve")
             norm_d = np.linalg.norm(d)
             if norm_d > 0 and np.linalg.norm(self._matrix @ x - d) > 1e-10 * norm_d:
                 raise SingularSystem("metric solve residual too large")
-            return x
+            return x[self._place]
         g = self._g
         return d - g * ((g @ d) / (1.0 + g @ g))
 

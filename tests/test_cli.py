@@ -5,7 +5,7 @@ import pytest
 
 from meshshape import cli
 from meshshape.cli import EXIT_OPT_FAILURE, EXIT_USAGE, main
-from meshshape.errors import NonDescentDirection
+from meshshape.errors import NonDescentDirection, SingularSystem
 from meshshape.fileio import write_mesh
 from meshshape.mesh import make_square5_mesh
 
@@ -61,6 +61,24 @@ def test_eval_gradcheck(capsys):
     assert run(["eval", "--mesh", "disc:3", "--which", "gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "gradcheck: ok" in out
+
+
+@pytest.mark.parametrize("which,layer", [("objective", "solve_state"), ("gradcheck", "solve_state"),
+                                         ("phi", "penalty_value")])
+def test_eval_failure_is_one_error_line(which, layer, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise SingularSystem("relative residual 1.000e+00")
+
+    monkeypatch.setattr(cli, layer, fail)
+    assert run(["eval", "--mesh", "disc:2", "--which", which]) == EXIT_OPT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: SingularSystem: relative residual 1.000e+00"]
+    assert captured.out == ""
+
+
+def test_eval_malformed_penalty_is_usage_error(capsys):
+    assert run(["eval", "--mesh", "disc:2", "--which", "phi", "--penalty", "a1=x"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_eval_inadmissible_mesh(tmp_path):

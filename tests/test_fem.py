@@ -182,7 +182,8 @@ def test_shape_derivative_symmetry_center(square5):
 
 def _coo_reference(coords, cx):
     """P1 stiffness and vector elasticity metric as COO conversions: the
-    assembly the cached patterns replace."""
+    assembly the cached patterns replace, the metric's DOFs relabelled by
+    their places in ``dof_order``."""
     tris = cx.triangles
     n_t = len(tris)
     record = configuration(coords, tris)
@@ -206,7 +207,7 @@ def _coo_reference(coords, cx):
         for b in range(3):
             m_loc[:, 2 * a, 2 * b] = areas * m_scalar[a, b]
             m_loc[:, 2 * a + 1, 2 * b + 1] = areas * m_scalar[a, b]
-    dofs = cx.vertex_dofs.reshape(n_t, 6)
+    dofs = np.argsort(cx.dof_order)[cx.vertex_dofs.reshape(n_t, 6)]
     rows = np.repeat(dofs, 6, axis=1).ravel()
     cols = np.tile(dofs, (1, 6)).ravel()
     vals = (k_el + delta * m_loc).ravel()
@@ -258,7 +259,7 @@ def test_second_assemble_rebuilds_no_pattern():
     assert (cx.p1_pattern, cx.interior_p1_pattern, cx.interior_vertices) == cached
     # every matrix is built on the cached index arrays, not on copies
     for sys_ in (first, second):
-        assert sys_.interior is cx.interior_vertices
+        assert sys_.interior is cx.interior_order
         assert np.shares_memory(sys_.reduced.indices, cx.interior_p1_pattern.indices)
         assert np.shares_memory(sys_.reduced.indptr, cx.interior_p1_pattern.indptr)
     elasticity = cx.elasticity_pattern

@@ -53,7 +53,8 @@ def test_elasticity_local_stiffness_hand_value():
     q = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mat = assemble_elasticity(q, cx, MetricSpec.elasticity(damping_delta=1e-30)).toarray()
     mu, lam, _ = lame_parameters(MetricSpec.elasticity())
-    assert mat[0, 0] == pytest.approx(0.5 * (2 * mu + lam + mu), rel=1e-12)
+    x0 = np.argsort(cx.dof_order)[0]  # the x DOF of vertex 0 in the metric's order
+    assert mat[x0, x0] == pytest.approx(0.5 * (2 * mu + lam + mu), rel=1e-12)
 
 
 def _einsum_elasticity(coords, cx, spec):
@@ -109,9 +110,9 @@ def test_pinned_elasticity_matches_lil_assignment(disc3, rng):
     mask = np.zeros(cx.num_vertices, dtype=bool)
     mask[cx.boundary_vertices] = True
     # The masked matrix as it was built before: assignments on a LIL copy,
-    # which keep no explicit zero in the fixed rows and columns.
+    # which keep no explicit zero in the fixed rows and columns, in dof_order.
     ref = assemble_elasticity(q, cx, MetricSpec.elasticity()).tolil()
-    fixed = np.flatnonzero(np.repeat(mask, 2))
+    fixed = np.flatnonzero(np.repeat(mask, 2)[cx.dof_order])
     ref[fixed, :] = 0.0
     ref[:, fixed] = 0.0
     ref[fixed, fixed] = 1.0

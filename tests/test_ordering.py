@@ -1,0 +1,65 @@
+"""The fill-reducing orders: structural, computed once per complex, kept by
+every factorization."""
+
+import numpy as np
+import pytest
+from scipy.sparse.linalg import splu
+
+from meshshape import fem, mesh, metrics
+from meshshape.fem import model_rhs
+from meshshape.mesh import SPD_LU, make_disc_mesh
+from meshshape.optimizer import OptimizerConfig, steepest_descent
+from meshshape.penalty import PenaltyParams
+from test_fem import _coo_reference, _perturbed_disc
+
+
+@pytest.mark.parametrize("rings", [3, 7, 12])
+def test_orders_are_superlu_minimum_degree_orders(rings):
+    cx, q = _perturbed_disc(rings, 11)
+    stiffness, _ = _coo_reference(q, cx)  # in natural vertex order
+    inner = cx.interior_vertices
+    lu = splu(stiffness[inner][:, inner].tocsc(), **SPD_LU)
+    assert np.array_equal(inner[np.argsort(lu.perm_c)], cx.interior_order)
+    vertices = np.argsort(splu(stiffness.tocsc(), **SPD_LU).perm_c)
+    assert np.array_equal((2 * vertices[:, None] + np.arange(2)).ravel(), cx.dof_order)
+
+
+def _elaseuc(rings, max_iter, fixed_boundary=False):
+    cx, q = make_disc_mesh(rings)  # a fresh complex: no order computed yet
+    mask = None
+    if fixed_boundary:
+        mask = np.zeros(cx.num_vertices, dtype=bool)
+        mask[cx.boundary_vertices] = True
+    config = OptimizerConfig(variant="ElasEuc", penalty=PenaltyParams((0.0, 0.0, 0.0, 0.0)), max_iter=max_iter,
+                             fixed_vertex_mask=mask)
+    return steepest_descent(cx, q, model_rhs(), config)
+
+
+@pytest.mark.parametrize("fixed_boundary", [False, True])
+def test_every_factorization_keeps_the_stored_order(monkeypatch, fixed_boundary):
+    calls = []
+
+    def spy(matrix, **options):
+        lu = splu(matrix, **options)
+        calls.append((options["permc_spec"], np.array_equal(lu.perm_c, np.arange(matrix.shape[0]))))
+        return lu
+
+    monkeypatch.setattr(fem, "splu", spy)
+    monkeypatch.setattr(metrics, "splu", spy)
+    _elaseuc(3, 5, fixed_boundary)
+    assert len(calls) > 10
+    assert set(calls) == {("NATURAL", True)}
+
+
+@pytest.mark.parametrize("max_iter", [1, 12])
+def test_each_pattern_is_ordered_once_per_run(monkeypatch, max_iter):
+    orderings = []
+
+    def spy(matrix, **options):
+        orderings.append(options["permc_spec"])
+        return splu(matrix, **options)
+
+    monkeypatch.setattr(mesh, "splu", spy)
+    result = _elaseuc(3, max_iter)
+    assert result.history[-1].iter == max_iter
+    assert orderings == ["MMD_AT_PLUS_A"] * 2  # the interior P1 graph and the full one
