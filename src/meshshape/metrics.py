@@ -6,7 +6,11 @@ assembled fresh at the current configuration) and a rank-one metric
 ``I + g g^T`` built from the gradient of the mesh-quality penalty, which the
 derivative-to-gradient solve inverts in closed form (Sherman-Morrison).  The
 SPD elasticity matrix is assembled in the complex's fill-reducing ``dof_order``,
-so SuperLU factors it as stored, in symmetric mode.
+so SuperLU factors it as stored, in symmetric mode.  The matrix moves little
+from one iterate to the next, so an operator built with ``previous`` keeps that
+operator's LU and solves by conjugate gradients preconditioned by it, to the
+same relative residual as a direct solve; it factors its own matrix only when
+``LAGGED_CG_MAX_ITER`` iterations do not get there.
 """
 
 from __future__ import annotations
@@ -24,6 +28,11 @@ from .penalty import PenaltyParams, penalty_gradient
 EUCLIDEAN = "euclidean"
 ELASTICITY = "elasticity"
 COMPLETE = "complete"
+
+# Every elasticity solve reaches this relative residual, or raises SingularSystem.
+RESIDUAL_TOL = 1e-10
+# Preconditioned CG iterations on a kept LU before the operator factors its own matrix.
+LAGGED_CG_MAX_ITER = 8
 
 
 @dataclass(frozen=True)
@@ -116,14 +125,23 @@ class MetricOperator:
 
     An optional per-vertex boolean mask restricts the metric to the
     complementary (free) subspace; masked coordinates are pinned to zero in
-    both inputs and outputs of ``solve``.
+    both inputs and outputs of ``solve``.  An elasticity operator built with
+    ``previous``, an elasticity operator with the same mask, takes over its LU
+    as the preconditioner of ``solve`` instead of factoring; ``previous`` is
+    spent, its matrix and LU released.
     """
 
-    def __init__(self, spec: MetricSpec, coords, complex, fixed_mask=None):
+    def __init__(self, spec: MetricSpec, coords, complex, fixed_mask=None, previous=None):
         self.spec = spec
         self.n = 2 * complex.num_vertices
         self._free = None if fixed_mask is None else ~np.repeat(np.asarray(fixed_mask, dtype=bool), 2)
         if spec.kind == ELASTICITY:
+            self._lu = None
+            if previous is not None and previous.spec.kind == ELASTICITY:
+                if previous.n == self.n and np.array_equal(previous._free, self._free):
+                    self._lu = previous._lu
+                previous._matrix = previous._lu = None
+            self._lagged = self._lu is not None
             self._order, self._place = complex.dof_order, np.argsort(complex.dof_order)
             mat = assemble_elasticity(coords, complex, spec)
             if self._free is not None:  # identity rows and columns for the fixed DOFs: no new fill
@@ -134,16 +152,42 @@ class MetricOperator:
                 data = np.where(fixed[rows], 1.0, mat.data)[keep]
                 mat = sparse.csc_matrix((data, rows[keep], indptr), shape=mat.shape)
             self._matrix = mat
-            try:
-                self._lu = splu(mat, **PREORDERED_LU)
-            except RuntimeError as exc:
-                raise SingularSystem(str(exc)) from exc
+            if self._lu is None:
+                self._factorize()
         elif spec.kind == COMPLETE:
             g = penalty_gradient(coords, spec.qref, complex, spec.penalty)
             if self._free is not None:
                 g = np.where(self._free, g, 0.0)
             self._g = g
         # Euclidean: nothing to precompute.
+
+    def _factorize(self):
+        self._lu = None  # at most one LU alive: drop a kept one before factoring
+        try:
+            self._lu = splu(self._matrix, **PREORDERED_LU)
+        except RuntimeError as exc:
+            raise SingularSystem(str(exc)) from exc
+        self._lagged = False
+
+    def _pcg(self, d: np.ndarray, max_iter: int):
+        """Conjugate gradients on the matrix, preconditioned by the LU and
+        started from its solution: the first iterate whose residual is within
+        ``RESIDUAL_TOL`` of ``|d|``, or None after ``max_iter`` iterations."""
+        a, lu = self._matrix, self._lu
+        tol = RESIDUAL_TOL * np.linalg.norm(d)
+        x = lu.solve(d)
+        r = d - a @ x
+        p, rz = 0.0, 1.0
+        for _ in range(max_iter):
+            if np.linalg.norm(r) <= tol:
+                return x
+            z = lu.solve(r)
+            rz, rz_old = r @ z, rz
+            p = z + (rz / rz_old) * p
+            ap = a @ p
+            x = x + (rz / (p @ ap)) * p
+            r = d - a @ x
+        return x if np.linalg.norm(r) <= tol else None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         if self.spec.kind == EUCLIDEAN:
@@ -159,12 +203,12 @@ class MetricOperator:
             return np.array(d, dtype=float)
         if self.spec.kind == ELASTICITY:
             d = d[self._order]
-            x = self._lu.solve(d)
-            if not np.all(np.isfinite(x)):
-                raise SingularSystem("non-finite metric solve")
-            norm_d = np.linalg.norm(d)
-            if norm_d > 0 and np.linalg.norm(self._matrix @ x - d) > 1e-10 * norm_d:
-                raise SingularSystem("metric solve residual too large")
+            x = self._pcg(d, LAGGED_CG_MAX_ITER if self._lagged else 0)
+            if x is None and self._lagged:  # the kept LU has gone stale
+                self._factorize()
+                x = self._pcg(d, 0)
+            if x is None:
+                raise SingularSystem("metric solve residual too large or non-finite")
             return x[self._place]
         g = self._g
         return d - g * ((g @ d) / (1.0 + g @ g))

@@ -269,6 +269,7 @@ def steepest_descent(
         return j + phi
 
     n = 0
+    operator = None
     while True:
         j = phi = total = pairing = float("nan")
         if on_iterate is not None:
@@ -313,7 +314,7 @@ def steepest_descent(
             break
 
         with timer.phase("assemblyG"):
-            operator = MetricOperator(spec, coords, complex, fixed_mask=mask)
+            operator = MetricOperator(spec, coords, complex, fixed_mask=mask, previous=operator)
         with timer.phase("gradient"):
             d = -operator.solve(derivative)
         pairing = float(derivative @ d)

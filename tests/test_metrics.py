@@ -1,16 +1,29 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import SuperLU, splu
 
+from meshshape import metrics
+from meshshape.errors import SingularSystem
+from meshshape.fem import model_rhs
+from meshshape.mesh import PREORDERED_LU, make_disc_mesh, signed_areas
 from meshshape.metrics import (
+    RESIDUAL_TOL,
     MetricOperator,
     MetricSpec,
     assemble_elasticity,
     lame_parameters,
     retract_euclidean,
 )
+from meshshape.optimizer import OptimizerConfig, steepest_descent
 from meshshape.penalty import PenaltyParams, penalty_gradient
 
 from conftest import cg_rank_one
+from test_fem import _perturbed_disc
 
 METRIC_ALPHA = PenaltyParams((10.0, 1.0, 0.0, 0.01))
 
@@ -219,3 +232,192 @@ def test_fixed_mask_restriction(disc2, rng):
         free = ~fixed
         applied = op.apply(x)
         assert np.allclose(applied[free], d[free], atol=1e-10 * np.linalg.norm(d))
+
+
+# -- the lagged elasticity solve ------------------------------------------------
+
+def _moved(cx, q, amplitude, seed):
+    q = q.copy()
+    inner = cx.interior_vertices
+    q[inner] += np.random.default_rng(seed).uniform(-amplitude, amplitude, size=(len(inner), 2))
+    return q
+
+
+@pytest.fixture(scope="module")
+def disc7_moves():
+    """A perturbed disc:7, a slightly moved copy (the reference's LU
+    preconditions its matrix within the CG cap) and a strongly deformed one
+    (beyond the cap)."""
+    cx, qref = _perturbed_disc(7, 11)
+    moved, deformed = _moved(cx, qref, 0.001, 5), _moved(cx, qref, 0.02, 5)
+    assert np.all(signed_areas(deformed, cx.triangles) > 0.0)
+    return cx, qref, moved, deformed
+
+
+@pytest.fixture()
+def factorizations(monkeypatch):
+    calls = []
+
+    def spy(matrix, **options):
+        calls.append(matrix.shape)
+        return splu(matrix, **options)
+
+    monkeypatch.setattr(metrics, "splu", spy)
+    return calls
+
+
+def _residual(op, x, d):
+    return np.linalg.norm(op.apply(x) - d) / np.linalg.norm(d)
+
+
+def test_kept_lu_solves_a_moved_configuration(disc7_moves, factorizations, rng):
+    cx, qref, moved, _ = disc7_moves
+    spec = MetricSpec.elasticity()
+    reference = MetricOperator(spec, qref, cx)
+    d = rng.standard_normal(reference.n)
+    unrefined = reference.solve(d)
+    op = MetricOperator(spec, moved, cx, previous=reference)
+    assert _residual(op, unrefined, d) > 1e3 * RESIDUAL_TOL  # the kept LU alone is not enough
+    x = op.solve(d)
+    assert len(factorizations) == 1  # the reference's: the moved matrix is never factored
+    assert _residual(op, x, d) <= RESIDUAL_TOL
+
+
+def test_lagged_solve_matches_a_fresh_direct_solve(disc7_moves, rng):
+    cx, qref, moved, _ = disc7_moves
+    spec = MetricSpec.elasticity()
+    lagged = MetricOperator(spec, moved, cx, previous=MetricOperator(spec, qref, cx))
+    for _ in range(3):
+        d = rng.standard_normal(lagged.n)
+        fresh = MetricOperator(spec, moved, cx).solve(d)
+        assert np.linalg.norm(lagged.solve(d) - fresh) <= 1e-8 * np.linalg.norm(fresh)
+
+
+def test_stale_lu_is_replaced_once(disc7_moves, factorizations, rng):
+    cx, qref, _, deformed = disc7_moves
+    spec = MetricSpec.elasticity()
+    op = MetricOperator(spec, deformed, cx, previous=MetricOperator(spec, qref, cx))
+    assert len(factorizations) == 1
+    for _ in range(2):  # the second solve uses the new LU
+        d = rng.standard_normal(op.n)
+        assert _residual(op, op.solve(d), d) <= RESIDUAL_TOL
+    assert len(factorizations) == 2
+
+
+def test_masked_operator_reuses_only_an_lu_of_its_mask(disc7_moves, factorizations, rng):
+    cx, qref, moved, _ = disc7_moves
+    spec = MetricSpec.elasticity()
+    mask = np.zeros(cx.num_vertices, dtype=bool)
+    mask[cx.boundary_vertices] = True
+    fixed = np.repeat(mask, 2)
+    d = rng.standard_normal(2 * cx.num_vertices)
+    for previous_mask, kept in ((mask, True), (None, False)):
+        previous = MetricOperator(spec, qref, cx, fixed_mask=previous_mask)
+        del factorizations[:]
+        op = MetricOperator(spec, moved, cx, fixed_mask=mask, previous=previous)
+        assert len(factorizations) == (0 if kept else 1)  # another mask's LU is not taken over
+        x = op.solve(d)
+        assert len(factorizations) == (0 if kept else 1)
+        assert np.all(x[fixed] == 0.0)
+        assert np.linalg.norm(op.apply(x)[~fixed] - d[~fixed]) <= RESIDUAL_TOL * np.linalg.norm(d[~fixed])
+
+
+@pytest.mark.parametrize("pivot", [0.0, 1e-300])
+def test_singular_elasticity_matrix_raises(disc7_moves, monkeypatch, pivot):
+    """A zero pivot fails the factorization; a pivot of 1e-300 overflows the solve."""
+    cx, qref, moved, _ = disc7_moves
+    spec = MetricSpec.elasticity()
+    kept = MetricOperator(spec, qref, cx)
+
+    def singular(coords, complex, spec):  # the first stored DOF's row and column: the pivot alone
+        mat = assemble_elasticity(coords, complex, spec).copy()
+        cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
+        first = (mat.indices == 0) | (cols == 0)
+        mat.data[first] = np.where(mat.indices[first] == cols[first], pivot, 0.0)
+        return mat
+
+    monkeypatch.setattr(metrics, "assemble_elasticity", singular)
+    d = np.ones(2 * cx.num_vertices)
+    d[cx.dof_order[0]] = 1e10
+    for previous in (None, kept):
+        with np.errstate(all="ignore"), pytest.raises(SingularSystem):
+            MetricOperator(spec, moved, cx, previous=previous).solve(d)
+
+
+def test_fresh_operator_solves_directly(disc7_moves, rng):
+    cx, _, moved, _ = disc7_moves
+    mask = np.zeros(cx.num_vertices, dtype=bool)
+    mask[cx.boundary_vertices] = True
+    free = ~np.repeat(mask, 2)
+    order, place = cx.dof_order, np.argsort(cx.dof_order)
+    for fixed_mask, rhs_mask in ((None, True), (mask, free)):
+        op = MetricOperator(MetricSpec.elasticity(), moved, cx, fixed_mask=fixed_mask)
+        d = rng.standard_normal(op.n)
+        # the direct solve: one factorization of the operator's matrix, one LU solve
+        direct = splu(op._matrix, **PREORDERED_LU).solve(np.where(rhs_mask, d, 0.0)[order])[place]
+        assert op.solve(d).tobytes() == direct.tobytes()
+
+
+def _elaseuc_run(rings, max_iter, on_iterate=None):
+    cx, q = make_disc_mesh(rings)
+    config = OptimizerConfig(variant="ElasEuc", penalty=PenaltyParams((0.0, 0.0, 0.0, 0.0)),
+                             max_iter=max_iter, stop_tol=0.0)
+    return steepest_descent(cx, q, model_rhs(), config, on_iterate=on_iterate)
+
+
+def _reachable_lus():
+    # SuperLU objects are not tracked by the collector; find them as referents.
+    return {id(r) for o in gc.get_objects() for r in gc.get_referents(o) if isinstance(r, SuperLU)}
+
+
+def test_one_elasticity_lu_alive_at_a_time(monkeypatch):
+    matrices, dead_at_assembly, lus_at_factorization, lus_at_iterate = [], [], [], []
+    real_assemble = metrics.assemble_elasticity
+    earlier = _reachable_lus()  # held elsewhere, e.g. by a failed test's traceback
+
+    def new_lus():
+        return len(_reachable_lus() - earlier)
+
+    def assemble(*args):
+        dead_at_assembly.append([ref() is None for ref in matrices])
+        mat = real_assemble(*args)
+        matrices.append(weakref.ref(mat))
+        return mat
+
+    def factorize(matrix, **options):
+        lus_at_factorization.append(new_lus())
+        return splu(matrix, **options)
+
+    monkeypatch.setattr(metrics, "assemble_elasticity", assemble)
+    monkeypatch.setattr(metrics, "splu", factorize)
+    result = _elaseuc_run(7, 6, on_iterate=lambda n, q: lus_at_iterate.append(new_lus()))
+    assert result.history[-1].iter == 6
+    assert len(matrices) == 6
+    # each operator's matrix is released before the next one is built
+    assert all(all(dead) for dead in dead_at_assembly)
+    assert lus_at_factorization and set(lus_at_factorization) == {0}
+    assert max(lus_at_iterate) == 1
+
+
+def test_fewer_elasticity_factorizations_than_iterations(factorizations):
+    result = _elaseuc_run(12, 12)
+    assert result.history[-1].iter == 12
+    assert 1 <= len(factorizations) < 12
+
+
+_DISCS = {rings: make_disc_mesh(rings) for rings in (3, 5)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3, 5]), st.integers(0, 2**32 - 1), st.floats(0.0, 0.1))
+def test_lagged_solve_inverts_the_metric_symmetrically(rings, seed, amplitude):
+    cx, q = _DISCS[rings]
+    qref = _moved(cx, q, 0.1 / rings, seed)
+    moved = _moved(cx, qref, amplitude / rings, seed + 1)
+    assume(np.all(signed_areas(moved, cx.triangles) > 0.0))
+    spec = MetricSpec.elasticity()
+    op = MetricOperator(spec, moved, cx, previous=MetricOperator(spec, qref, cx))
+    u, v, w = np.random.default_rng(seed).standard_normal((3, op.n))
+    assert np.linalg.norm(op.solve(op.apply(v)) - v) <= 1e-8 * np.linalg.norm(v)
+    su, sw = op.solve(u), op.solve(w)
+    assert abs(u @ sw - w @ su) <= 1e-10 * np.linalg.norm(u) * np.linalg.norm(sw)
