@@ -29,6 +29,7 @@ factor one half.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,20 +86,22 @@ def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, c
     g = w_fn(coords)
     z, v_z = phi_fn(coords), g @ v
     h = 1.0 / cfg.num_steps
-    h2 = 0.5 * h * h
+    h_half, h2 = 0.5 * h, 0.5 * h * h
     lam = 0.0  # the previous step's multiplier starts each solve
     h0 = 0.5 * (v @ v + v_z * v_z)
+    lift = 1.0 + g @ g  # 1 + |g|^2, for this step's slope and the last one's projection
 
     snap_times = {cfg.num_steps >> k: 0.5**k for k in range(cfg.num_steps.bit_length())}
     snapshots = []
     area_warnings = []
     for step in range(1, cfg.num_steps + 1):
         x_free, z_free = x + h * v, z + h * v_z
-        slope = h2 * (1.0 + g @ g)
+        slope = h2 * lift
         for _ in range(cfg.fixed_point_max_iter):
             x_new, z_new = x_free + (h2 * lam) * g, z_free - h2 * lam
-            residual = z_new - phi_fn(x_new.reshape(shape))
-            if not np.isfinite(residual):
+            q_new = x_new.reshape(shape)
+            residual = z_new - phi_fn(q_new)
+            if not math.isfinite(residual):
                 raise FixedPointDivergence(f"non-finite constraint residual at step {step}")
             if abs(residual) <= cfg.fixed_point_tol * (1.0 + abs(z_new)):
                 break
@@ -107,14 +110,15 @@ def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, c
             raise FixedPointDivergence(
                 f"constraint solve did not converge in {cfg.fixed_point_max_iter} iterations"
             )
-        u, u_z = v + (0.5 * h * lam) * g, v_z - 0.5 * h * lam
+        u, u_z = v + (h_half * lam) * g, v_z - h_half * lam
         x, z = x_new, z_new
-        g = w_fn(x.reshape(shape))
-        mu = (u_z - g @ u) / (1.0 + g @ g)
+        g = w_fn(q_new)
+        lift = 1.0 + g @ g
+        mu = (u_z - g @ u) / lift
         v, v_z = u + mu * g, u_z - mu
 
         if step in snap_times:
-            snap_coords = x.reshape(shape).copy()
+            snap_coords = q_new.copy()
             t = snap_times[step]
             snapshots.append((t, snap_coords))
             if complex is not None:

@@ -92,6 +92,13 @@ class ConnectivityComplex:
         return np.column_stack([vertex, edge])[keep]
 
     @cached_property
+    def boundary_pair_slots(self) -> np.ndarray:
+        """``boundary_pairs`` with each vertex given by its first place in the
+        flattened ``triangles``, so its row of ``coords[triangles].reshape(-1, 2)``."""
+        _, first = np.unique(self.triangles, return_index=True)  # every vertex is in a triangle
+        return first[self.boundary_pairs]
+
+    @cached_property
     def vertex_dofs(self) -> np.ndarray:
         """Vec-order DOFs ``2 i + c`` of each triangle's vertices, shape (N_T, 3, 2)."""
         return 2 * self.triangles[..., None] + np.arange(2)
@@ -215,9 +222,12 @@ def scatter_add(size: int, *terms) -> np.ndarray:
     entry sums its contributions in exactly that order, as successive
     unbuffered ``ufunc.at`` additions would.
     """
-    index = np.concatenate([np.ravel(i) for i, _ in terms])
-    values = np.concatenate([np.ravel(v) for _, v in terms])
-    return np.bincount(index, weights=values, minlength=size)
+    if len(terms) == 1:
+        (index, values), = terms
+    else:
+        index = np.concatenate([i.ravel() for i, _ in terms])
+        values = np.concatenate([v.ravel() for _, v in terms])
+    return np.bincount(index.ravel(), weights=values.ravel(), minlength=size)
 
 
 def build_complex(triangles, num_vertices: int) -> ConnectivityComplex:
@@ -374,7 +384,7 @@ def configuration(coords: np.ndarray, triangles: np.ndarray) -> Configuration:
     older two are released: every layer reads derived quantities only at the
     configuration it has just asked for, and they raised the peak memory.
     """
-    key = (coords.shape, coords.dtype, coords.tobytes())
+    key = (coords.tobytes(), coords.shape, coords.dtype)  # the bytes first: they tell records apart
     try:
         entries = _configuration_cache.entries
     except AttributeError:
@@ -438,6 +448,13 @@ def _smoothstep(u):
     return u**4 * (35.0 + u * (-84.0 + u * (70.0 - 20.0 * u)))
 
 
+def _smooth_pos_factors(t, mu: float):
+    # smooth_pos(t) = half_sum * step: (half_sum, u, step) with u = t / mu
+    # clipped to [0, 1], the argument of the step; its slope reuses all three.
+    u = np.clip(t / mu, 0.0, 1.0)
+    return 0.5 * (t + smooth_abs(t, mu)), u, _smoothstep(u)
+
+
 def smooth_pos(t, mu: float):
     """C^3 underestimate of ``max(t, 0)`` that is exactly zero for ``t <= 0``.
 
@@ -446,19 +463,14 @@ def smooth_pos(t, mu: float):
     take for negative arguments, keeping the result nonnegative with zero set
     exactly ``t <= 0``.
     """
-    return 0.5 * (t + smooth_abs(t, mu)) * _smoothstep(np.clip(t / mu, 0.0, 1.0))
+    half_sum, _, step = _smooth_pos_factors(t, mu)
+    return half_sum * step
 
 
-def smooth_pos_with_slope(t, mu: float):
-    """``smooth_pos(t, mu)`` and its derivative in ``t``, evaluating
-    ``smooth_abs``, the step and its clip once for both."""
-    u = t / mu
-    half_sum = 0.5 * (t + smooth_abs(t, mu))
-    inside = (u > 0.0) & (u < 1.0)
-    u = np.clip(u, 0.0, 1.0)
-    step = _smoothstep(u)
-    step_slope = np.where(inside, u**3 * (140.0 + u * (-420.0 + u * (420.0 - 140.0 * u))), 0.0) / mu
-    return half_sum * step, 0.5 * (1.0 + smooth_abs_prime(t, mu)) * step + half_sum * step_slope
+def _smooth_pos_slope(t, mu: float, half_sum, u, step):
+    # d smooth_pos / dt from the factors of _smooth_pos_factors(t, mu)
+    step_slope = np.where((u > 0.0) & (u < 1.0), u**3 * (140.0 + u * (-420.0 + u * (420.0 - 140.0 * u))), 0.0) / mu
+    return 0.5 * (1.0 + smooth_abs_prime(t, mu)) * step + half_sum * step_slope
 
 
 def _pair_frames(coords, pairs):
@@ -477,48 +489,81 @@ def _pair_frames(coords, pairs):
     return t, n, np.sum(u * t, axis=1), np.sum(u * n, axis=1), length
 
 
-def regularized_distances(coords, pairs, mu):
+class PairDistances:
     """Smoothed 1-norm distances from vertices to non-incident segments.
 
-    Each row ``(i, j0, j1)`` of the (P, 3) ``pairs`` gives a nonnegative
-    ``C^3`` underestimate of the minimum, over points of the segment
-    ``[j0, j1]``, of the 1-norm in the edge-aligned frame; zero exactly when
-    vertex ``i`` lies on the segment.
+    For each row ``(i, j0, j1)`` of the (P, 3) ``pairs``, ``dist`` holds a
+    nonnegative ``C^3`` underestimate of the minimum, over points of the
+    segment ``[j0, j1]``, of the 1-norm in the edge-aligned frame; zero
+    exactly when vertex ``i`` lies on the segment.  The frames and smoother
+    factors are kept for :meth:`gradients`.
     """
-    _, _, xi, eta, length = _pair_frames(coords, pairs)
-    return smooth_abs(eta, mu) + smooth_pos(-xi, mu) + smooth_pos(xi - length, mu)
 
+    def __init__(self, coords, pairs, mu: float):
+        self._mu = mu
+        self._frames = t, n, xi, eta, length = _pair_frames(coords, pairs)
+        # the tangential overshoots past j0 and past j1, each with its smoother factors
+        self._ends = [(s, *_smooth_pos_factors(s, mu)) for s in (-xi, xi - length)]
+        (_, lo_half, _, lo_step), (_, hi_half, _, hi_step) = self._ends
+        self.dist = smooth_abs(eta, mu) + lo_half * lo_step + hi_half * hi_step
+        self.dist.setflags(write=False)
 
-def regularized_distance_derivatives(coords, pairs, mu):
-    """:func:`regularized_distances` with their exact gradients, ``(d, grads)``,
-    from one frame computation; ``grads`` (3, P, 2) holds the gradients with
-    respect to the vertex and the two edge endpoints."""
-    t, n, xi, eta, length = _pair_frames(coords, pairs)
-    lo, m_lo = smooth_pos_with_slope(-xi, mu)
-    hi, m_hi = smooth_pos_with_slope(xi - length, mu)
-    dist = smooth_abs(eta, mu) + lo + hi
-    c_eta = smooth_abs_prime(eta, mu)
-    c_xi = -m_lo + m_hi
-    c_len = -m_hi
+    def gradients(self) -> np.ndarray:
+        """Exact gradients of ``dist`` with respect to the vertex and the two
+        edge endpoints, (3, P, 2)."""
+        t, n, xi, eta, length = self._frames
+        m_lo, m_hi = (_smooth_pos_slope(s, self._mu, *factors) for s, *factors in self._ends)
+        c_eta = smooth_abs_prime(eta, self._mu)
+        c_xi = -m_lo + m_hi
+        c_len = -m_hi
 
-    # xi, eta, length differentials in terms of du = dv - dp0, de = dp1 - dp0:
-    #   d xi  = t . du + (eta / length) n . de
-    #   d eta = n . du - (xi  / length) n . de
-    #   d len = t . de
-    gv = c_eta[:, None] * n + c_xi[:, None] * t
-    g1 = (
-        ((c_xi * eta - c_eta * xi) / length)[:, None] * n
-        + c_len[:, None] * t
-    )
-    g0 = -gv - g1
-    return dist, np.stack([gv, g0, g1])
+        # xi, eta, length differentials in terms of du = dv - dp0, de = dp1 - dp0:
+        #   d xi  = t . du + (eta / length) n . de
+        #   d eta = n . du - (xi  / length) n . de
+        #   d len = t . de
+        gv = c_eta[:, None] * n + c_xi[:, None] * t
+        g1 = (
+            ((c_xi * eta - c_eta * xi) / length)[:, None] * n
+            + c_len[:, None] * t
+        )
+        g0 = -gv - g1
+        return np.stack([gv, g0, g1])
 
 
 # ---------------------------------------------------------------------------
 # Admissibility
 # ---------------------------------------------------------------------------
 
-_PAIR_BLOCK = 1 << 18  # pairs per block of rows of a pairwise test
+_PAIR_BLOCK = 1 << 18  # candidate pairs per block of a pairwise test
+
+
+def _grid_cells(lo, hi, origin, size, m):
+    # (box, cell id) of every cell of the m x m grid that each box [lo, hi]
+    # meets; the cell index of a coordinate never decreases with it.
+    first = np.minimum(((lo - origin) / size).astype(np.int64), m - 1)
+    span = np.minimum(((hi - origin) / size).astype(np.int64), m - 1) - first + 1
+    counts = span[:, 0] * span[:, 1]
+    box = np.repeat(np.arange(len(lo)), counts)
+    k = np.arange(len(box)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return box, (first[box, 0] + k % span[box, 0]) * m + first[box, 1] + k // span[box, 0]
+
+
+def _box_candidates(lo_a, hi_a, lo_b, hi_b):
+    """Index pairs ``(i, j)`` of boxes ``a_i`` and ``b_j`` (rows of corner
+    arrays, (n, 2)) that share a cell of a uniform grid with about
+    ``len(lo_b)`` cells: every pair of intersecting boxes, some more than once."""
+    origin = np.minimum(lo_a.min(axis=0), lo_b.min(axis=0))
+    extent = np.maximum(hi_a.max(axis=0), hi_b.max(axis=0)) - origin
+    m = max(1, int(np.sqrt(len(lo_b))))
+    size = np.where(extent > 0.0, extent, 1.0) / m
+    a, a_cell = _grid_cells(lo_a, hi_a, origin, size, m)
+    b, b_cell = _grid_cells(lo_b, hi_b, origin, size, m)
+    order = np.argsort(b_cell, kind="stable")
+    b, b_cell = b[order], b_cell[order]
+    start = np.searchsorted(b_cell, a_cell, side="left")
+    count = np.searchsorted(b_cell, a_cell, side="right") - start
+    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    return np.repeat(a, count), b[np.repeat(start, count) + offset]
 
 
 def _orient(a, b, c):
@@ -541,36 +586,43 @@ def is_admissible(complex: ConnectivityComplex, coords: np.ndarray, check_inters
     Always requires strictly positive signed areas.  With
     ``check_intersections`` a conservative geometric check is added: no two
     non-adjacent boundary edges may intersect and no boundary vertex may lie
-    strictly inside a non-incident triangle.
+    strictly inside a non-incident triangle.  Only edges and triangles whose
+    bounding boxes share a grid cell are tested against each other.
     """
     if not np.all(np.isfinite(coords)):
         return False
     areas = signed_areas(coords, complex.triangles)
     if not np.all(areas > 0.0):
         return False
-    if not check_intersections:
-        return True
+    return not check_intersections or not any(_boundary_overlaps(complex, coords))
 
+
+def _boundary_overlaps(complex: ConnectivityComplex, coords: np.ndarray) -> tuple:
+    """``(crossing, inside)``: whether two boundary edges without a common
+    vertex intersect, and whether a boundary vertex lies strictly inside a
+    triangle it is not a vertex of."""
     be, bv, tris = complex.boundary_edges, complex.boundary_vertices, complex.triangles
-    seg, p = coords[be], coords[tris]
+    seg, p, pv = coords[be], coords[tris], coords[bv]
+    # each boundary edge and vertex meets only the few edges and triangles
+    # whose bounding boxes share a grid cell with its own
+    seg_lo, seg_hi = seg.min(axis=1), seg.max(axis=1)
+    edge_pairs = _box_candidates(seg_lo, seg_hi, seg_lo, seg_hi)  # every pair both ways
+    vertex_pairs = _box_candidates(pv, pv, p.min(axis=1), p.max(axis=1))
 
-    def edges_cross(rows):  # every pair twice, which leaves the verdict as it is
-        disjoint = ~np.any(be[rows, None, :, None] == be[:, None, :], axis=(2, 3))
-        meet = _segments_intersect(seg[rows, None, 0], seg[rows, None, 1], seg[:, 0], seg[:, 1])
-        return disjoint & meet
+    def edges_cross(i, j):
+        disjoint = ~np.any(be[i, :, None] == be[j, None, :], axis=(1, 2))
+        return disjoint & _segments_intersect(seg[i, 0], seg[i, 1], seg[j, 0], seg[j, 1])
 
-    def vertex_inside(rows):
-        pv = coords[bv[rows], None]
-        inside = ~np.any(tris == bv[rows, None, None], axis=2)
+    def vertex_inside(i, j):
+        inside = ~np.any(tris[j] == bv[i, None], axis=1)
         for k in range(3):
-            inside &= _orient(p[:, k], p[:, (k + 1) % 3], pv) > 0
+            inside &= _orient(p[j, k], p[j, (k + 1) % 3], pv[i]) > 0
         return inside
 
-    for test, n_rows, n_cols in ((edges_cross, len(be), len(be)), (vertex_inside, len(bv), len(tris))):
-        step = max(1, _PAIR_BLOCK // n_cols)
-        if any(np.any(test(slice(r, r + step))) for r in range(0, n_rows, step)):
-            return False
-    return True
+    return tuple(
+        any(np.any(test(i[r:r + _PAIR_BLOCK], j[r:r + _PAIR_BLOCK])) for r in range(0, len(i), _PAIR_BLOCK))
+        for test, (i, j) in ((edges_cross, edge_pairs), (vertex_inside, vertex_pairs))
+    )
 
 
 # ---------------------------------------------------------------------------

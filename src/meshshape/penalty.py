@@ -21,9 +21,10 @@ from .mesh import (
     SQRT3,
     ConnectivityComplex,
     Configuration,
+    _AFTER_NEXT,
+    _NEXT,
+    PairDistances,
     configuration,
-    regularized_distance_derivatives,
-    regularized_distances,
     scatter_add,
 )
 
@@ -67,16 +68,17 @@ def quality_reciprocals(coords: np.ndarray, triangles: np.ndarray) -> np.ndarray
 
 
 def _quality_reciprocals(record: Configuration) -> np.ndarray:
-    if np.any(record.areas <= 0.0):
+    if (record.areas <= 0.0).any():
         raise NonpositiveArea("quality measure requires positive areas")
-    vals = np.sum(record.e**2, axis=(1, 2)) / (4.0 * SQRT3 * record.areas)
+    vals = (record.e * record.e).sum(axis=(1, 2)) / (4.0 * SQRT3 * record.areas)
     vals.setflags(write=False)
     return vals
 
 
 def mesh_quality(coords: np.ndarray, complex: ConnectivityComplex) -> float:
     """Mean quality reciprocal over all triangles; 1 for all-equilateral meshes."""
-    return float(np.mean(quality_reciprocals(coords, complex.triangles)))
+    vals = quality_reciprocals(coords, complex.triangles)
+    return float(vals.sum() / vals.size)
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +113,24 @@ def cutoff_prime(s, threshold: float):
 # ---------------------------------------------------------------------------
 
 def _area_term(areas):
-    total = np.sum(areas)
+    total = areas.sum()
     if total <= 0.0:
         raise NonpositiveArea("total mesh area must be positive")
     return 1.0 / total
 
 
-def _boundary_term(coords, complex, params):
-    pairs = complex.boundary_pairs
-    if pairs.shape[0] == 0:
+def _boundary_distances(record: Configuration, complex: ConnectivityComplex, mu: float) -> PairDistances:
+    """The boundary pairs' smoothed distances, kept for the gradient at the same configuration."""
+    return PairDistances(record.p.reshape(-1, 2), complex.boundary_pair_slots, mu)
+
+
+def _boundary_term(record, complex, params):
+    if complex.boundary_pairs.shape[0] == 0:
         return 0.0
-    dists = regularized_distances(coords, pairs, params.mu)
-    recip = 1.0 / dists
+    recip = 1.0 / record.memo(_boundary_distances, complex, params.mu).dist
     if params.cutoff_threshold is not None:
         recip = cutoff(recip, params.cutoff_threshold)
-    return float(np.sum(recip)) / _boundary_scale(complex)
+    return float(recip.sum()) / _boundary_scale(complex)
 
 
 def penalty_value(
@@ -137,17 +142,18 @@ def penalty_value(
     """Evaluate the mesh-quality penalty at ``coords`` with reference ``qref``."""
     a1, a2, a3, a4 = params.alpha
     value = 0.0
-    if a1 != 0.0 or a2 != 0.0:
+    if a1 != 0.0 or a2 != 0.0 or a3 != 0.0:
         record = configuration(coords, complex.triangles)
     if a1 != 0.0:
-        value += a1 * np.mean(record.memo(_quality_reciprocals))
+        vals = record.memo(_quality_reciprocals)
+        value += a1 * (vals.sum() / vals.size)  # np.mean's value, without its dispatch
     if a2 != 0.0:
         value += a2 * _area_term(record.areas)
     if a3 != 0.0:
-        value += a3 * _boundary_term(coords, complex, params)
+        value += a3 * _boundary_term(record, complex, params)
     if a4 != 0.0:
         diff = coords - qref
-        value += 0.5 * a4 * float(np.sum(diff * diff))
+        value += 0.5 * a4 * float((diff * diff).sum())
     return value
 
 
@@ -155,7 +161,7 @@ def penalty_value(
 # Derivatives
 # ---------------------------------------------------------------------------
 
-_ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
+_HALF_ROT90 = np.array([-0.5, 0.5])  # (x, y) -> (-y, x) / 2 on reversed components
 
 
 def _boundary_scale(complex):
@@ -166,9 +172,12 @@ def _area_and_quality_slopes(record: Configuration):
     """Per-triangle derivatives of the area and the quality reciprocal, (N_T, 3, 2) each."""
     p, e, areas = record.p, record.e, record.areas
     vals = record.memo(_quality_reciprocals)  # raises on nonpositive areas
-    darea = 0.5 * e @ _ROT90.T  # d area / d p_l = 0.5 * rot90(e_l), rot90 (x,y) -> (-y,x)
+    # d area / d p_l = 0.5 * rot90(e_l), rot90 (x,y) -> (-y,x); adding 0.0 turns
+    # -0.0 into 0.0, as the matrix product 0.5 * e @ rot90.T it replaces did
+    darea = np.multiply(e[..., ::-1], _HALF_ROT90, order="C")
+    darea += 0.0
     # d ssq / d p_l = 2 (2 p_l - p_{l+1} - p_{l+2})
-    dssq = 2.0 * (2.0 * p - p[:, [1, 2, 0]] - p[:, [2, 0, 1]])
+    dssq = 2.0 * (2.0 * p - p[:, _NEXT] - p[:, _AFTER_NEXT])
     denom = 4.0 * SQRT3 * areas
     dquality = (dssq - (4.0 * SQRT3 * vals)[:, None, None] * darea) / denom[:, None, None]
     for a in (darea, dquality):
@@ -185,16 +194,18 @@ def penalty_gradient(
     """Exact gradient of :func:`penalty_value` in vec order (length ``2 N_V``)."""
     a1, a2, a3, a4 = params.alpha
     terms = []  # (vec DOFs, contributions), summed in this order
-    if a1 != 0.0 or a2 != 0.0:
+    if a1 != 0.0 or a2 != 0.0 or a3 != 0.0:
         record = configuration(coords, complex.triangles)
+    if a1 != 0.0 or a2 != 0.0:
         darea, dquality = record.memo(_area_and_quality_slopes)
         if a1 != 0.0:
             terms.append((complex.vertex_dofs, (a1 / complex.num_triangles) * dquality))
         if a2 != 0.0:
-            total = np.sum(record.areas)
+            total = record.areas.sum()
             terms.append((complex.vertex_dofs, (-a2 / total**2) * darea))
     if a3 != 0.0 and complex.boundary_pairs.shape[0] > 0:
-        dist, ddist = regularized_distance_derivatives(coords, complex.boundary_pairs, params.mu)
+        distances = record.memo(_boundary_distances, complex, params.mu)
+        dist, ddist = distances.dist, distances.gradients()
         # d/dd chi(1/d) = -chi'(1/d) / d^2, chi the identity without cutoff
         slope = -1.0 / dist**2
         if params.cutoff_threshold is not None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from meshshape.errors import DegenerateEdge
-from meshshape.mesh import make_disc_mesh, make_square5_mesh, regularized_distances
+from meshshape.mesh import PairDistances, make_disc_mesh, make_square5_mesh
 from meshshape.penalty import quality_reciprocals
 
 
@@ -91,7 +91,7 @@ def regularized_distance(coords, vertex, edge, mu):
     if mu <= 0.0:
         raise ValueError("smoothing parameter must be positive")
     pair = np.array([[vertex, edge[0], edge[1]]], dtype=np.int64)
-    return float(regularized_distances(coords, pair, mu)[0])
+    return float(PairDistances(coords, pair, mu).dist[0])
 
 
 def cg_rank_one(g, d):

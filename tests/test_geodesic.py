@@ -163,3 +163,22 @@ def test_one_gradient_per_step(monkeypatch):
     v = 0.1 * np.random.default_rng(2).standard_normal(2 * cx.num_vertices)
     retract_geodesic(q, v, spec, GeodesicConfig(num_steps=64), cx)
     assert len(calls) == 64 + 1
+
+
+def test_call_counts_are_pinned():
+    # RATTLE's call sequence on disc:1 over 64 steps: one gradient per step
+    # plus the initial one, and the constraint solves' penalty values (one
+    # initial value, then 3.8 per step at this velocity)
+    cx, q = make_disc_mesh(1)
+    phi_fn, w_fn = geodesic._penalty_field(MetricSpec.complete(METRIC_ALPHA, q.copy()), cx)
+    calls = {"phi": 0, "w": 0}
+
+    def counted(name, fn):
+        def call(c):
+            calls[name] += 1
+            return fn(c)
+        return call
+
+    v = 0.1 * np.random.default_rng(2).standard_normal(2 * cx.num_vertices)
+    integrate_geodesic(counted("phi", phi_fn), counted("w", w_fn), q, v, GeodesicConfig(num_steps=64), cx)
+    assert calls == {"phi": 247, "w": 64 + 1}

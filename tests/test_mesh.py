@@ -173,6 +173,23 @@ def test_scatter_add_equals_add_at(disc3, rng):
     assert np.array_equal(scatter_add(cx.num_vertices, (cx.triangles, a[..., 0])), single)
 
 
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rings=st.integers(1, 3), split=st.floats(0.0, 1.0))
+def test_one_term_scatter_add_equals_the_general_path(seed, rings, split):
+    # one term skips the concatenation; cut in two it takes the general path,
+    # which must sum every entry in the same order
+    cx, _ = make_disc_mesh(rings)
+    values = np.random.default_rng(seed).standard_normal((cx.num_triangles, 3, 2))
+    index, values = cx.vertex_dofs.ravel(), values.ravel()
+    k = int(split * len(index))
+    one = scatter_add(2 * cx.num_vertices, (cx.vertex_dofs, values.reshape(-1, 3, 2)))
+    two = scatter_add(2 * cx.num_vertices, (index[:k], values[:k]), (index[k:], values[k:]))
+    assert one.tobytes() == two.tobytes()
+    reference = np.zeros(2 * cx.num_vertices)
+    np.add.at(reference, index, values)
+    assert one.tobytes() == reference.tobytes()
+
+
 # -- elementary geometry -----------------------------------------------------
 
 def test_signed_area_values():
@@ -459,7 +476,27 @@ def test_vectorized_admissibility_matches_loops(name, crossing, inside, block, m
     cx, q = _admissibility_case(name)
     assert np.all(signed_areas(q, cx.triangles) > 0.0)
     assert (_loop_boundary_edges_cross(cx, q), _loop_boundary_vertex_inside(cx, q)) == (crossing, inside)
+    assert mesh_module._boundary_overlaps(cx, q) == (crossing, inside)
     assert is_admissible(cx, q, check_intersections=True) == (not (crossing or inside))
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_grid_prefilter_finds_a_pushed_boundary_vertex(block, monkeypatch):
+    # a perturbed disc:12 whose boundary vertex at (1, 0) is pushed past two
+    # rings of triangles, to the nearest triangle centroid inside radius 0.85;
+    # its own triangles turn over, so the area check alone would reject the
+    # configuration, and the overlap tests run directly
+    if block is not None:
+        monkeypatch.setattr(mesh_module, "_PAIR_BLOCK", block)
+    cx, q = _admissibility_case("disc12-5")
+    vertex = cx.boundary_vertices[np.argmax(q[cx.boundary_vertices, 0])]
+    target = q[cx.triangles].mean(axis=1)
+    target[np.linalg.norm(target, axis=1) > 0.85] = 9.0
+    q[vertex] = target[np.argmin(np.linalg.norm(target - q[vertex], axis=1))]
+    reference = (_loop_boundary_edges_cross(cx, q), _loop_boundary_vertex_inside(cx, q))
+    assert reference[1]
+    assert mesh_module._boundary_overlaps(cx, q) == reference
+    assert not is_admissible(cx, q, check_intersections=True)
 
 
 # -- refinement --------------------------------------------------------------

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meshshape import mesh as mesh_module, penalty as penalty_module
 from meshshape.errors import NonpositiveArea
 from meshshape.mesh import (
     build_complex,
+    make_disc_mesh,
     make_square5_mesh,
     signed_areas,
     uniform_refine,
@@ -175,6 +177,74 @@ def test_penalty_gradient_fd(disc3, rng):
     grad = penalty_gradient(coords, qref, cx, params)
     fd = central_difference(lambda c: penalty_value(c, qref, cx, params), coords)
     assert np.max(np.abs(fd - grad)) / np.max(np.abs(grad)) < 1e-6
+
+
+# Weight sets of the property tests: the metric preset, all four terms, and the
+# boundary term alone and with the others, cut off in its blend region.
+PROPERTY_PARAMS = (
+    PenaltyParams((10.0, 1.0, 0.0, 0.01)),
+    PenaltyParams((1.0, 0.5, 0.25, 0.1), mu=0.1),
+    PenaltyParams((0.0, 0.0, 1.0, 0.0), mu=0.05, cutoff_threshold=0.6),
+    PenaltyParams((10.0, 1.0, 0.1, 0.01), cutoff_threshold=0.4),
+)
+property_cases = given(
+    seed=st.integers(0, 2**32 - 1), rings=st.integers(1, 3), params=st.sampled_from(PROPERTY_PARAMS)
+)
+
+
+def _perturbed_disc(seed, rings):
+    # every vertex moved by at most 0.15 of the ring spacing: areas stay positive
+    cx, qref = make_disc_mesh(rings)
+    q = qref + np.random.default_rng(seed).uniform(-0.15, 0.15, size=qref.shape) / rings
+    assert np.all(signed_areas(q, cx.triangles) > 0.0)
+    return cx, q, qref
+
+
+@settings(max_examples=25, deadline=None)
+@property_cases
+def test_penalty_gradient_matches_central_differences(seed, rings, params):
+    cx, q, qref = _perturbed_disc(seed, rings)
+    grad = penalty_gradient(q, qref, cx, params)
+    fd = central_difference(lambda c: penalty_value(c, qref, cx, params), q)
+    assert np.max(np.abs(fd - grad)) <= 1e-6 * np.max(np.abs(grad))
+
+
+@settings(max_examples=25, deadline=None)
+@property_cases
+def test_value_and_gradient_bits_do_not_depend_on_call_order(seed, rings, params):
+    # the record's memo shares the quality terms and the boundary distances
+    # between the two calls; either order must give the same bits
+    cx, q, qref = _perturbed_disc(seed, rings)
+    results = []
+    for value_first in (True, False):
+        mesh_module._configuration_cache.entries = []  # a fresh configuration
+        if value_first:
+            value = penalty_value(q, qref, cx, params)
+            grad = penalty_gradient(q, qref, cx, params)
+        else:
+            grad = penalty_gradient(q, qref, cx, params)
+            value = penalty_value(q, qref, cx, params)
+        results.append((type(value), np.float64(value).tobytes(), grad.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_gradient_reuses_the_boundary_distances_of_the_value(disc3, monkeypatch):
+    cx, q = disc3
+    built = []
+
+    class Counted(penalty_module.PairDistances):
+        def __init__(self, *args):
+            built.append(args[2])
+            super().__init__(*args)
+
+    monkeypatch.setattr(penalty_module, "PairDistances", Counted)
+    params = PenaltyParams((1.0, 0.5, 0.25, 0.1), mu=0.1)
+    other_mu = PenaltyParams((1.0, 0.5, 0.25, 0.1), mu=0.05)
+    moved = q + 0.01
+    for coords, par in ((moved, params), (moved, params), (moved, other_mu), (moved + 0.01, params)):
+        penalty_value(coords, q, cx, par)
+        penalty_gradient(coords, q, cx, par)
+    assert built == [0.1, 0.05, 0.1]  # once per configuration and smoothing width
 
 
 def test_penalty_gradient_zero_at_reference(square5):
