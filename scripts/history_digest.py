@@ -17,6 +17,10 @@ rows both histories have:
 
     PYTHONPATH=src python scripts/history_digest.py --keep after > after.txt
     python scripts/history_digest.py --compare before after
+
+``--only NAME`` (repeatable) runs only the named cases, for example the
+three CompComp ones; ``--compare`` prints only the cases kept in both
+directories.
 """
 import argparse
 import contextlib
@@ -52,11 +56,11 @@ CASES = (
 COMPARED = ("Obj", "Total", "mshQua")
 
 
-def digest_lines(root):
+def digest_lines(root, cases):
     from meshshape.cli import main as meshshape
 
     os.environ.pop("MESHSHAPE_OUT", None)  # it would override --out
-    for name, argv in CASES:
+    for name, argv in cases:
         out = root / name
         console = io.StringIO()
         with contextlib.redirect_stdout(console):
@@ -107,7 +111,9 @@ def compare_lines(before, after):
                 _, code, name = line.split()
                 codes[name] = code
     for name, _ in CASES:
-        yield f"{name}: exit {exits[0].get(name, '-')} -> {exits[1].get(name, '-')}"
+        if name not in exits[0] or name not in exits[1]:
+            continue
+        yield f"{name}: exit {exits[0][name]} -> {exits[1][name]}"
         runs_before, runs_after = _runs(before, name), _runs(after, name)
         for run in sorted(set(runs_before) | set(runs_after)):
             status_b, rows_b = runs_before.get(run, ("-", []))
@@ -127,6 +133,8 @@ def main(argv=None):
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--keep", metavar="DIR", help="run the cases in DIR and keep their output")
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two kept directories")
+    parser.add_argument("--only", action="append", metavar="NAME", choices=[name for name, _ in CASES],
+                        help="run only this case (repeatable)")
     args = parser.parse_args(argv)
     if args.compare:
         for line in compare_lines(*args.compare):
@@ -136,7 +144,8 @@ def main(argv=None):
         root = Path(args.keep or stack.enter_context(tempfile.TemporaryDirectory()))
         root.mkdir(parents=True, exist_ok=True)
         kept = stack.enter_context((root / "digest.txt").open("w"))
-        for line in digest_lines(root):
+        cases = [case for case in CASES if not args.only or case[0] in args.only]
+        for line in digest_lines(root, cases):
             print(line, flush=True)
             print(line, file=kept, flush=True)
 

@@ -12,7 +12,10 @@ of length ``h`` from ``(x, z)`` with velocity ``(v, v_z)`` and ``g = w(x)``:
 1. ``x+ = x + h v + h^2/2 lam g`` and ``z+ = z + h v_z - h^2/2 lam``, the
    multiplier ``lam`` solving the scalar equation ``z+ = phi(x+)`` by
    simplified Newton with the slope ``-h^2/2 (1 + |g|^2)``, which takes
-   penalty values only;
+   penalty values only.  The solve starts from the quadratic extrapolation
+   ``3 l1 - 3 l2 + l3`` of the last three steps' corrected multipliers
+   ``lam + residual / slope`` (the Newton update the accepted residual
+   would have made next), zero before the first steps;
 2. one gradient ``g+ = w(x+)``;
 3. the half-step velocity ``(u, u_z) = (v + h/2 lam g, v_z - h/2 lam)`` is
    projected onto the tangent space at ``x+``: ``v+ = u + mu g+`` and
@@ -87,7 +90,7 @@ def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, c
     z, v_z = phi_fn(coords), g @ v
     h = 1.0 / cfg.num_steps
     h_half, h2 = 0.5 * h, 0.5 * h * h
-    lam = 0.0  # the previous step's multiplier starts each solve
+    lam1 = lam2 = lam3 = 0.0  # the last three steps' corrected multipliers, newest first
     h0 = 0.5 * (v @ v + v_z * v_z)
     lift = 1.0 + g @ g  # 1 + |g|^2, for this step's slope and the last one's projection
 
@@ -97,6 +100,7 @@ def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, c
     for step in range(1, cfg.num_steps + 1):
         x_free, z_free = x + h * v, z + h * v_z
         slope = h2 * lift
+        lam = 3.0 * (lam1 - lam2) + lam3
         for _ in range(cfg.fixed_point_max_iter):
             x_new, z_new = x_free + (h2 * lam) * g, z_free - h2 * lam
             q_new = x_new.reshape(shape)
@@ -110,6 +114,7 @@ def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, c
             raise FixedPointDivergence(
                 f"constraint solve did not converge in {cfg.fixed_point_max_iter} iterations"
             )
+        lam3, lam2, lam1 = lam2, lam1, lam + residual / slope
         u, u_z = v + (h_half * lam) * g, v_z - h_half * lam
         x, z = x_new, z_new
         g = w_fn(q_new)

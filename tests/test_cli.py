@@ -120,6 +120,17 @@ def test_optimize_deterministic_history(tmp_path):
     assert (out1 / "history.csv").read_bytes() == (out2 / "history.csv").read_bytes()
 
 
+@pytest.mark.parametrize("metric_alpha", [[], ["--metric-alpha", "a1=10,a2=1,a3=0.1,a4=0.01"]])
+def test_compcomp_deterministic_history(tmp_path, monkeypatch, metric_alpha):
+    # the geodesic retraction, with and without the boundary term in its penalty
+    monkeypatch.delenv("MESHSHAPE_OUT", raising=False)
+    args = ["optimize", "--variant", "CompComp", "--mesh", "disc:1", "--max-iter", "2", *metric_alpha]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run(args + ["--out", str(out1)]) == 0
+    assert run(args + ["--out", str(out2)]) == 0
+    assert (out1 / "history.csv").read_bytes() == (out2 / "history.csv").read_bytes()
+
+
 def test_optimize_unpenalized_failure_exit_code(tmp_path):
     code = run([
         "optimize", "--mesh", "disc:2", "--variant", "EucEuc",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshshape.fem import (
     assemble,
@@ -10,7 +12,7 @@ from meshshape.fem import (
     solve_adjoint,
     solve_state,
 )
-from meshshape.mesh import configuration, make_disc_mesh, make_square5_mesh, uniform_refine
+from meshshape.mesh import configuration, make_disc_mesh, make_square5_mesh, signed_areas, uniform_refine
 from meshshape.metrics import MetricSpec, assemble_elasticity, lame_parameters
 from scipy import sparse
 
@@ -155,6 +157,18 @@ def test_shape_derivative_fd(disc3, rng):
 
     fd = central_difference(reduced, coords)
     assert np.max(np.abs(fd - grad)) / np.max(np.abs(grad)) < 1e-5
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rings=st.integers(1, 3))
+def test_shape_derivative_matches_central_differences(seed, rings):
+    cx, q = _perturbed_disc(rings, seed)
+    assert np.all(signed_areas(q, cx.triangles) > 0.0)
+    rhs = model_rhs()
+    sys_ = assemble(q, cx, rhs)
+    grad = shape_derivative(q, cx, solve_state(sys_), solve_adjoint(sys_), rhs)
+    fd = central_difference(lambda c: objective_value(c, cx, solve_state(assemble(c, cx, rhs))), q)
+    assert np.max(np.abs(fd - grad)) <= 1e-5 * np.max(np.abs(grad))
 
 
 def test_shape_derivative_translation_invariance(disc3):
