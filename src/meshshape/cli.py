@@ -65,12 +65,12 @@ def load_mesh(source: str):
     return read_mesh(path)
 
 
-def parse_alpha(text: str, default=None):
+def parse_alpha(text: str):
     if text in PENALTY_PRESETS:
         return PENALTY_PRESETS[text]
     if text == "ag":
         return METRIC_ALPHA_PRESET
-    values = dict(default and zip("a1 a2 a3 a4".split(), default) or ())
+    values = {}
     for part in text.split(","):
         key, _, raw = part.partition("=")
         key = key.strip()

@@ -7,7 +7,7 @@ with the geometry derivative so that the discrete adjoint is the exact
 derivative of the discrete reduced objective.  The SPD reduced stiffness is
 stored in the complex's fill-reducing ``interior_order``, so SuperLU factors
 it as stored, in symmetric mode.  The assembled system is kept per vertex
-configuration; each solve factors it afresh.
+configuration; each solve factors it afresh, then runs ``mesh.checked_solve``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import NonpositiveArea, SingularSystem
-from .mesh import PREORDERED_LU, ConnectivityComplex, Configuration, configuration, scatter_add, signed_areas
+from .mesh import PREORDERED_LU, ConnectivityComplex, Configuration, checked_solve, configuration, scatter_add, signed_areas
 
 
 @dataclass(frozen=True)
@@ -99,26 +99,13 @@ def _reduced_solve(system: AssembledSystem, rhs_full: np.ndarray) -> np.ndarray:
     interior = system.interior
     if interior.size == 0:
         return np.zeros_like(rhs_full)
-    k_red = system.reduced
-    b = rhs_full[interior]
     try:
-        lu = splu(k_red, **PREORDERED_LU)
-        x = lu.solve(b)
+        lu = splu(system.reduced, **PREORDERED_LU)
     except RuntimeError as exc:
         raise SingularSystem(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystem("non-finite solution")
-    norm_b = np.linalg.norm(b)
-    if norm_b > 0.0:
-        # ill-conditioned (near-degenerate) meshes may need refinement steps
-        for refinements in range(4):
-            residual = b - k_red @ x
-            res_norm = np.linalg.norm(residual)
-            if res_norm <= 1e-10 * norm_b or refinements == 3:
-                break
-            x = x + lu.solve(residual)
-        if not np.isfinite(res_norm) or res_norm > 1e-10 * norm_b:
-            raise SingularSystem(f"relative residual {res_norm / norm_b:.3e}")
+    x = checked_solve(system.reduced, lu, rhs_full[interior])
+    if x is None:  # ill-conditioned (near-degenerate) meshes
+        raise SingularSystem("P1 solve residual too large or non-finite")
     full = np.zeros_like(rhs_full)
     full[interior] = x
     return full

@@ -203,6 +203,31 @@ class SparsePattern:
 SPD_LU = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
 PREORDERED_LU = {**SPD_LU, "permc_spec": "NATURAL"}
 
+# Every SPD solve meets this relative residual within CG_MAX_ITER iterations, or its caller raises SingularSystem.
+RESIDUAL_TOL = 1e-10
+CG_MAX_ITER = 8
+
+
+def checked_solve(a, lu, b: np.ndarray):
+    """Conjugate gradients on the SPD matrix ``a``, preconditioned by ``lu``
+    (an LU of ``a`` or of a nearby matrix) and started from ``lu.solve(b)``:
+    the first iterate whose residual is within ``RESIDUAL_TOL`` of ``|b|``,
+    or None after ``CG_MAX_ITER`` iterations, as always for a non-finite
+    ``b``: its NaN residuals fail every test."""
+    tol = RESIDUAL_TOL * np.linalg.norm(b)
+    x = lu.solve(b)
+    r = b - a @ x
+    p, rz = 0.0, 1.0
+    for _ in range(CG_MAX_ITER):
+        if np.linalg.norm(r) <= tol:
+            return x
+        z = lu.solve(r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+        x = x + (rz / (p @ (a @ p))) * p
+        r = b - a @ x
+    return x if np.linalg.norm(r) <= tol else None
+
 
 def fill_reducing_order(pattern: SparsePattern, keep: np.ndarray) -> np.ndarray:
     """``keep`` in the order in which SuperLU, under ``SPD_LU``, factors rows and columns ``keep``

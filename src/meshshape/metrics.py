@@ -8,9 +8,9 @@ derivative-to-gradient solve inverts in closed form (Sherman-Morrison).  The
 SPD elasticity matrix is assembled in the complex's fill-reducing ``dof_order``,
 so SuperLU factors it as stored, in symmetric mode.  The matrix moves little
 from one iterate to the next, so an operator built with ``previous`` keeps that
-operator's LU and solves by conjugate gradients preconditioned by it, to the
-same relative residual as a direct solve; it factors its own matrix only when
-``LAGGED_CG_MAX_ITER`` iterations do not get there.
+operator's LU as the preconditioner of :func:`~meshshape.mesh.checked_solve`,
+the one SPD solve of the package; it factors its own matrix only when
+``CG_MAX_ITER`` iterations on the kept LU miss ``RESIDUAL_TOL``.
 """
 
 from __future__ import annotations
@@ -22,17 +22,12 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import NonpositiveArea, SingularSystem
-from .mesh import PREORDERED_LU, ConnectivityComplex, configuration
+from .mesh import PREORDERED_LU, ConnectivityComplex, checked_solve, configuration
 from .penalty import PenaltyParams, penalty_gradient
 
 EUCLIDEAN = "euclidean"
 ELASTICITY = "elasticity"
 COMPLETE = "complete"
-
-# Every elasticity solve reaches this relative residual, or raises SingularSystem.
-RESIDUAL_TOL = 1e-10
-# Preconditioned CG iterations on a kept LU before the operator factors its own matrix.
-LAGGED_CG_MAX_ITER = 8
 
 
 @dataclass(frozen=True)
@@ -169,26 +164,6 @@ class MetricOperator:
             raise SingularSystem(str(exc)) from exc
         self._lagged = False
 
-    def _pcg(self, d: np.ndarray, max_iter: int):
-        """Conjugate gradients on the matrix, preconditioned by the LU and
-        started from its solution: the first iterate whose residual is within
-        ``RESIDUAL_TOL`` of ``|d|``, or None after ``max_iter`` iterations."""
-        a, lu = self._matrix, self._lu
-        tol = RESIDUAL_TOL * np.linalg.norm(d)
-        x = lu.solve(d)
-        r = d - a @ x
-        p, rz = 0.0, 1.0
-        for _ in range(max_iter):
-            if np.linalg.norm(r) <= tol:
-                return x
-            z = lu.solve(r)
-            rz, rz_old = r @ z, rz
-            p = z + (rz / rz_old) * p
-            ap = a @ p
-            x = x + (rz / (p @ ap)) * p
-            r = d - a @ x
-        return x if np.linalg.norm(r) <= tol else None
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         if self.spec.kind == EUCLIDEAN:
             return np.array(v, dtype=float)
@@ -203,10 +178,10 @@ class MetricOperator:
             return np.array(d, dtype=float)
         if self.spec.kind == ELASTICITY:
             d = d[self._order]
-            x = self._pcg(d, LAGGED_CG_MAX_ITER if self._lagged else 0)
+            x = checked_solve(self._matrix, self._lu, d)
             if x is None and self._lagged:  # the kept LU has gone stale
                 self._factorize()
-                x = self._pcg(d, 0)
+                x = checked_solve(self._matrix, self._lu, d)
             if x is None:
                 raise SingularSystem("metric solve residual too large or non-finite")
             return x[self._place]

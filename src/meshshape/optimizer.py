@@ -231,10 +231,10 @@ def steepest_descent(
 
     Records one row per visited iterate.  The terminal row has step 0 and NaN
     for what its exit left uncomputed: everything but ``theta`` after a failed
-    state solve, the pairing after a failed adjoint solve and on
-    ``Converged``/``MaxIter``.  A failed state or adjoint solve ends the run
-    as ``StepFloorFailure``, like a trial step below the floor.  All accepted
-    iterates have strictly positive signed areas.
+    state solve, the pairing after a failed adjoint or metric solve and on
+    ``Converged``/``MaxIter``.  A failed state, adjoint or metric solve ends
+    the run as ``StepFloorFailure``, like a trial step below the floor.  All
+    accepted iterates have strictly positive signed areas.
     """
     timer = timer if timer is not None else PhaseTimer()
     spec = _metric_spec(config, qref)
@@ -295,28 +295,26 @@ def steepest_descent(
         try:
             with timer.phase("state"):
                 p = solve_adjoint(system)
+            with timer.phase("dObjective"):
+                derivative = shape_derivative(coords, complex, y, p, rhs)
+            if not config.penalty.is_zero:
+                with timer.phase("dPenalization"):
+                    derivative = derivative + penalty_gradient(
+                        coords, qref, complex, config.penalty
+                    )
+            if free is not None:
+                derivative = np.where(free, derivative, 0.0)
+            if np.linalg.norm(derivative) < 1e-12:
+                status = CONVERGED
+                break
+            with timer.phase("assemblyG"):
+                operator = MetricOperator(spec, coords, complex, fixed_mask=mask, previous=operator)
+            with timer.phase("gradient"):
+                d = -operator.solve(derivative)
         except SingularSystem as exc:
             logger.warning("terminating: %s", exc)
             status = STEP_FLOOR_FAILURE
             break
-        with timer.phase("dObjective"):
-            derivative = shape_derivative(coords, complex, y, p, rhs)
-        if not config.penalty.is_zero:
-            with timer.phase("dPenalization"):
-                derivative = derivative + penalty_gradient(
-                    coords, qref, complex, config.penalty
-                )
-        if free is not None:
-            derivative = np.where(free, derivative, 0.0)
-
-        if np.linalg.norm(derivative) < 1e-12:
-            status = CONVERGED
-            break
-
-        with timer.phase("assemblyG"):
-            operator = MetricOperator(spec, coords, complex, fixed_mask=mask, previous=operator)
-        with timer.phase("gradient"):
-            d = -operator.solve(derivative)
         pairing = float(derivative @ d)
         s_init = initial_step(n, prev_step, prev_pairing, pairing, operator.norm(d))
 
@@ -366,8 +364,9 @@ def _geodesic_ladder(coords, d, s_init, spec, config, complex, mask, timer):
     """Trial-point source for the geodesic retraction.
 
     One integration with velocity ``s_init * d`` yields snapshots at the
-    dyadic times matching the backtracking ladder (tau = 1/2); if those are
-    exhausted a fresh integration is started from the smallest stored scale.
+    dyadic times matching the backtracking ladder (tau = 1/2): trial ``m``,
+    step ``s_init / 2**m``, reads level ``m``.  If those are exhausted a fresh
+    integration is started from the smallest stored scale.
     """
     if config.tau != 0.5:
         raise ValueError("the geodesic trial ladder requires tau = 1/2")
@@ -394,10 +393,8 @@ def _geodesic_ladder(coords, d, s_init, spec, config, complex, mask, timer):
     max_level = int(np.log2(config.geodesic.num_steps))
 
     def trial_point(s, m):
-        level = int(round(np.log2(s_init / s)))
-        base_level = (level // max_level) * max_level
-        base_scale = s_init * 0.5**base_level
-        path = ensure_path(base_scale)
-        return path.at_time(0.5 ** (level - base_level))
+        base_level = (m // max_level) * max_level
+        path = ensure_path(s_init * 0.5**base_level)
+        return path.at_time(0.5 ** (m - base_level))
 
     return trial_point

@@ -150,6 +150,21 @@ def test_optimize_failure_is_one_error_line(tmp_path, monkeypatch, capsys):
     assert err.splitlines() == ["error: NonDescentDirection: pairing 0.5 at iteration 3"]
 
 
+def test_optimize_failed_metric_writes_history(tmp_path, monkeypatch):
+    from meshshape import optimizer
+
+    def fail(*args, **kwargs):
+        raise SingularSystem("metric made to fail")
+
+    monkeypatch.delenv("MESHSHAPE_OUT", raising=False)
+    monkeypatch.setattr(optimizer, "MetricOperator", fail)
+    out = tmp_path / "f"
+    code = run(["optimize", "--mesh", "disc:2", "--variant", "ElasEuc", "--out", str(out)])
+    assert code == EXIT_OPT_FAILURE
+    history = (out / "history.csv").read_text().splitlines()
+    assert len(history) == 2 and history[1].startswith("0,")  # the header and the terminal row
+
+
 def test_optimize_fix_boundary_square5(tmp_path, capsys):
     out = tmp_path / "sq"
     code = run([

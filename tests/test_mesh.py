@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from meshshape.errors import (
     DegenerateEdge,
@@ -10,8 +11,12 @@ from meshshape.errors import (
     NotPure,
     NotTwoPathConnected,
 )
+from meshshape.fem import assemble, model_rhs
 from meshshape.mesh import (
+    PREORDERED_LU,
+    RESIDUAL_TOL,
     build_complex,
+    checked_solve,
     configuration,
     is_admissible,
     make_disc_mesh,
@@ -23,6 +28,7 @@ from meshshape.mesh import (
     uniform_refine,
 )
 from meshshape import mesh as mesh_module
+from meshshape.metrics import MetricSpec, assemble_elasticity
 
 from conftest import (
     edge_length,
@@ -32,6 +38,8 @@ from conftest import (
     regularized_distance,
     signed_area,
 )
+from test_fem import _perturbed_disc
+from test_metrics import _moved
 
 
 # -- build_complex -----------------------------------------------------------
@@ -649,3 +657,75 @@ def test_geometry_cache_is_bounded(disc3):
         moved = q * (1.0 + 0.01 * k)
         _assert_identical(triangle_geometry(moved, cx.triangles), _uncached_geometry(moved, cx.triangles))
         assert len(mesh_module._configuration_cache.entries) <= mesh_module._CONFIGURATION_CACHE_SIZE
+
+
+# -- checked_solve ---------------------------------------------------------------
+
+def _p1_matrix(cx, q):
+    return assemble(q, cx, model_rhs()).reduced
+
+
+def _elasticity_matrix(cx, q):
+    return assemble_elasticity(q, cx, MetricSpec.elasticity())
+
+
+SPD_MATRICES = pytest.mark.parametrize("matrix", [_p1_matrix, _elasticity_matrix])
+
+
+@pytest.fixture(scope="module")
+def perturbed_disc7():
+    return _perturbed_disc(7, 11)
+
+
+def _kept_lu(cx, q, matrix, amplitude):
+    """The matrix at ``q`` moved by ``amplitude`` and the LU of the one at ``q``."""
+    return matrix(cx, _moved(cx, q, amplitude, 5)), splu(matrix(cx, q), **PREORDERED_LU)
+
+
+def _relative_residual(a, x, b):
+    return np.linalg.norm(a @ x - b) / np.linalg.norm(b)
+
+
+@SPD_MATRICES
+def test_checked_solve_on_the_own_lu_is_the_lu_solve(perturbed_disc7, matrix, rng):
+    cx, q = perturbed_disc7
+    a = matrix(cx, q)
+    lu = splu(a, **PREORDERED_LU)
+    b = rng.standard_normal(a.shape[0])
+    assert np.array_equal(checked_solve(a, lu, b), lu.solve(b))
+
+
+@SPD_MATRICES
+def test_checked_solve_of_zero_is_zero(perturbed_disc7, matrix):
+    cx, q = perturbed_disc7
+    a, lu = _kept_lu(cx, q, matrix, 0.001)
+    zero = np.zeros(a.shape[0])
+    x = checked_solve(a, lu, zero)
+    assert x is not None and np.array_equal(x, zero)
+
+
+@SPD_MATRICES
+def test_checked_solve_on_a_kept_lu_reaches_the_tolerance(perturbed_disc7, matrix, rng):
+    cx, q = perturbed_disc7
+    a, lu = _kept_lu(cx, q, matrix, 0.001)
+    b = 1e-6 * rng.standard_normal(a.shape[0])  # the tolerance is relative to |b|
+    assert _relative_residual(a, lu.solve(b), b) > 1e3 * RESIDUAL_TOL  # the kept LU alone is not enough
+    assert _relative_residual(a, checked_solve(a, lu, b), b) <= RESIDUAL_TOL
+
+
+@SPD_MATRICES
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checked_solve_of_a_nonfinite_rhs_is_none(perturbed_disc7, matrix, bad, rng):
+    cx, q = perturbed_disc7
+    a = matrix(cx, q)
+    b = rng.standard_normal(a.shape[0])
+    b[3] = bad
+    assert checked_solve(a, splu(a, **PREORDERED_LU), b) is None
+
+
+@SPD_MATRICES
+def test_checked_solve_on_a_far_off_lu_is_none(perturbed_disc7, matrix, rng):
+    # 14 (P1) and 23 (elasticity) iterations, beyond CG_MAX_ITER, would reach the tolerance on this LU
+    cx, q = perturbed_disc7
+    a, lu = _kept_lu(cx, q, matrix, 0.03)
+    assert checked_solve(a, lu, rng.standard_normal(a.shape[0])) is None

@@ -10,9 +10,8 @@ from scipy.sparse.linalg import SuperLU, splu
 from meshshape import metrics
 from meshshape.errors import SingularSystem
 from meshshape.fem import model_rhs
-from meshshape.mesh import PREORDERED_LU, make_disc_mesh, signed_areas
+from meshshape.mesh import PREORDERED_LU, RESIDUAL_TOL, make_disc_mesh, signed_areas
 from meshshape.metrics import (
-    RESIDUAL_TOL,
     MetricOperator,
     MetricSpec,
     assemble_elasticity,

@@ -340,6 +340,20 @@ def test_terminal_record_after_a_failed_adjoint_solve(disc3, monkeypatch):
     assert np.array_equal(res.final_coords, visited[1])
 
 
+def test_terminal_record_after_a_failed_metric(disc3, monkeypatch):
+    cx, q = disc3
+    visited = []
+    on_iterate = _fail_after(monkeypatch, "MetricOperator", 1, visited)
+    cfg = OptimizerConfig(variant="ElasEuc", penalty=SET1, max_iter=50)
+    res = steepest_descent(cx, q, model_rhs(), cfg, on_iterate=on_iterate)
+    last = _terminal(res, STEP_FLOOR_FAILURE)
+    assert last.iter == 1
+    assert np.isfinite([last.objective, last.penalty, last.total]).all()
+    assert last.total == last.objective + last.penalty
+    assert np.isnan(last.grad_deriv_pairing)
+    assert np.array_equal(res.final_coords, visited[1])
+
+
 def test_terminal_record_at_the_step_floor(disc3):
     # a floor above every initial step 1 / |d| fails the first line search
     cx, q = disc3
