@@ -25,7 +25,7 @@ from .fem import (
     solve_adjoint,
     solve_state,
 )
-from .metrics import MetricSpec, lame_parameters, retract_euclidean
+from .metrics import MetricSpec, retract_euclidean
 from .geodesic import GeodesicConfig, retract_geodesic
 from .optimizer import (
     IterationRecord,

@@ -32,6 +32,7 @@ from .mesh import is_admissible, make_disc_mesh, make_square5_mesh, signed_areas
 from .optimizer import (
     CONVERGED,
     MAX_ITER,
+    VARIANTS,
     OptimizerConfig,
     PhaseTimer,
     steepest_descent,
@@ -53,6 +54,7 @@ METRIC_ALPHA_PRESET = experiments.METRIC_ALPHA
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -88,7 +90,13 @@ def parse_rhs(text: str):
     raise ValueError(f"bad rhs spec {text!r}")
 
 
-def _read_config_file(path):
+def _truthy(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+def _read_config_file(path, options):
+    """The ``key = value`` lines of a ``--config`` file; each key must name
+    one of ``options``, the dests of the ``optimize`` options."""
     values = {}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
@@ -97,54 +105,11 @@ def _read_config_file(path):
         key, _, value = line.partition("=")
         if not _:
             raise ValueError(f"bad config line {raw!r}")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in options:
+            raise ValueError(f"unknown config key {key!r}")
+        values[key] = value.strip()
     return values
-
-
-_CONFIG_KEYS = {
-    "mesh": str,
-    "variant": str,
-    "penalty": str,
-    "metric_alpha": str,
-    "rhs": str,
-    "max_iter": int,
-    "tol": float,
-    "mu": float,
-    "cutoff": float,
-    "out": str,
-    "snapshot_stride": int,
-    "geodesic_steps": int,
-    "fix_boundary": lambda s: s.lower() in ("1", "true", "yes"),
-}
-
-
-def _resolve(args):
-    # Precedence: command line flags > config file > built-in defaults.
-    if getattr(args, "config", None):
-        file_values = _read_config_file(args.config)
-        for key, conv in _CONFIG_KEYS.items():
-            if key in file_values and getattr(args, key, None) is None:
-                setattr(args, key, conv(file_values[key]))
-    defaults = {
-        "variant": "CompEuc",
-        "penalty": "none",
-        "metric_alpha": "ag",
-        "rhs": "model",
-        "max_iter": 500,
-        "tol": 1e-6,
-        "mu": 0.1,
-        "out": "out",
-        "snapshot_stride": 0,
-        "geodesic_steps": 1024,
-        "fix_boundary": False,
-    }
-    for key, value in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    env_out = os.environ.get("MESHSHAPE_OUT")
-    if env_out:
-        args.out = env_out
-    return args
 
 
 def cmd_check(args) -> int:
@@ -200,7 +165,7 @@ def cmd_optimize(args) -> int:
         print("error: initial mesh is not admissible", file=sys.stderr)
         return EXIT_INADMISSIBLE
 
-    outdir = Path(args.out)
+    outdir = Path(os.environ.get("MESHSHAPE_OUT") or args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     timer = PhaseTimer()
 
@@ -301,7 +266,9 @@ def _fd_error(value, grad, coords, h=1e-6):
     return float(np.max(np.abs(fd - grad)) / (scale if scale > 0 else 1.0))
 
 
-def build_parser() -> _Parser:
+def build_parser(config_values=None) -> _Parser:
+    """The command line parser; ``config_values`` (strings, keyed by dest)
+    replace the ``optimize`` defaults and are converted by each option's type."""
     parser = _Parser(prog="meshshape")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -309,20 +276,22 @@ def build_parser() -> _Parser:
     p_check.add_argument("--mesh", required=True)
 
     p_opt = sub.add_parser("optimize", help="run the shape optimizer")
-    p_opt.add_argument("--mesh", default=None)
-    p_opt.add_argument("--variant", default=None, choices=("EucEuc", "ElasEuc", "CompEuc", "CompComp"))
-    p_opt.add_argument("--penalty", default=None)
-    p_opt.add_argument("--metric-alpha", dest="metric_alpha", default=None)
-    p_opt.add_argument("--rhs", default=None)
-    p_opt.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p_opt.add_argument("--tol", type=float, default=None)
-    p_opt.add_argument("--mu", type=float, default=None)
-    p_opt.add_argument("--cutoff", type=float, default=None)
-    p_opt.add_argument("--out", default=None)
-    p_opt.add_argument("--fix-boundary", dest="fix_boundary", action="store_const", const=True, default=None)
-    p_opt.add_argument("--snapshot-stride", dest="snapshot_stride", type=int, default=None)
-    p_opt.add_argument("--geodesic-steps", dest="geodesic_steps", type=int, default=None)
-    p_opt.add_argument("--config", default=None)
+    p_opt.add_argument("--mesh")
+    p_opt.add_argument("--variant", default="CompEuc", choices=VARIANTS)
+    p_opt.add_argument("--penalty", default="none")
+    p_opt.add_argument("--metric-alpha", default="ag")
+    p_opt.add_argument("--rhs", default="model")
+    p_opt.add_argument("--max-iter", type=int, default=500)
+    p_opt.add_argument("--tol", type=float, default=1e-6)
+    p_opt.add_argument("--mu", type=float, default=0.1)
+    p_opt.add_argument("--cutoff", type=float)
+    p_opt.add_argument("--out", default="out")  # MESHSHAPE_OUT overrides it
+    p_opt.add_argument("--fix-boundary", nargs="?", type=_truthy, const=True, default=False)
+    p_opt.add_argument("--snapshot-stride", type=int, default=0)
+    p_opt.add_argument("--geodesic-steps", type=int, default=1024)
+    p_opt.add_argument("--config")
+    if config_values:
+        p_opt.set_defaults(**config_values)
 
     p_exp = sub.add_parser("experiment", help="run a scripted experiment batch")
     p_exp.add_argument("id", type=int, choices=(1, 2, 3))
@@ -345,20 +314,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+def parse_args(argv=None):
+    """Parse ``argv``.  For ``optimize``, the lines of a ``--config`` file
+    become the parser's defaults and ``argv`` is parsed again: flags beat
+    file values, which beat the built-in defaults."""
+    args = build_parser().parse_args(argv)
+    if getattr(args, "config", None):
+        options = set(vars(args)) - {"command", "config"}
+        args = build_parser(_read_config_file(args.config, options)).parse_args(argv)
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.command == "check":
         return cmd_check(args)
     if args.command == "optimize":
-        try:
-            _resolve(args)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
         return cmd_optimize(args)
     if args.command == "experiment":
         out = os.environ.get("MESHSHAPE_OUT") or args.out or f"experiment{args.id}_out"

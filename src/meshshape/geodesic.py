@@ -44,12 +44,13 @@ from .penalty import penalty_gradient, penalty_value
 
 logger = logging.getLogger(__name__)
 
+FIXED_POINT_TOL = 1e-12  # relative residual of the constraint solve
+FIXED_POINT_MAX_ITER = 50  # Newton iterations per step
+
 
 @dataclass(frozen=True)
 class GeodesicConfig:
     num_steps: int = 1024
-    fixed_point_tol: float = 1e-12  # relative residual of the constraint solve
-    fixed_point_max_iter: int = 50  # Newton iterations per step
 
     def __post_init__(self):
         n = self.num_steps
@@ -101,18 +102,18 @@ def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, c
         x_free, z_free = x + h * v, z + h * v_z
         slope = h2 * lift
         lam = 3.0 * (lam1 - lam2) + lam3
-        for _ in range(cfg.fixed_point_max_iter):
+        for _ in range(FIXED_POINT_MAX_ITER):
             x_new, z_new = x_free + (h2 * lam) * g, z_free - h2 * lam
             q_new = x_new.reshape(shape)
             residual = z_new - phi_fn(q_new)
             if not math.isfinite(residual):
                 raise FixedPointDivergence(f"non-finite constraint residual at step {step}")
-            if abs(residual) <= cfg.fixed_point_tol * (1.0 + abs(z_new)):
+            if abs(residual) <= FIXED_POINT_TOL * (1.0 + abs(z_new)):
                 break
             lam += residual / slope
         else:
             raise FixedPointDivergence(
-                f"constraint solve did not converge in {cfg.fixed_point_max_iter} iterations"
+                f"constraint solve did not converge in {FIXED_POINT_MAX_ITER} iterations"
             )
         lam3, lam2, lam1 = lam2, lam1, lam + residual / slope
         u, u_z = v + (h_half * lam) * g, v_z - h_half * lam

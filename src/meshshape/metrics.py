@@ -29,26 +29,22 @@ EUCLIDEAN = "euclidean"
 ELASTICITY = "elasticity"
 COMPLETE = "complete"
 
+# Lame constants of the elasticity metric, from Young's modulus E = 1 and
+# Poisson ratio nu = 0.4, and its damping 0.2 E.
+MU = 1.0 / (2.0 * (1.0 + 0.4))
+LAM = 1.0 * 0.4 / ((1.0 + 0.4) * (1.0 - 2.0 * 0.4))
+DELTA = 0.2 * 1.0
+
 
 @dataclass(frozen=True)
 class MetricSpec:
     kind: str
-    young_E: float = 1.0
-    poisson_nu: float = 0.4
-    damping_delta: float | None = None
     penalty: PenaltyParams | None = None
     qref: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in (EUCLIDEAN, ELASTICITY, COMPLETE):
             raise ValueError(f"unknown metric kind {self.kind!r}")
-        if self.kind == ELASTICITY:
-            if self.young_E <= 0:
-                raise ValueError("Young's modulus must be positive")
-            if not (0.0 < self.poisson_nu < 0.5):
-                raise ValueError("Poisson ratio must lie in (0, 0.5)")
-            if self.damping_delta is not None and self.damping_delta <= 0:
-                raise ValueError("damping must be positive")
         if self.kind == COMPLETE:
             if self.penalty is None or self.qref is None:
                 raise ValueError("complete metric needs penalty params and a reference")
@@ -63,35 +59,21 @@ class MetricSpec:
         return MetricSpec(kind=EUCLIDEAN)
 
     @staticmethod
-    def elasticity(young_E=1.0, poisson_nu=0.4, damping_delta=None) -> "MetricSpec":
-        return MetricSpec(
-            kind=ELASTICITY,
-            young_E=young_E,
-            poisson_nu=poisson_nu,
-            damping_delta=damping_delta,
-        )
+    def elasticity() -> "MetricSpec":
+        return MetricSpec(kind=ELASTICITY)
 
     @staticmethod
     def complete(penalty: PenaltyParams, qref: np.ndarray) -> "MetricSpec":
         return MetricSpec(kind=COMPLETE, penalty=penalty, qref=np.asarray(qref, dtype=float))
 
 
-def lame_parameters(spec: MetricSpec):
-    """Lame constants and damping from Young's modulus and Poisson ratio."""
-    e, nu = spec.young_E, spec.poisson_nu
-    mu = e / (2.0 * (1.0 + nu))
-    lam = e * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
-    delta = spec.damping_delta if spec.damping_delta is not None else 0.2 * e
-    return mu, lam, delta
-
-
 _VECTOR_MASS = np.kron((np.ones((3, 3)) + np.eye(3)) / 12.0, np.eye(2))
 
 
-def assemble_elasticity(coords: np.ndarray, complex: ConnectivityComplex, spec: MetricSpec):
-    """Vector P1 elasticity stiffness plus ``delta`` times the vector L2 Gram
-    matrix of the hat functions, rows and columns in ``complex.dof_order``."""
-    mu, lam, delta = lame_parameters(spec)
+def assemble_elasticity(coords: np.ndarray, complex: ConnectivityComplex):
+    """Vector P1 elasticity stiffness with Lame constants ``MU`` and ``LAM``
+    plus ``DELTA`` times the vector L2 Gram matrix of the hat functions, rows
+    and columns in ``complex.dof_order``."""
     record = configuration(coords, complex.triangles)
     areas = record.areas
     if np.any(areas <= 0.0):
@@ -103,14 +85,14 @@ def assemble_elasticity(coords: np.ndarray, complex: ConnectivityComplex, spec: 
     gx, gy = grads[:, :, None, 0], grads[:, :, None, 1]
     gxb, gyb = grads[:, None, :, 0], grads[:, None, :, 1]
     k_loc = np.empty((len(areas), 3, 2, 3, 2))
-    k_loc[..., 0, :, 0] = (gx * (2.0 * mu + lam)) * gxb + (gy * mu) * gyb
-    k_loc[..., 0, :, 1] = (gx * lam) * gyb + (gy * mu) * gxb
-    k_loc[..., 1, :, 0] = (gy * lam) * gxb + (gx * mu) * gyb
-    k_loc[..., 1, :, 1] = (gy * (2.0 * mu + lam)) * gyb + (gx * mu) * gxb
+    k_loc[..., 0, :, 0] = (gx * (2.0 * MU + LAM)) * gxb + (gy * MU) * gyb
+    k_loc[..., 0, :, 1] = (gx * LAM) * gyb + (gy * MU) * gxb
+    k_loc[..., 1, :, 0] = (gy * LAM) * gxb + (gx * MU) * gyb
+    k_loc[..., 1, :, 1] = (gy * (2.0 * MU + LAM)) * gyb + (gx * MU) * gxb
     k_loc = k_loc.reshape(-1, 6, 6)
     k_loc *= areas[:, None, None]
     mass = areas[:, None, None] * _VECTOR_MASS  # the vector P1 Gram block
-    mass *= delta
+    mass *= DELTA
     k_loc += mass
     return complex.elasticity_pattern.matrix(k_loc)
 
@@ -138,7 +120,7 @@ class MetricOperator:
                 previous._matrix = previous._lu = None
             self._lagged = self._lu is not None
             self._order, self._place = complex.dof_order, np.argsort(complex.dof_order)
-            mat = assemble_elasticity(coords, complex, spec)
+            mat = assemble_elasticity(coords, complex)
             if self._free is not None:  # identity rows and columns for the fixed DOFs: no new fill
                 fixed, rows = ~self._free[self._order], mat.indices
                 cols = np.repeat(np.arange(self.n), np.diff(mat.indptr))

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     FixedPointDivergence,
+    MeshShapeError,
     NonDescentDirection,
     NonpositiveArea,
     SingularSystem,
@@ -43,6 +44,11 @@ VARIANTS = ("EucEuc", "ElasEuc", "CompEuc", "CompComp")
 CONVERGED = "Converged"
 MAX_ITER = "MaxIter"
 STEP_FLOOR_FAILURE = "StepFloorFailure"
+
+SIGMA = 1e-4  # Armijo sufficient-decrease constant
+TAU = 0.5  # backtracking factor; the geodesic ladder's dyadic snapshots need 1/2
+STEP_FLOOR = 1e-6  # a trial step below this ends the run
+WINDOW = 5  # iterations of the stopping rule's trailing window
 
 PHASES = (
     "state",
@@ -75,28 +81,21 @@ class OptimizerConfig:
     variant: str
     penalty: PenaltyParams
     metric_penalty: PenaltyParams | None = None
-    young_E: float = 1.0
-    poisson_nu: float = 0.4
-    sigma: float = 1e-4
-    tau: float = 0.5
     max_iter: int = 100
     stop_tol: float = 1e-6
-    step_floor: float = 1e-6
-    window: int = 5
     fixed_vertex_mask: np.ndarray | None = None
     geodesic: GeodesicConfig = field(default_factory=GeodesicConfig)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not (0.0 < self.sigma < 1.0):
-            raise ValueError("sigma must lie in (0, 1)")
-        if not (0.0 < self.tau < 1.0):
-            raise ValueError("tau must lie in (0, 1)")
-        if self.step_floor <= 0.0:
-            raise ValueError("step_floor must be positive")
         if self.variant in ("CompEuc", "CompComp") and self.metric_penalty is None:
             raise ValueError(f"{self.variant} requires metric penalty parameters")
+
+    @property
+    def sigma(self) -> float:
+        """The Armijo constant, ``SIGMA``; not settable."""
+        return SIGMA
 
 
 @dataclass
@@ -164,10 +163,6 @@ def armijo_search(
     pairing,
     total0,
     *,
-    sigma=1e-4,
-    tau=0.5,
-    step_floor=1e-6,
-    use_safeguard=True,
     trial_point=None,
 ):
     """Backtracking line search with admissibility and travel safeguards.
@@ -175,23 +170,24 @@ def armijo_search(
     ``evaluate(candidate_coords) -> float`` returns the merit value (may be
     non-finite, which counts as failure).  ``trial_point(s, m)`` maps the
     m-th trial step to candidate coordinates; the default is the straight
-    line ``coords + s d``.  Returns ``(accepted step, new coords, number of
+    line ``coords + s d``, and only that default is held to the half-height
+    travel safeguard.  Returns ``(accepted step, new coords, number of
     rejected trials)``.
     """
     d = np.asarray(d, dtype=float)
+    s_crit = np.inf
     if trial_point is None:
         def trial_point(s, m):
             return retract_euclidean(coords, d, s)
 
-    s_crit = np.inf
-    if use_safeguard and complex is not None:
-        s_crit = safeguard_critical_step(coords, complex, d)
+        if complex is not None:
+            s_crit = safeguard_critical_step(coords, complex, d)
 
     s = s_init
     backtracks = 0
     while True:
-        if s < step_floor:
-            raise StepFloorFailure(f"trial step {s:.3e} below floor {step_floor:.3e}")
+        if s < STEP_FLOOR:
+            raise StepFloorFailure(f"trial step {s:.3e} below floor {STEP_FLOOR:.3e}")
         ok = s < s_crit
         if ok:
             try:
@@ -205,9 +201,9 @@ def armijo_search(
                     ok = False
         if ok:
             value = evaluate(candidate)
-            if np.isfinite(value) and value <= total0 + sigma * s * pairing:
+            if np.isfinite(value) and value <= total0 + SIGMA * s * pairing:
                 return s, candidate, backtracks
-        s *= tau
+        s *= TAU
         backtracks += 1
 
 
@@ -215,7 +211,7 @@ def _metric_spec(config: OptimizerConfig, qref) -> MetricSpec:
     if config.variant == "EucEuc":
         return MetricSpec.euclidean()
     if config.variant == "ElasEuc":
-        return MetricSpec.elasticity(config.young_E, config.poisson_nu)
+        return MetricSpec.elasticity()
     return MetricSpec.complete(config.metric_penalty, qref)
 
 
@@ -232,9 +228,11 @@ def steepest_descent(
     Records one row per visited iterate.  The terminal row has step 0 and NaN
     for what its exit left uncomputed: everything but ``theta`` after a failed
     state solve, the pairing after a failed adjoint or metric solve and on
-    ``Converged``/``MaxIter``.  A failed state, adjoint or metric solve ends
-    the run as ``StepFloorFailure``, like a trial step below the floor.  All
-    accepted iterates have strictly positive signed areas.
+    ``Converged``/``MaxIter``.  Any :class:`MeshShapeError` raised inside an
+    iteration (a failed solve, a non-descent direction, a degenerate edge in
+    the safeguard) ends the run as ``StepFloorFailure``, like a trial step
+    below the floor.  All accepted iterates have strictly positive signed
+    areas.
     """
     timer = timer if timer is not None else PhaseTimer()
     spec = _metric_spec(config, qref)
@@ -248,7 +246,6 @@ def steepest_descent(
     totals: list[float] = []
     prev_step = None
     prev_pairing = None
-    use_geodesic = config.variant == "CompComp"
 
     def evaluate(q, value_phase):
         """System, state, objective and penalty of the configuration ``q``;
@@ -277,22 +274,16 @@ def steepest_descent(
         theta = mesh_quality(coords, complex)
         try:
             system, y, j, phi = evaluate(coords, "state")
-        except SingularSystem as exc:
-            # accepted iterate too close to degeneracy for the solver
-            logger.warning("terminating: %s", exc)
-            status = STEP_FLOOR_FAILURE
-            break
-        total = j + phi
-        totals.append(total)
+            total = j + phi
+            totals.append(total)
 
-        if stopping_check(totals, config.window, config.stop_tol):
-            status = CONVERGED
-            break
-        if n >= config.max_iter:
-            status = MAX_ITER
-            break
+            if stopping_check(totals, WINDOW, config.stop_tol):
+                status = CONVERGED
+                break
+            if n >= config.max_iter:
+                status = MAX_ITER
+                break
 
-        try:
             with timer.phase("state"):
                 p = solve_adjoint(system)
             with timer.phase("dObjective"):
@@ -311,44 +302,24 @@ def steepest_descent(
                 operator = MetricOperator(spec, coords, complex, fixed_mask=mask, previous=operator)
             with timer.phase("gradient"):
                 d = -operator.solve(derivative)
-        except SingularSystem as exc:
+            pairing = float(derivative @ d)
+            s_init = initial_step(n, prev_step, prev_pairing, pairing, operator.norm(d))
+
+            trial_point = None
+            if config.variant == "CompComp":
+                trial_point = _geodesic_ladder(
+                    coords, d, s_init, spec, config, complex, mask, timer
+                )
+            s, new_coords, backtracks = armijo_search(
+                merit, coords, complex, d, s_init, pairing, total, trial_point=trial_point
+            )
+            if not np.all(signed_areas(new_coords, complex.triangles) > 0.0):
+                raise NonpositiveArea(f"accepted iterate {n + 1} has a nonpositive area")
+        except MeshShapeError as exc:
+            # a failed solve, line search or check ends the run at this iterate
             logger.warning("terminating: %s", exc)
             status = STEP_FLOOR_FAILURE
             break
-        pairing = float(derivative @ d)
-        s_init = initial_step(n, prev_step, prev_pairing, pairing, operator.norm(d))
-
-        trial_point = None
-        if use_geodesic:
-            trial_point = _geodesic_ladder(
-                coords, d, s_init, spec, config, complex, mask, timer
-            )
-        try:
-            s, new_coords, backtracks = armijo_search(
-                merit,
-                coords,
-                complex,
-                d,
-                s_init,
-                pairing,
-                total,
-                sigma=config.sigma,
-                tau=config.tau,
-                step_floor=config.step_floor,
-                use_safeguard=not use_geodesic,
-                trial_point=trial_point,
-            )
-        except StepFloorFailure:
-            status = STEP_FLOOR_FAILURE
-            break
-        except (NonpositiveArea, SingularSystem) as exc:
-            # Defensive: trial gating should prevent this.
-            logger.warning("line search aborted: %s", exc)
-            status = STEP_FLOOR_FAILURE
-            break
-
-        if not np.all(signed_areas(new_coords, complex.triangles) > 0.0):
-            raise NonpositiveArea(f"accepted iterate {n + 1} has a nonpositive area")
         history.append(
             IterationRecord(n, j, phi, total, theta, s, backtracks, pairing)
         )
@@ -364,12 +335,10 @@ def _geodesic_ladder(coords, d, s_init, spec, config, complex, mask, timer):
     """Trial-point source for the geodesic retraction.
 
     One integration with velocity ``s_init * d`` yields snapshots at the
-    dyadic times matching the backtracking ladder (tau = 1/2): trial ``m``,
-    step ``s_init / 2**m``, reads level ``m``.  If those are exhausted a fresh
-    integration is started from the smallest stored scale.
+    dyadic times matching the backtracking ladder (``TAU`` = 1/2): trial
+    ``m``, step ``s_init / 2**m``, reads level ``m``.  If those are exhausted
+    a fresh integration is started from the smallest stored scale.
     """
-    if config.tau != 0.5:
-        raise ValueError("the geodesic trial ladder requires tau = 1/2")
     cache = {}
 
     def ensure_path(base_scale):

@@ -165,6 +165,22 @@ def test_optimize_failed_metric_writes_history(tmp_path, monkeypatch):
     assert len(history) == 2 and history[1].startswith("0,")  # the header and the terminal row
 
 
+def test_optimize_failure_inside_the_optimizer_writes_outputs(tmp_path, monkeypatch):
+    from meshshape import optimizer
+
+    def fail(n, *args):
+        raise NonDescentDirection(f"made to fail at iteration {n}")
+
+    monkeypatch.delenv("MESHSHAPE_OUT", raising=False)
+    monkeypatch.setattr(optimizer, "initial_step", fail)
+    out = tmp_path / "f"
+    code = run(["optimize", "--mesh", "disc:2", "--variant", "EucEuc", "--out", str(out)])
+    assert code == EXIT_OPT_FAILURE
+    history = (out / "history.csv").read_text().splitlines()
+    assert len(history) == 2 and history[1].startswith("0,")  # the header and the terminal row
+    assert (out / "timing.csv").read_text().startswith("phase,seconds\n")
+
+
 def test_optimize_fix_boundary_square5(tmp_path, capsys):
     out = tmp_path / "sq"
     code = run([
@@ -199,6 +215,52 @@ def test_config_file_precedence(tmp_path):
     assert code == 0
     history = (out / "history.csv").read_text().splitlines()
     assert history[-1].startswith("3,")  # flag beats config file
+
+
+# one value per optimize option, each unlike its default
+OPTION_VALUES = {
+    "mesh": "disc:3",
+    "variant": "ElasEuc",
+    "penalty": "set2",
+    "metric-alpha": "a1=1,a2=2,a4=3",
+    "rhs": "const:2",
+    "max-iter": "7",
+    "tol": "1e-3",
+    "mu": "0.25",
+    "cutoff": "0.5",
+    "out": "elsewhere",
+    "snapshot-stride": "4",
+    "geodesic-steps": "64",
+}
+
+
+def test_option_values_cover_every_optimize_option():
+    options = set(vars(cli.parse_args(["optimize"]))) - {"command", "config"}
+    assert options == {key.replace("-", "_") for key in OPTION_VALUES} | {"fix_boundary"}
+
+
+@pytest.mark.parametrize(
+    "line,flags",
+    [(f"{key} = {value}", [f"--{key}", value]) for key, value in OPTION_VALUES.items()]
+    + [("fix-boundary = yes", ["--fix-boundary"])],
+    ids=[*OPTION_VALUES, "fix-boundary"],
+)
+def test_config_line_resolves_like_its_flag(tmp_path, line, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    from_file = vars(cli.parse_args(["optimize", "--config", str(cfg)]))
+    from_flag = vars(cli.parse_args(["optimize", *flags]))
+    assert from_file["config"] == str(cfg)
+    assert from_file | {"config": None} == from_flag != vars(cli.parse_args(["optimize"]))
+
+
+@pytest.mark.parametrize("line", ["max-iter = x", "tol = small", "no-such-option = 1", "max-iter 5"])
+def test_malformed_config_is_a_usage_error(tmp_path, line, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert run(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_experiment_writes_summary(tmp_path):

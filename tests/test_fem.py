@@ -13,7 +13,7 @@ from meshshape.fem import (
     solve_state,
 )
 from meshshape.mesh import configuration, make_disc_mesh, make_square5_mesh, signed_areas, uniform_refine
-from meshshape.metrics import MetricSpec, assemble_elasticity, lame_parameters
+from meshshape.metrics import DELTA, LAM, MU, assemble_elasticity
 from scipy import sparse
 
 from conftest import central_difference
@@ -207,7 +207,7 @@ def _coo_reference(coords, cx):
     cols = np.tile(tris, (1, 3)).ravel()
     stiffness = sparse.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(cx.num_vertices,) * 2).tocsr()
 
-    mu, lam, delta = lame_parameters(MetricSpec.elasticity())
+    mu, lam, delta = MU, LAM, DELTA
     b_mat = np.zeros((n_t, 3, 6))
     b_mat[:, 0, 0::2] = grads[..., 0]
     b_mat[:, 1, 1::2] = grads[..., 1]
@@ -248,7 +248,7 @@ def test_pattern_assembly_matches_coo(mesh):
     sys_ = assemble(q, cx, model_rhs())
     interior = sys_.interior
     assert _same_arrays(sys_.reduced, stiffness[interior][:, interior].tocsc())
-    assert _same_arrays(assemble_elasticity(q, cx, MetricSpec.elasticity()), elasticity)
+    assert _same_arrays(assemble_elasticity(q, cx), elasticity)
 
 
 @pytest.mark.parametrize("refinements", [0, 2])
@@ -278,5 +278,5 @@ def test_second_assemble_rebuilds_no_pattern():
         assert np.shares_memory(sys_.reduced.indptr, cx.interior_p1_pattern.indptr)
     elasticity = cx.elasticity_pattern
     for x in (q, q + 1e-3):
-        assert np.shares_memory(assemble_elasticity(x, cx, MetricSpec.elasticity()).indices, elasticity.indices)
+        assert np.shares_memory(assemble_elasticity(x, cx).indices, elasticity.indices)
     assert cx.elasticity_pattern is elasticity

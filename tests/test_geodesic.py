@@ -100,13 +100,13 @@ def test_requires_complete_metric(disc2):
         retract_geodesic(q, np.zeros(2 * cx.num_vertices), MetricSpec.euclidean(), GeodesicConfig(), cx)
 
 
-def test_fixed_point_divergence_reported():
+def test_fixed_point_divergence_reported(monkeypatch):
     cx, q = make_disc_mesh(1)
     spec = MetricSpec.complete(METRIC_ALPHA, q.copy())
     v = 50.0 * np.ones(2 * cx.num_vertices)  # absurd velocity, giant steps
-    cfg = GeodesicConfig(num_steps=2, fixed_point_max_iter=4)
+    monkeypatch.setattr(geodesic, "FIXED_POINT_MAX_ITER", 4)
     with pytest.raises(FixedPointDivergence):
-        retract_geodesic(q, v, spec, cfg, cx)
+        retract_geodesic(q, v, spec, GeodesicConfig(num_steps=2), cx)
 
 
 def _descent_velocity(cx, q, spec, fixed_mask=None):
@@ -201,14 +201,14 @@ def _first_geodesic(rings, alpha, fix_boundary):
     [(1, METRIC_ALPHA, False), (1, PenaltyParams((10.0, 1.0, 0.1, 0.01)), False), (2, METRIC_ALPHA, True)],
     ids=["disc1", "disc1-a3", "disc2-fixed"],
 )
-def test_default_tolerance_matches_tight_solve(rings, alpha, fix_boundary):
+def test_default_tolerance_matches_tight_solve(rings, alpha, fix_boundary, monkeypatch):
     # the constraint solve's starting guess only moves the trajectory within
     # its tolerance: against solves to 1e-14 the endpoint and the energy agree
     cx, q, spec, mask, v = _first_geodesic(rings, alpha, fix_boundary)
-    paths = [
-        retract_geodesic(q, v, spec, GeodesicConfig(num_steps=1024, fixed_point_tol=tol), cx, fixed_mask=mask)
-        for tol in (GeodesicConfig.fixed_point_tol, 1e-14)
-    ]
+    paths = []
+    for tol in (geodesic.FIXED_POINT_TOL, 1e-14):
+        monkeypatch.setattr(geodesic, "FIXED_POINT_TOL", tol)
+        paths.append(retract_geodesic(q, v, spec, GeodesicConfig(num_steps=1024), cx, fixed_mask=mask))
     assert np.max(np.abs(paths[0].at_time(1.0) - paths[1].at_time(1.0))) <= 1e-10
     assert abs(paths[0].final_hamiltonian - paths[1].final_hamiltonian) <= 1e-10
 

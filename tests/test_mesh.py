@@ -28,7 +28,7 @@ from meshshape.mesh import (
     uniform_refine,
 )
 from meshshape import mesh as mesh_module
-from meshshape.metrics import MetricSpec, assemble_elasticity
+from meshshape.metrics import assemble_elasticity
 
 from conftest import (
     edge_length,
@@ -666,7 +666,7 @@ def _p1_matrix(cx, q):
 
 
 def _elasticity_matrix(cx, q):
-    return assemble_elasticity(q, cx, MetricSpec.elasticity())
+    return assemble_elasticity(q, cx)
 
 
 SPD_MATRICES = pytest.mark.parametrize("matrix", [_p1_matrix, _elasticity_matrix])

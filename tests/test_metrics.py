@@ -15,7 +15,6 @@ from meshshape.metrics import (
     MetricOperator,
     MetricSpec,
     assemble_elasticity,
-    lame_parameters,
     retract_euclidean,
 )
 from meshshape.optimizer import OptimizerConfig, steepest_descent
@@ -36,20 +35,10 @@ def _specs(qref):
 
 
 def test_lame_parameters():
-    mu, lam, delta = lame_parameters(MetricSpec.elasticity(1.0, 0.4))
-    assert mu == pytest.approx(1.0 / 2.8)
-    assert lam == pytest.approx(0.4 / (1.4 * 0.2))
-    assert delta == pytest.approx(0.2)
-    mu0, lam0, _ = lame_parameters(MetricSpec.elasticity(2.0, 1e-9))
-    assert lam0 == pytest.approx(0.0, abs=1e-8)
-    assert mu0 == pytest.approx(1.0, rel=1e-6)
-
-
-def test_poisson_ratio_bounds():
-    with pytest.raises(ValueError):
-        MetricSpec.elasticity(1.0, 0.5)
-    with pytest.raises(ValueError):
-        MetricSpec.elasticity(-1.0, 0.4)
+    # E = 1, nu = 0.4
+    assert metrics.MU == pytest.approx(1.0 / 2.8)
+    assert metrics.LAM == pytest.approx(0.4 / (1.4 * 0.2))
+    assert metrics.DELTA == pytest.approx(0.2)
 
 
 def test_complete_requires_weights(disc2):
@@ -63,18 +52,19 @@ def test_elasticity_local_stiffness_hand_value():
 
     cx = build_complex([(0, 1, 2)], 3)
     q = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    mat = assemble_elasticity(q, cx, MetricSpec.elasticity(damping_delta=1e-30)).toarray()
-    mu, lam, _ = lame_parameters(MetricSpec.elasticity())
+    mat = assemble_elasticity(q, cx).toarray()
+    mu, lam, delta = metrics.MU, metrics.LAM, metrics.DELTA
     x0 = np.argsort(cx.dof_order)[0]  # the x DOF of vertex 0 in the metric's order
-    assert mat[x0, x0] == pytest.approx(0.5 * (2 * mu + lam + mu), rel=1e-12)
+    # stiffness area * (2 mu + lam + mu), mass area * delta * 2/12 (area 1/2)
+    assert mat[x0, x0] == pytest.approx(0.5 * (2 * mu + lam + mu) + 0.5 * delta / 6.0, rel=1e-12)
 
 
-def _einsum_elasticity(coords, cx, spec):
+def _einsum_elasticity(coords, cx):
     # The assembly as it was: B^T D B by a three-operand einsum, the mass
     # block entry by entry.
     from meshshape.mesh import configuration
 
-    mu, lam, delta = lame_parameters(spec)
+    mu, lam, delta = metrics.MU, metrics.LAM, metrics.DELTA
     record = configuration(coords, cx.triangles)
     areas, grads = record.areas, record.basis_gradients
     n_t = cx.num_triangles
@@ -94,23 +84,15 @@ def _einsum_elasticity(coords, cx, spec):
     return cx.elasticity_pattern.matrix(k_loc + delta * m_loc)
 
 
-@pytest.mark.parametrize(
-    "rings,perturb,params",
-    [
-        (2, False, {}),
-        (7, True, {}),
-        (7, True, {"young_E": 2.5, "poisson_nu": 0.3, "damping_delta": 0.7}),
-    ],
-)
-def test_closed_form_elasticity_matches_einsum(rings, perturb, params, rng):
+@pytest.mark.parametrize("rings,perturb", [(2, False), (7, True)])
+def test_closed_form_elasticity_matches_einsum(rings, perturb, rng):
     from meshshape.mesh import make_disc_mesh
 
     cx, q = make_disc_mesh(rings)
     if perturb:
         q = q.copy()
         q[cx.interior_vertices] += rng.uniform(-0.02, 0.02, size=(len(cx.interior_vertices), 2))
-    spec = MetricSpec.elasticity(**params)
-    mat, ref = assemble_elasticity(q, cx, spec), _einsum_elasticity(q, cx, spec)
+    mat, ref = assemble_elasticity(q, cx), _einsum_elasticity(q, cx)
     for field in ("data", "indices", "indptr"):
         assert getattr(mat, field).tobytes() == getattr(ref, field).tobytes()
 
@@ -123,7 +105,7 @@ def test_pinned_elasticity_matches_lil_assignment(disc3, rng):
     mask[cx.boundary_vertices] = True
     # The masked matrix as it was built before: assignments on a LIL copy,
     # which keep no explicit zero in the fixed rows and columns, in dof_order.
-    ref = assemble_elasticity(q, cx, MetricSpec.elasticity()).tolil()
+    ref = assemble_elasticity(q, cx).tolil()
     fixed = np.flatnonzero(np.repeat(mask, 2)[cx.dof_order])
     ref[fixed, :] = 0.0
     ref[:, fixed] = 0.0
@@ -148,7 +130,7 @@ def test_metric_symmetry_and_spd(disc2, rng):
 
 def test_elasticity_spd_eigenvalues(disc2):
     cx, q = disc2
-    mat = assemble_elasticity(q, cx, MetricSpec.elasticity()).toarray()
+    mat = assemble_elasticity(q, cx).toarray()
     eig = np.linalg.eigvalsh(mat)
     assert eig.min() > 0.0
 
@@ -328,8 +310,8 @@ def test_singular_elasticity_matrix_raises(disc7_moves, monkeypatch, pivot):
     spec = MetricSpec.elasticity()
     kept = MetricOperator(spec, qref, cx)
 
-    def singular(coords, complex, spec):  # the first stored DOF's row and column: the pivot alone
-        mat = assemble_elasticity(coords, complex, spec).copy()
+    def singular(coords, complex):  # the first stored DOF's row and column: the pivot alone
+        mat = assemble_elasticity(coords, complex).copy()
         cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
         first = (mat.indices == 0) | (cols == 0)
         mat.data[first] = np.where(mat.indices[first] == cols[first], pivot, 0.0)

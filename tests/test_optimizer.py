@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from meshshape import optimizer
 from meshshape.errors import NonDescentDirection, SingularSystem, StepFloorFailure
 from meshshape.fem import constant_rhs, model_rhs
 from meshshape.geodesic import GeodesicConfig
@@ -9,6 +12,8 @@ from meshshape.optimizer import (
     CONVERGED,
     MAX_ITER,
     STEP_FLOOR_FAILURE,
+    VARIANTS,
+    WINDOW,
     OptimizerConfig,
     armijo_search,
     initial_step,
@@ -17,6 +22,8 @@ from meshshape.optimizer import (
     stopping_check,
 )
 from meshshape.penalty import PenaltyParams
+
+from test_fem import _perturbed_disc
 
 METRIC_ALPHA = PenaltyParams((10.0, 1.0, 0.0, 0.01))
 ZERO = PenaltyParams((0.0, 0.0, 0.0, 0.0))
@@ -73,7 +80,7 @@ def test_armijo_quadratic_oracle():
     d = (target - coords).ravel()
     pairing = -float(d @ d)
     s, new, backtracks = armijo_search(
-        evaluate, coords, None, d, 1.0, pairing, evaluate(coords), use_safeguard=False
+        evaluate, coords, None, d, 1.0, pairing, evaluate(coords)
     )
     assert s == 1.0
     assert backtracks == 0
@@ -90,13 +97,13 @@ def test_armijo_backtrack_count():
         return 0.0 if x <= 0.3 else 1.0  # flat then bad: accept first s <= 0.3
 
     s, _, backtracks = armijo_search(
-        evaluate, coords, None, d, 1.0, -1e-12, 0.5, use_safeguard=False
+        evaluate, coords, None, d, 1.0, -1e-12, 0.5
     )
     assert s == 0.25
     assert backtracks == 2
 
 
-def test_armijo_rejects_flipping_trial(square5):
+def test_armijo_rejects_flipping_trial(square5, monkeypatch):
     cx, q = square5
     d = np.zeros(2 * cx.num_vertices)
     d[2 * 4 + 1] = 10.0  # shoot the center far upward, flipping triangles
@@ -104,8 +111,12 @@ def test_armijo_rejects_flipping_trial(square5):
     def evaluate(c):
         return -1.0  # objective says yes, admissibility must refuse
 
+    def straight(s, m):  # an explicit trial point: the area gate, not the safeguard, refuses
+        return q + s * d.reshape(q.shape)
+
+    monkeypatch.setattr(optimizer, "STEP_FLOOR", 1e-3)
     s, new, backtracks = armijo_search(
-        evaluate, q, cx, d, 1.0, -1.0, 0.0, step_floor=1e-3, use_safeguard=False
+        evaluate, q, cx, d, 1.0, -1.0, 0.0, trial_point=straight
     )
     # accepted only once the center stays inside
     assert np.all(signed_areas(new, cx.triangles) > 0.0)
@@ -124,8 +135,7 @@ def test_armijo_diverging_retraction_counts_as_failure():
         return coords + s * d.reshape(1, 2)
 
     s, _, backtracks = armijo_search(
-        lambda c: -1.0, coords, None, d, 1.0, -1.0, 0.0,
-        use_safeguard=False, trial_point=trial,
+        lambda c: -1.0, coords, None, d, 1.0, -1.0, 0.0, trial_point=trial
     )
     assert s == 0.5
     assert backtracks == 1
@@ -139,7 +149,7 @@ def test_armijo_step_floor_failure():
         return 1.0  # never acceptable
 
     with pytest.raises(StepFloorFailure):
-        armijo_search(evaluate, coords, None, d, 1.0, -1.0, 0.0, use_safeguard=False)
+        armijo_search(evaluate, coords, None, d, 1.0, -1.0, 0.0)
 
 
 def test_armijo_nan_treated_as_failure():
@@ -149,9 +159,7 @@ def test_armijo_nan_treated_as_failure():
     def evaluate(c):
         return float("nan") if c[0, 0] > 0.4 else -1.0
 
-    s, _, _ = armijo_search(
-        evaluate, coords, None, d, 1.0, -1.0, 0.0, use_safeguard=False
-    )
+    s, _, _ = armijo_search(evaluate, coords, None, d, 1.0, -1.0, 0.0)
     assert s <= 0.4
 
 
@@ -269,7 +277,7 @@ def test_converged_status_satisfies_stopping_rule(disc3):
     res = steepest_descent(cx, q, model_rhs(), cfg)
     assert res.status == CONVERGED
     totals = [r.total for r in res.history]
-    assert stopping_check(totals, cfg.window, cfg.stop_tol)
+    assert stopping_check(totals, WINDOW, cfg.stop_tol)
 
 
 def test_unpenalized_euceuc_fails(disc3):
@@ -285,17 +293,15 @@ def test_unpenalized_euceuc_fails(disc3):
 SET1 = PenaltyParams((1.0, 0.5, 0.0, 0.1))
 
 
-def _fail_after(monkeypatch, name, iteration, visited):
-    """Make ``optimizer.<name>`` raise SingularSystem from its first call
-    after ``on_iterate(iteration, ...)``; returns that callback, which also
+def _fail_after(monkeypatch, name, iteration, visited, error=SingularSystem):
+    """Make ``optimizer.<name>`` raise ``error`` from its first call after
+    ``on_iterate(iteration, ...)``; returns that callback, which also
     appends each visited configuration to ``visited``."""
-    from meshshape import optimizer
-
     wrapped = getattr(optimizer, name)
 
     def failing(*args, **kwargs):
         if len(visited) > iteration:
-            raise SingularSystem(f"{name} made to fail")
+            raise error(f"{name} made to fail")
         return wrapped(*args, **kwargs)
 
     monkeypatch.setattr(optimizer, name, failing)
@@ -354,10 +360,23 @@ def test_terminal_record_after_a_failed_metric(disc3, monkeypatch):
     assert np.array_equal(res.final_coords, visited[1])
 
 
-def test_terminal_record_at_the_step_floor(disc3):
+def test_terminal_record_after_a_non_descent_direction(disc3, monkeypatch):
+    cx, q = disc3
+    visited = []
+    on_iterate = _fail_after(monkeypatch, "initial_step", 1, visited, error=NonDescentDirection)
+    cfg = OptimizerConfig(variant="EucEuc", penalty=SET1, max_iter=50)
+    res = steepest_descent(cx, q, model_rhs(), cfg, on_iterate=on_iterate)
+    last = _terminal(res, STEP_FLOOR_FAILURE)
+    assert last.iter == 1
+    assert np.isfinite([last.objective, last.penalty, last.total, last.grad_deriv_pairing]).all()
+    assert np.array_equal(res.final_coords, visited[1])
+
+
+def test_terminal_record_at_the_step_floor(disc3, monkeypatch):
     # a floor above every initial step 1 / |d| fails the first line search
     cx, q = disc3
-    cfg = OptimizerConfig(variant="EucEuc", penalty=SET1, step_floor=1e9)
+    monkeypatch.setattr(optimizer, "STEP_FLOOR", 1e9)
+    cfg = OptimizerConfig(variant="EucEuc", penalty=SET1)
     res = steepest_descent(cx, q, model_rhs(), cfg)
     last = _terminal(res, STEP_FLOOR_FAILURE)
     assert last.iter == 0 and np.isfinite(last.total)
@@ -379,7 +398,7 @@ def test_terminal_records_on_convergence(disc3):
     cfg = OptimizerConfig(variant="EucEuc", penalty=SET1, max_iter=1000)
     res = steepest_descent(cx, q, model_rhs(), cfg)
     last = _terminal(res, CONVERGED)
-    assert stopping_check([r.total for r in res.history], cfg.window, cfg.stop_tol)
+    assert stopping_check([r.total for r in res.history], WINDOW, cfg.stop_tol)
     assert np.isfinite(last.total) and np.isnan(last.grad_deriv_pairing)
     # the derivative vanishes at the symmetric center
     cx, q = make_square5_mesh()
@@ -426,8 +445,6 @@ def test_compcomp_runs_with_geodesic_ladder():
 
 def test_compcomp_with_boundary_term_in_the_metric(monkeypatch):
     # a3 > 0 puts the boundary term's Hessian into the geodesic force
-    from meshshape import optimizer
-
     paths = []
     retract = optimizer.retract_geodesic
 
@@ -457,6 +474,36 @@ def test_compcomp_with_boundary_term_in_the_metric(monkeypatch):
         assert not path.area_warnings
         drift = abs(path.final_hamiltonian - path.initial_hamiltonian) / abs(path.initial_hamiltonian)
         assert drift <= 1e-5
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(VARIANTS))
+def test_every_accepted_iterate_has_positive_areas(seed, variant):
+    # unpenalized, where nothing but the line search's gates keeps the
+    # triangles from flipping
+    if variant == "CompComp":
+        cx, q = _perturbed_disc(1, seed)
+        geodesic = GeodesicConfig(num_steps=64)
+    else:
+        cx, q = _perturbed_disc(2, seed)
+        geodesic = GeodesicConfig()
+    cfg = OptimizerConfig(
+        variant=variant,
+        penalty=ZERO,
+        metric_penalty=METRIC_ALPHA,
+        max_iter=6,
+        stop_tol=0.0,
+        geodesic=geodesic,
+    )
+    visited = []
+
+    def on_iterate(n, coords):
+        assert np.all(signed_areas(coords, cx.triangles) > 0.0), f"iterate {n}"
+        visited.append(n)
+
+    res = steepest_descent(cx, q, model_rhs(), cfg, on_iterate=on_iterate)
+    assert res.status == MAX_ITER  # not ended by the accepted-iterate check
+    assert visited == [r.iter for r in res.history]
 
 
 def test_geodesic_ladder_relaunches_after_exhaustion():
@@ -490,5 +537,3 @@ def test_config_validation():
         OptimizerConfig(variant="NoSuch", penalty=ZERO)
     with pytest.raises(ValueError):
         OptimizerConfig(variant="CompEuc", penalty=ZERO)  # missing metric params
-    with pytest.raises(ValueError):
-        OptimizerConfig(variant="EucEuc", penalty=ZERO, sigma=1.5)
