@@ -47,8 +47,7 @@ CASES = (
     ("compcomp-fixed-disc2", ["optimize", "--variant", "CompComp", "--mesh", "disc:2", "--fix-boundary",
                               "--max-iter", "1"]),
     ("compeuc-set1-disc12", ["optimize", "--variant", "CompEuc", "--penalty", "set1", "--mesh", "disc:12"]),
-    # the thread pool puts the per-thread geometry cache on the drift check
-    ("exp3-parallel", ["experiment", "3", "--rings", "3", "--max-iter", "20", "--parallel"]),
+    ("exp3", ["experiment", "3", "--rings", "3", "--max-iter", "20"]),
     # the two failure exits (exit 3): the line-search step floor and a singular adjoint system
     ("euceuc-disc5", ["optimize", "--variant", "EucEuc", "--mesh", "disc:5", "--max-iter", "1000", "--tol", "0"]),
     ("euceuc-disc2", ["optimize", "--variant", "EucEuc", "--mesh", "disc:2", "--max-iter", "2000", "--tol", "0"]),

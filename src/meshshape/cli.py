@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .errors import MeshShapeError, ParseError
+from .errors import InadmissibleMesh, MalformedMesh, MeshShapeError
 from .fem import (
     assemble,
     constant_rhs,
@@ -54,11 +54,12 @@ METRIC_ALPHA_PRESET = experiments.METRIC_ALPHA
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(message)
 
 
-def load_mesh(source: str):
+def load_mesh(source: str | None):
+    if not source:
+        raise ValueError("no mesh given: pass --mesh or a mesh config line")
     if source == "square5":
         return make_square5_mesh()
     if source.startswith("disc:"):
@@ -112,12 +113,18 @@ def _read_config_file(path, options):
     return values
 
 
+def _require_admissible(complex, coords):
+    if not is_admissible(complex, coords):
+        raise InadmissibleMesh("mesh is not admissible")
+
+
+def _outdir(out) -> Path:
+    """The output directory: ``MESHSHAPE_OUT`` if set, else ``out``."""
+    return Path(os.environ.get("MESHSHAPE_OUT") or out)
+
+
 def cmd_check(args) -> int:
-    try:
-        complex, coords = load_mesh(args.mesh)
-    except (ParseError, OSError, ValueError, MeshShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    complex, coords = load_mesh(args.mesh)
     areas = signed_areas(coords, complex.triangles)
     admissible = is_admissible(complex, coords, check_intersections=True)
     print(f"vertices: {complex.num_vertices}")
@@ -154,18 +161,11 @@ def _build_config(args, complex):
 
 
 def cmd_optimize(args) -> int:
-    try:
-        complex, coords = load_mesh(args.mesh)
-        rhs = parse_rhs(args.rhs)
-        config = _build_config(args, complex)
-    except (ParseError, OSError, ValueError, MeshShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not is_admissible(complex, coords):
-        print("error: initial mesh is not admissible", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-
-    outdir = Path(os.environ.get("MESHSHAPE_OUT") or args.out)
+    complex, coords = load_mesh(args.mesh)
+    rhs = parse_rhs(args.rhs)
+    config = _build_config(args, complex)
+    _require_admissible(complex, coords)
+    outdir = _outdir(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     timer = PhaseTimer()
 
@@ -175,14 +175,9 @@ def cmd_optimize(args) -> int:
             if n % args.snapshot_stride == 0:
                 write_svg(outdir / f"snap_{n:06d}.svg", complex, snap_coords)
 
-    try:
-        result = steepest_descent(
-            complex, coords, rhs, config, timer=timer, on_iterate=on_iterate
-        )
-    except MeshShapeError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_OPT_FAILURE
-
+    result = steepest_descent(
+        complex, coords, rhs, config, timer=timer, on_iterate=on_iterate
+    )
     write_history(outdir / "history.csv", result.history)
     write_timing(outdir / "timing.csv", timer)
     write_mesh(outdir / "final.mesh", complex, result.final_coords)
@@ -195,30 +190,30 @@ def cmd_optimize(args) -> int:
     return EXIT_OK if result.status in (CONVERGED, MAX_ITER) else EXIT_OPT_FAILURE
 
 
+def cmd_experiment(args) -> int:
+    return experiments.run_experiment(
+        args.id,
+        _outdir(args.out or f"experiment{args.id}_out"),
+        max_iter=args.max_iter,
+        compcomp_cap=args.compcomp_cap,
+        compcomp_rings=args.compcomp_rings,
+        rings=args.rings,
+        geodesic_steps=args.geodesic_steps,
+    )
+
+
 def cmd_eval(args) -> int:
-    try:
-        complex, coords = load_mesh(args.mesh)
-        rhs = parse_rhs(args.rhs)
-        alpha = parse_alpha(args.penalty)
-    except (ParseError, OSError, ValueError, MeshShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not is_admissible(complex, coords):
-        print("error: mesh is not admissible", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    try:
-        return _evaluate(args, complex, coords, rhs, alpha)
-    except MeshShapeError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_OPT_FAILURE
-
-
-def _evaluate(args, complex, coords, rhs, alpha) -> int:
+    complex, coords = load_mesh(args.mesh)
+    rhs = parse_rhs(args.rhs)
+    alpha = parse_alpha(args.penalty)
+    if args.which == "gradcheck" and all(a == 0.0 for a in alpha):
+        alpha = (1.0, 0.5, 0.25, 0.1)
+    params = PenaltyParams(alpha, mu=args.mu, cutoff_threshold=args.cutoff)
+    _require_admissible(complex, coords)
     if args.which == "theta":
         print(f"{mesh_quality(coords, complex)!r}")
         return EXIT_OK
     if args.which == "phi":
-        params = PenaltyParams(alpha, mu=args.mu, cutoff_threshold=args.cutoff)
         print(f"{penalty_value(coords, coords, complex, params)!r}")
         return EXIT_OK
     if args.which == "objective":
@@ -228,9 +223,6 @@ def _evaluate(args, complex, coords, rhs, alpha) -> int:
         return EXIT_OK
 
     # gradcheck: central finite differences of both derivative paths
-    if all(a == 0.0 for a in alpha):
-        alpha = (1.0, 0.5, 0.25, 0.1)
-    params = PenaltyParams(alpha, mu=args.mu, cutoff_threshold=args.cutoff)
     qref = coords.copy()
     err_phi = _fd_error(
         lambda c: penalty_value(c, qref, complex, params),
@@ -301,7 +293,6 @@ def build_parser(config_values=None) -> _Parser:
     p_exp.add_argument("--compcomp-rings", dest="compcomp_rings", type=int, default=1)
     p_exp.add_argument("--rings", type=int, default=None)
     p_exp.add_argument("--geodesic-steps", dest="geodesic_steps", type=int, default=1024)
-    p_exp.add_argument("--parallel", action="store_true")
 
     p_eval = sub.add_parser("eval", help="evaluate a quantity on a mesh")
     p_eval.add_argument("--mesh", required=True)
@@ -325,34 +316,35 @@ def parse_args(argv=None):
     return args
 
 
+COMMANDS = {"check": cmd_check, "optimize": cmd_optimize, "experiment": cmd_experiment, "eval": cmd_eval}
+
+
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    The one place where an exception becomes an exit code, reported by one
+    ``error:`` line.  Each command reads and checks its inputs before it
+    makes an output directory, and an error there exits 1: a bad argument or
+    ``--config`` line, a missing or malformed mesh, a bad spec or a
+    configuration that does not validate (``ValueError``), or an output
+    directory that cannot be made (``OSError``); a later write that fails
+    exits 1 too.  An inadmissible mesh exits 2, and any other
+    :class:`MeshShapeError`, raised by the computation, 3.
+    """
     try:
         args = parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (OSError, ValueError) as exc:
+        return COMMANDS[args.command](args)
+    except SystemExit as exc:  # after --help
+        return exc.code
+    except (OSError, ValueError, MalformedMesh) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    if args.command == "check":
-        return cmd_check(args)
-    if args.command == "optimize":
-        return cmd_optimize(args)
-    if args.command == "experiment":
-        out = os.environ.get("MESHSHAPE_OUT") or args.out or f"experiment{args.id}_out"
-        return experiments.run_experiment(
-            args.id,
-            Path(out),
-            max_iter=args.max_iter,
-            compcomp_cap=args.compcomp_cap,
-            compcomp_rings=args.compcomp_rings,
-            rings=args.rings,
-            geodesic_steps=args.geodesic_steps,
-            parallel=args.parallel,
-        )
-    if args.command == "eval":
-        return cmd_eval(args)
-    return EXIT_USAGE
+    except InadmissibleMesh as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
+    except MeshShapeError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_OPT_FAILURE
 
 
 def entry() -> None:

@@ -5,19 +5,27 @@ class MeshShapeError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotPure(MeshShapeError):
+class MalformedMesh(MeshShapeError):
+    """A mesh that cannot be built: a malformed file or invalid connectivity."""
+
+
+class InadmissibleMesh(MeshShapeError):
+    """A mesh that fails ``mesh.is_admissible``, as an input of a command."""
+
+
+class NotPure(MalformedMesh):
     """A vertex (or edge) does not belong to any triangle."""
 
 
-class NotTwoPathConnected(MeshShapeError):
+class NotTwoPathConnected(MalformedMesh):
     """The triangle adjacency graph is disconnected."""
 
 
-class InconsistentOrientation(MeshShapeError):
+class InconsistentOrientation(MalformedMesh):
     """An interior edge is induced twice with the same orientation."""
 
 
-class EdgeOveruse(MeshShapeError):
+class EdgeOveruse(MalformedMesh):
     """An edge appears in more than two triangles."""
 
 
@@ -33,7 +41,7 @@ class SingularSystem(MeshShapeError):
     """A linear solve failed or did not reach the required residual."""
 
 
-class ParseError(MeshShapeError):
+class ParseError(MalformedMesh):
     """A mesh file is malformed."""
 
 

@@ -14,7 +14,6 @@ metric, fixed iteration budget.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .fem import model_rhs
@@ -61,10 +60,10 @@ def run_experiment(
     compcomp_rings: int = 1,
     rings: int | None = None,
     geodesic_steps: int = 1024,
-    parallel: bool = False,
 ) -> int:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Run experiment ``exp_id`` into ``outdir``, one run after another.  A
+    bad option raises before ``outdir`` is made.  A run that fails ends
+    with its failure status in the summary, as ``steepest_descent`` ends it."""
     zero = PenaltyParams((0.0, 0.0, 0.0, 0.0))
     metric = PenaltyParams(METRIC_ALPHA)
     tasks = []  # (label, variant, complex, coords, config)
@@ -125,26 +124,12 @@ def run_experiment(
     else:
         raise ValueError(f"unknown experiment {exp_id}")
 
-    def execute(task):
-        label, variant, cx, q, config = task
-        try:
-            result, timer, last = _run(cx, q, config, outdir, label)
-        except Exception as exc:  # keep the batch going, record the failure
-            return label, variant, cx, None, None, None, str(exc)
-        return label, variant, cx, result, timer, last, None
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            outcomes = list(pool.map(execute, tasks))
-    else:
-        outcomes = [execute(task) for task in tasks]
-
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     summary = [SUMMARY_HEADER]
     timing_rows = [TIMING_HEADER]
-    for label, variant, cx, result, timer, last, error in outcomes:
-        if error is not None:
-            summary.append(f"{exp_id},{label},{variant},{cx.num_vertices},{cx.num_triangles},,Error:{error},,,")
-            continue
+    for label, variant, cx, q, config in tasks:
+        result, timer, last = _run(cx, q, config, outdir, label)
         summary.append(_summary_row(exp_id, label, variant, cx, result, last))
         for phase, seconds in timer.seconds.items():
             timing_rows.append(f"{label},{variant},{phase},{seconds:.6f}")

@@ -14,7 +14,6 @@ flattened coordinate vector is ``coords.ravel()``, i.e.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -344,7 +343,7 @@ def build_complex(triangles, num_vertices: int) -> ConnectivityComplex:
 
 _NEXT, _AFTER_NEXT = np.array([1, 2, 0]), np.array([2, 0, 1])  # local vertices l + 1, l + 2
 _CONFIGURATION_CACHE_SIZE = 3
-_configuration_cache = threading.local()
+_configuration_cache = []  # (triangles, coords key, record), the latest first
 
 
 class Configuration:
@@ -402,18 +401,15 @@ class Configuration:
 def configuration(coords: np.ndarray, triangles: np.ndarray) -> Configuration:
     """The :class:`Configuration` of ``coords`` on ``triangles``.
 
-    Each thread keeps its last three records, keyed by the ``triangles``
-    array itself (by identity) and by the shape, dtype and bytes of
-    ``coords``, so every layer asking about one vertex configuration shares
-    one record, and changing ``coords`` in place gives a fresh one.  The
-    older two are released: every layer reads derived quantities only at the
-    configuration it has just asked for, and they raised the peak memory.
+    The last three records are kept, keyed by the ``triangles`` array itself
+    (by identity) and by the shape, dtype and bytes of ``coords``, so every
+    layer asking about one vertex configuration shares one record, and
+    changing ``coords`` in place gives a fresh one.  The older two are
+    released: every layer reads derived quantities only at the configuration
+    it has just asked for, and they raised the peak memory.
     """
     key = (coords.tobytes(), coords.shape, coords.dtype)  # the bytes first: they tell records apart
-    try:
-        entries = _configuration_cache.entries
-    except AttributeError:
-        entries = _configuration_cache.entries = []
+    entries = _configuration_cache
     for k, (tris, entry_key, record) in enumerate(entries):
         if tris is triangles and entry_key == key:
             break

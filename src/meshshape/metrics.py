@@ -36,6 +36,15 @@ LAM = 1.0 * 0.4 / ((1.0 + 0.4) * (1.0 - 2.0 * 0.4))
 DELTA = 0.2 * 1.0
 
 
+def check_complete_weights(penalty: PenaltyParams):
+    """Raise ``ValueError`` unless ``penalty`` can weight the complete metric:
+    a1, a2 and a4 positive.  a3 == 0 is admitted: the boundary term can be
+    switched off by a cutoff without affecting completeness in practice."""
+    a1, a2, a3, a4 = penalty.alpha
+    if a1 <= 0 or a2 <= 0 or a4 <= 0 or a3 < 0:
+        raise ValueError("complete metric requires positive weights a1, a2, a4 and a3 >= 0")
+
+
 @dataclass(frozen=True)
 class MetricSpec:
     kind: str
@@ -48,11 +57,7 @@ class MetricSpec:
         if self.kind == COMPLETE:
             if self.penalty is None or self.qref is None:
                 raise ValueError("complete metric needs penalty params and a reference")
-            a1, a2, a3, a4 = self.penalty.alpha
-            # a3 == 0 is admitted: the boundary term can be switched off by a
-            # cutoff without affecting completeness in practice.
-            if a1 <= 0 or a2 <= 0 or a4 <= 0 or a3 < 0:
-                raise ValueError("complete metric requires positive weights")
+            check_complete_weights(self.penalty)
 
     @staticmethod
     def euclidean() -> "MetricSpec":

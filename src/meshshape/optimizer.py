@@ -34,7 +34,7 @@ from .fem import (
 )
 from .geodesic import GeodesicConfig, retract_geodesic
 from .mesh import ConnectivityComplex, heights, signed_areas
-from .metrics import MetricOperator, MetricSpec, retract_euclidean
+from .metrics import MetricOperator, MetricSpec, check_complete_weights, retract_euclidean
 from .penalty import PenaltyParams, mesh_quality, penalty_gradient, penalty_value
 
 logger = logging.getLogger(__name__)
@@ -89,8 +89,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant in ("CompEuc", "CompComp") and self.metric_penalty is None:
-            raise ValueError(f"{self.variant} requires metric penalty parameters")
+        if self.variant in ("CompEuc", "CompComp"):
+            if self.metric_penalty is None:
+                raise ValueError(f"{self.variant} requires metric penalty parameters")
+            check_complete_weights(self.metric_penalty)
 
     @property
     def sigma(self) -> float:

@@ -1,10 +1,12 @@
+import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from meshshape import cli
-from meshshape.cli import EXIT_OPT_FAILURE, EXIT_USAGE, main
+from meshshape import cli, experiments
+from meshshape.cli import EXIT_INADMISSIBLE, EXIT_OPT_FAILURE, EXIT_USAGE, main
 from meshshape.errors import NonDescentDirection, SingularSystem
 from meshshape.fileio import write_mesh
 from meshshape.mesh import make_square5_mesh
@@ -39,6 +41,58 @@ def test_check_malformed_file(tmp_path):
 def test_usage_error_exit_code():
     assert run(["optimize", "--variant", "NoSuchVariant"]) == 1
     assert run(["nonsense"]) == 1
+    assert run(["experiment", "3", "--parallel"]) == 1
+
+
+# Each case: argv, with {out} a directory that does not exist yet, {file} a
+# regular file, {malformed} a malformed mesh file and {flipped} a mesh with a
+# flipped triangle, all in the test's own directory; and the exit code.  The
+# state solve of `eval` and the optimizer of `experiment` raise SingularSystem.
+ERROR_CASES = {
+    "optimize-no-mesh": (["optimize", "--out", "{out}"], EXIT_USAGE),
+    "compeuc-incomplete-metric": (["optimize", "--mesh", "disc:1", "--variant", "CompEuc",
+                                   "--metric-alpha", "a1=1,a2=1", "--out", "{out}"], EXIT_USAGE),
+    "optimize-out-is-a-file": (["optimize", "--mesh", "disc:1", "--out", "{file}"], EXIT_USAGE),
+    "optimize-out-below-a-file": (["optimize", "--mesh", "disc:1", "--out", "{file}/sub"], EXIT_USAGE),
+    "experiment-no-rings": (["experiment", "1", "--rings", "0", "--out", "{out}"], EXIT_USAGE),
+    "experiment-bad-geodesic-steps": (["experiment", "1", "--geodesic-steps", "3", "--out", "{out}"],
+                                      EXIT_USAGE),
+    "experiment-out-below-a-file": (["experiment", "2", "--out", "{file}/sub"], EXIT_USAGE),
+    "check-malformed-mesh": (["check", "--mesh", "{malformed}"], EXIT_USAGE),
+    "eval-malformed-penalty": (["eval", "--mesh", "disc:2", "--which", "phi", "--penalty", "a1=x"],
+                               EXIT_USAGE),
+    "optimize-inadmissible-mesh": (["optimize", "--mesh", "{flipped}", "--out", "{out}"],
+                                   EXIT_INADMISSIBLE),
+    "eval-singular-system": (["eval", "--mesh", "disc:2", "--which", "objective"], EXIT_OPT_FAILURE),
+    "experiment-singular-system": (["experiment", "2", "--rings", "2", "--out", "{out}"], EXIT_OPT_FAILURE),
+}
+
+
+@pytest.mark.parametrize("argv,code", ERROR_CASES.values(), ids=ERROR_CASES.keys())
+def test_error_exit_is_one_line(argv, code, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise SingularSystem("made to fail")
+
+    monkeypatch.delenv("MESHSHAPE_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "solve_state", fail)
+    monkeypatch.setattr(experiments, "steepest_descent", fail)
+    paths = {"out": tmp_path / "out", "file": tmp_path / "file", "malformed": tmp_path / "bad.mesh",
+             "flipped": tmp_path / "flipped.mesh"}
+    paths["file"].write_text("")
+    paths["malformed"].write_text("not a mesh\n")
+    cx, q = make_square5_mesh()
+    q[4] = (0.0, 2.0)
+    write_mesh(paths["flipped"], cx, q)
+    try:
+        got = main([arg.format(**paths) for arg in argv])
+    except (Exception, SystemExit) as exc:
+        pytest.fail(f"{type(exc).__name__} left main: {exc}")
+    err = capsys.readouterr().err.splitlines()
+    assert got == code
+    assert len(err) == 1 and err[0].startswith("error: ")
+    if code == EXIT_USAGE:
+        assert not [p for p in tmp_path.rglob("*") if p.is_dir()]
 
 
 def test_optimize_has_no_seed_option(tmp_path):
@@ -276,18 +330,6 @@ def test_experiment_writes_summary(tmp_path):
     assert (out / "set1_CompEuc" / "history.csv").exists()
 
 
-def test_experiment_parallel_matches_sequential(tmp_path):
-    seq, par = tmp_path / "seq", tmp_path / "par"
-    args = ["experiment", "3", "--max-iter", "6", "--rings", "2"]
-    assert run(args + ["--out", str(seq)]) == 0
-    assert run(args + ["--out", str(par), "--parallel"]) == 0
-    assert (seq / "summary.csv").read_text() == (par / "summary.csv").read_text()
-    for label in ("rings2_ElasEuc", "rings2_CompEuc"):
-        assert (seq / label / "history.csv").read_bytes() == (
-            par / label / "history.csv"
-        ).read_bytes()
-
-
 def test_experiment_1_geodesic_retraction_dominates(tmp_path):
     out = tmp_path / "exp1"
     code = run([
@@ -307,3 +349,20 @@ def test_experiment_1_geodesic_retraction_dominates(tmp_path):
     assert timing["retraction"] > max(
         v for k, v in timing.items() if k != "retraction"
     )
+
+
+def _digest_cases():
+    path = Path(__file__).parents[1] / "scripts" / "history_digest.py"
+    spec = importlib.util.spec_from_file_location("history_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return dict(module.CASES)
+
+
+DIGEST_CASES = _digest_cases()
+
+
+@pytest.mark.parametrize("argv", DIGEST_CASES.values(), ids=DIGEST_CASES.keys())
+def test_digest_cases_parse(argv):
+    # the digest runs each case with its own --out; a removed option would exit 1
+    cli.parse_args([*argv, "--out", "out"])

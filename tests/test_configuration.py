@@ -2,13 +2,10 @@
 computation byte for byte, is read-only, and is shared only where the inputs
 are the same."""
 
-import threading
-
 import numpy as np
 import pytest
 
 from meshshape import fem, mesh as mesh_module, optimizer
-from meshshape.experiments import run_experiment
 from meshshape.fem import assemble, constant_rhs, model_rhs, shape_derivative, solve_adjoint, solve_state
 from meshshape.mesh import SQRT3, SparsePattern, configuration
 from meshshape.optimizer import OptimizerConfig, steepest_descent
@@ -36,7 +33,7 @@ def mesh(request, rng):
 
 
 def _fresh_cache():
-    mesh_module._configuration_cache.entries = []
+    mesh_module._configuration_cache.clear()
 
 
 def _assert_identical(got, want):
@@ -191,22 +188,6 @@ def test_accepted_trial_is_assembled_once(monkeypatch, disc2):
     assert len(calls) >= 2 * iterations + 1  # a trial per iteration, and again every accepted one
     # each accepted trial is evaluated again at the top of the loop, from its record
     assert sum(builds) == len(calls) - iterations
-
-
-def test_cache_stays_bounded_under_parallel_experiment(monkeypatch, tmp_path):
-    caches = []
-
-    class Recorded(threading.local):
-        def __init__(self):
-            self.entries = []
-            caches.append((threading.get_ident(), self.entries))
-
-    monkeypatch.setattr(mesh_module, "_configuration_cache", Recorded())
-    assert run_experiment(3, tmp_path, rings=3, max_iter=5, parallel=True) == 0
-    main = threading.get_ident()
-    workers = [entries for ident, entries in caches if ident != main]
-    assert workers  # the runs used the pool's threads, each with its own cache
-    assert all(0 < len(entries) <= mesh_module._CONFIGURATION_CACHE_SIZE for entries in workers)
 
 
 def test_older_records_keep_only_their_geometry(mesh, rng):

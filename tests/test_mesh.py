@@ -656,7 +656,7 @@ def test_geometry_cache_is_bounded(disc3):
     for k in range(10):
         moved = q * (1.0 + 0.01 * k)
         _assert_identical(triangle_geometry(moved, cx.triangles), _uncached_geometry(moved, cx.triangles))
-        assert len(mesh_module._configuration_cache.entries) <= mesh_module._CONFIGURATION_CACHE_SIZE
+        assert len(mesh_module._configuration_cache) <= mesh_module._CONFIGURATION_CACHE_SIZE
 
 
 # -- checked_solve ---------------------------------------------------------------

@@ -537,3 +537,9 @@ def test_config_validation():
         OptimizerConfig(variant="NoSuch", penalty=ZERO)
     with pytest.raises(ValueError):
         OptimizerConfig(variant="CompEuc", penalty=ZERO)  # missing metric params
+    # the weights MetricSpec.complete rejects are rejected with the configuration
+    no_a4 = PenaltyParams((1.0, 1.0, 0.0, 0.0))
+    for variant in ("CompEuc", "CompComp"):
+        with pytest.raises(ValueError):
+            OptimizerConfig(variant=variant, penalty=ZERO, metric_penalty=no_a4)
+    OptimizerConfig(variant="ElasEuc", penalty=ZERO, metric_penalty=no_a4)  # its metric ignores them

@@ -217,7 +217,7 @@ def test_value_and_gradient_bits_do_not_depend_on_call_order(seed, rings, params
     cx, q, qref = _perturbed_disc(seed, rings)
     results = []
     for value_first in (True, False):
-        mesh_module._configuration_cache.entries = []  # a fresh configuration
+        mesh_module._configuration_cache.clear()  # a fresh configuration
         if value_first:
             value = penalty_value(q, qref, cx, params)
             grad = penalty_gradient(q, qref, cx, params)
