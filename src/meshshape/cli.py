@@ -164,6 +164,8 @@ def cmd_optimize(args) -> int:
     complex, coords = load_mesh(args.mesh)
     rhs = parse_rhs(args.rhs)
     config = _build_config(args, complex)
+    if args.snapshot_stride < 0:
+        raise ValueError(f"--snapshot-stride {args.snapshot_stride} must not be negative (0 is off)")
     _require_admissible(complex, coords)
     outdir = _outdir(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu
 
 from .errors import (
     DegenerateEdge,
@@ -170,21 +170,25 @@ class SparsePattern:
     def of_blocks(cls, dofs: np.ndarray, size: int, container: type) -> "SparsePattern":
         """The ``k x k`` blocks over the rows of ``dofs`` (n, k): flat entry
         ``(n k + a) k + b`` sits at ``(dofs[n, a], dofs[n, b])``."""
-        k = dofs.shape[1]
+        k, dofs = dofs.shape[1], dofs.astype(np.int32)
         major, minor = np.repeat(dofs, k, axis=1).ravel(), np.tile(dofs, (1, k)).ravel()
         if container is sparse.csc_matrix:
             major, minor = minor, major
         # Replay the conversion on the entry ids: a stable counting sort by the
         # major index, then std::sort of each slice by the minor index, which
-        # is not stable but depends on the keys alone.
-        first = np.argsort(major, kind="stable")
+        # is not stable but depends on the keys alone.  int32 keys and ids,
+        # each intermediate dropped once used, keep the replay's memory small.
+        first = np.argsort(major, kind="stable").astype(np.int32)
         indptr = np.r_[0, np.cumsum(np.bincount(major, minlength=size))]
-        replay = container((first.astype(float), minor[first], indptr), shape=(size, size))
+        replay = container((first, minor[first], indptr), shape=(size, size))
+        del first, minor
         replay.sort_indices()
-        order = replay.data.astype(np.int64)
-        major, minor = major[order], replay.indices
+        order, minor = replay.data.astype(np.int64), replay.indices
+        del replay
+        major = major[order]
         starts = np.r_[True, (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])]
         indptr = np.r_[0, np.cumsum(np.bincount(major[starts], minlength=size))].astype(minor.dtype)
+        del major
         return cls(container, indptr, minor[starts], order, np.cumsum(starts) - 1)
 
     def matrix(self, values: np.ndarray):
@@ -198,8 +202,10 @@ class SparsePattern:
 # SuperLU options for the symmetric positive definite matrices assembled on
 # these patterns: symmetric mode, minimum degree ordering on A + A^T, which
 # fill_reducing_order computes once per pattern.  The patterns are stored in
-# that order, so their matrices are factored as stored (PREORDERED_LU).
-SPD_LU = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+# that order, so their matrices are factored as stored (PREORDERED_LU).  The
+# supernodes of these 2-D patterns are small: panels of one column factor them
+# faster than the default panel blocking, at equal fill (scripts/superlu_table.py).
+SPD_LU = {"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1, "options": {"SymmetricMode": True}}
 PREORDERED_LU = {**SPD_LU, "permc_spec": "NATURAL"}
 
 # Every SPD solve meets this relative residual within CG_MAX_ITER iterations, or its caller raises SingularSystem.
@@ -230,12 +236,13 @@ def checked_solve(a, lu, b: np.ndarray):
 
 def fill_reducing_order(pattern: SparsePattern, keep: np.ndarray) -> np.ndarray:
     """``keep`` in the order in which SuperLU, under ``SPD_LU``, factors rows and columns ``keep``
-    of the symmetric ``pattern``; read off a stand-in: -1 off the diagonal, the column count on it."""
+    of the symmetric ``pattern``; read off a stand-in: -1 off the diagonal, the column count on it.
+    An incomplete LU that drops every off-diagonal entry orders it the same way, without the fill."""
     n = len(pattern.indptr) - 1
     graph = sparse.csr_matrix((-np.ones(len(pattern.indices)), pattern.indices, pattern.indptr), shape=(n, n))
     stand_in = graph[keep][:, keep].tocsc()
     stand_in.setdiag(np.diff(stand_in.indptr))
-    return keep[np.argsort(splu(stand_in, **SPD_LU).perm_c)]
+    return keep[np.argsort(spilu(stand_in, drop_tol=np.inf, fill_factor=1.0, **SPD_LU).perm_c)]
 
 
 def scatter_add(size: int, *terms) -> np.ndarray:

@@ -58,6 +58,13 @@ ERROR_CASES = {
     "experiment-bad-geodesic-steps": (["experiment", "1", "--geodesic-steps", "3", "--out", "{out}"],
                                       EXIT_USAGE),
     "experiment-out-below-a-file": (["experiment", "2", "--out", "{file}/sub"], EXIT_USAGE),
+    "optimize-negative-max-iter": (["optimize", "--mesh", "disc:1", "--max-iter", "-3", "--out", "{out}"],
+                                   EXIT_USAGE),
+    "optimize-negative-tol": (["optimize", "--mesh", "disc:1", "--tol", "-1", "--out", "{out}"], EXIT_USAGE),
+    "optimize-negative-snapshot-stride": (["optimize", "--mesh", "disc:1", "--snapshot-stride", "-1",
+                                           "--out", "{out}"], EXIT_USAGE),
+    "experiment-negative-compcomp-cap": (["experiment", "1", "--compcomp-cap", "-1", "--out", "{out}"],
+                                         EXIT_USAGE),
     "check-malformed-mesh": (["check", "--mesh", "{malformed}"], EXIT_USAGE),
     "eval-malformed-penalty": (["eval", "--mesh", "disc:2", "--which", "phi", "--penalty", "a1=x"],
                                EXIT_USAGE),

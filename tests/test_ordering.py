@@ -3,11 +3,12 @@ every factorization."""
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 
 from meshshape import fem, mesh, metrics
-from meshshape.fem import model_rhs
-from meshshape.mesh import SPD_LU, make_disc_mesh
+from meshshape.fem import assemble, model_rhs
+from meshshape.mesh import PREORDERED_LU, SPD_LU, checked_solve, make_disc_mesh
+from meshshape.metrics import MetricOperator, MetricSpec
 from meshshape.optimizer import OptimizerConfig, steepest_descent
 from meshshape.penalty import PenaltyParams
 from test_fem import _coo_reference, _perturbed_disc
@@ -57,9 +58,53 @@ def test_each_pattern_is_ordered_once_per_run(monkeypatch, max_iter):
 
     def spy(matrix, **options):
         orderings.append(options["permc_spec"])
-        return splu(matrix, **options)
+        return spilu(matrix, **options)
 
-    monkeypatch.setattr(mesh, "splu", spy)
+    monkeypatch.setattr(mesh, "spilu", spy)
     result = _elaseuc(3, max_iter)
     assert result.history[-1].iter == max_iter
     assert orderings == ["MMD_AT_PLUS_A"] * 2  # the interior P1 graph and the full one
+
+
+# -- SuperLU's supernode settings ------------------------------------------------
+
+def _pinned(cx):
+    mask = np.zeros(cx.num_vertices, dtype=bool)
+    mask[cx.boundary_vertices] = True
+    return mask
+
+
+# The reduced P1 matrix holds the interior vertices alone, so a pinned boundary
+# leaves it as it is; the elasticity metric gets identity rows for the pinned DOFs.
+FACTORED = {
+    "p1": lambda cx, q: assemble(q, cx, model_rhs()).reduced,
+    "elasticity": lambda cx, q: MetricOperator(MetricSpec.elasticity(), q, cx)._matrix,
+    "elasticity-pinned": lambda cx, q: MetricOperator(MetricSpec.elasticity(), q, cx, fixed_mask=_pinned(cx))._matrix,
+}
+
+
+@pytest.mark.parametrize("rings", [3, 7, 12])
+@pytest.mark.parametrize("name", FACTORED)
+def test_supernode_settings_keep_order_fill_and_one_solve(rings, name, rng):
+    cx, q = _perturbed_disc(rings, 11)
+    a = FACTORED[name](cx, q)
+    lu = splu(a, **PREORDERED_LU)
+    default = splu(a, **{key: value for key, value in PREORDERED_LU.items() if key not in ("panel_size", "relax")})
+    identity = np.arange(a.shape[0])
+    assert np.array_equal(lu.perm_c, identity)
+    # SuperLU's threshold pivoting (diag_pivot_thresh 1) swaps two rows of the
+    # unpinned disc:3 elasticity matrix under either setting
+    assert np.count_nonzero(lu.perm_r != identity) == (2 if (rings, name) == (3, "elasticity") else 0)
+    assert np.array_equal(lu.perm_r, default.perm_r)
+    assert (lu.L.nnz, lu.U.nnz) == (default.L.nnz, default.U.nnz)
+
+    solves = []
+
+    class CountedLU:
+        def solve(self, b):
+            solves.append(b)
+            return lu.solve(b)
+
+    b = rng.standard_normal(a.shape[0])
+    assert np.array_equal(checked_solve(a, CountedLU(), b), lu.solve(b))
+    assert len(solves) == 1
