@@ -46,6 +46,8 @@ CASES = (
     # a pinned boundary puts the masked geodesic on the drift check
     ("compcomp-fixed-disc2", ["optimize", "--variant", "CompComp", "--mesh", "disc:2", "--fix-boundary",
                               "--max-iter", "1"]),
+    # several rings of triangles under the geodesic's penalty evaluator, not only the 7- and 19-vertex discs
+    ("compcomp-disc5", ["optimize", "--variant", "CompComp", "--mesh", "disc:5", "--max-iter", "1"]),
     ("compeuc-set1-disc12", ["optimize", "--variant", "CompEuc", "--penalty", "set1", "--mesh", "disc:12"]),
     ("exp3", ["experiment", "3", "--rings", "3", "--max-iter", "20"]),
     # the two failure exits (exit 3): the line-search step floor and a singular adjoint system

@@ -5,9 +5,9 @@ with piecewise linear elements.  The load vector uses a one-point quadrature
 rule at triangle centroids; this exact rule choice is deliberately shared
 with the geometry derivative so that the discrete adjoint is the exact
 derivative of the discrete reduced objective.  The SPD reduced stiffness is
-stored in the complex's fill-reducing ``interior_order``, so SuperLU factors
-it as stored, in symmetric mode.  The assembled system is kept per vertex
-configuration; each solve factors it afresh, then runs ``mesh.checked_solve``.
+stored in the complex's fill-reducing ``interior_order``: SuperLU factors its
+columns in that order, in symmetric mode.  The assembled system is kept per
+vertex configuration; each solve factors it afresh, then runs ``mesh.checked_solve``.
 """
 
 from __future__ import annotations

@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FixedPointDivergence
-from .mesh import ConnectivityComplex, signed_areas
+from .mesh import ConnectivityComplex, free_dofs, signed_areas
 from .metrics import MetricSpec
-from .penalty import penalty_gradient, penalty_value
+from .penalty import PenaltyEvaluator, penalty_gradient, penalty_value
 
 logger = logging.getLogger(__name__)
 
@@ -147,15 +147,14 @@ def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, c
 def _penalty_field(spec: MetricSpec, complex: ConnectivityComplex, fixed_mask=None):
     """``(phi_fn, w_fn)``: the metric penalty and its gradient ``w = P grad
     phi``, ``P`` zeroing the fixed vertices' DOFs."""
-    free = None
-    if fixed_mask is not None:
-        free = ~np.repeat(np.asarray(fixed_mask, dtype=bool), 2)
+    free = free_dofs(fixed_mask)
+    evaluator = PenaltyEvaluator(None, complex)  # the terms at the integration's points
 
     def phi_fn(c):
-        return penalty_value(c, spec.qref, complex, spec.penalty)
+        return penalty_value(c, spec.qref, complex, spec.penalty, evaluator)
 
     def w_fn(c):
-        g = penalty_gradient(c, spec.qref, complex, spec.penalty)
+        g = penalty_gradient(c, spec.qref, complex, spec.penalty, evaluator)
         return g if free is None else np.where(free, g, 0.0)
 
     return phi_fn, w_fn

@@ -202,9 +202,9 @@ class SparsePattern:
 # SuperLU options for the symmetric positive definite matrices assembled on
 # these patterns: symmetric mode, minimum degree ordering on A + A^T, which
 # fill_reducing_order computes once per pattern.  The patterns are stored in
-# that order, so their matrices are factored as stored (PREORDERED_LU).  The
-# supernodes of these 2-D patterns are small: panels of one column factor them
-# faster than the default panel blocking, at equal fill (scripts/superlu_table.py).
+# that order, so their columns are factored as stored (PREORDERED_LU); SuperLU's
+# default threshold pivoting may still swap rows (unpinned disc:3 elasticity).
+# Panels of one column factor these small supernodes faster, at equal fill (scripts/superlu_table.py).
 SPD_LU = {"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1, "options": {"SymmetricMode": True}}
 PREORDERED_LU = {**SPD_LU, "permc_spec": "NATURAL"}
 
@@ -243,6 +243,18 @@ def fill_reducing_order(pattern: SparsePattern, keep: np.ndarray) -> np.ndarray:
     stand_in = graph[keep][:, keep].tocsc()
     stand_in.setdiag(np.diff(stand_in.indptr))
     return keep[np.argsort(spilu(stand_in, drop_tol=np.inf, fill_factor=1.0, **SPD_LU).perm_c)]
+
+
+def free_dofs(fixed_mask) -> np.ndarray | None:
+    """Vec-order mask of the DOFs of the vertices outside the per-vertex ``fixed_mask``; None for no mask."""
+    return None if fixed_mask is None else ~np.repeat(np.asarray(fixed_mask, dtype=bool), 2)
+
+
+def read_only(*arrays):
+    """The arrays, made read-only so that all callers can share them; one array for one argument."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays[0] if len(arrays) == 1 else arrays
 
 
 def scatter_add(size: int, *terms) -> np.ndarray:
@@ -367,10 +379,7 @@ class Configuration:
     def __init__(self, coords: np.ndarray, triangles: np.ndarray):
         p = coords[triangles]
         e = p[:, _AFTER_NEXT] - p[:, _NEXT]  # local edge major in memory, which fixes later sums' order
-        areas = 0.5 * (e[:, 2, 0] * e[:, 0, 1] - e[:, 2, 1] * e[:, 0, 0])
-        for a in (p, e, areas):
-            a.setflags(write=False)
-        self.p, self.e, self.areas = p, e, areas
+        self.p, self.e, self.areas = read_only(p, e, edge_areas(e))
         self._memo = {}
 
     @cached_property
@@ -379,15 +388,11 @@ class Configuration:
         local vertex ``l`` has gradient ``rot90(e_l) / (2 A)``, with
         ``rot90 (x, y) = (-y, x)``."""
         e = self.e
-        grads = np.stack([-e[..., 1], e[..., 0]], axis=-1) / (2.0 * self.areas[:, None, None])
-        grads.setflags(write=False)
-        return grads
+        return read_only(np.stack([-e[..., 1], e[..., 0]], axis=-1) / (2.0 * self.areas[:, None, None]))
 
     @cached_property
     def centroids(self) -> np.ndarray:
-        centroids = self.p.mean(axis=1)
-        centroids.setflags(write=False)
-        return centroids
+        return read_only(self.p.mean(axis=1))
 
     def release(self):
         """Drop all but the geometry; the rest is computed again if asked for."""
@@ -403,6 +408,11 @@ class Configuration:
         if result is None:
             result = self._memo[key] = compute(self, *args)
         return result
+
+
+def edge_areas(e: np.ndarray) -> np.ndarray:
+    """Signed areas of triangles with the edge vectors ``e`` (N_T, 3, 2) of :class:`Configuration`."""
+    return 0.5 * (e[:, 2, 0] * e[:, 0, 1] - e[:, 2, 1] * e[:, 0, 0])
 
 
 def configuration(coords: np.ndarray, triangles: np.ndarray) -> Configuration:
@@ -528,20 +538,19 @@ class PairDistances:
     """
 
     def __init__(self, coords, pairs, mu: float):
-        self._mu = mu
+        self.mu = mu
         self._frames = t, n, xi, eta, length = _pair_frames(coords, pairs)
         # the tangential overshoots past j0 and past j1, each with its smoother factors
         self._ends = [(s, *_smooth_pos_factors(s, mu)) for s in (-xi, xi - length)]
         (_, lo_half, _, lo_step), (_, hi_half, _, hi_step) = self._ends
-        self.dist = smooth_abs(eta, mu) + lo_half * lo_step + hi_half * hi_step
-        self.dist.setflags(write=False)
+        self.dist = read_only(smooth_abs(eta, mu) + lo_half * lo_step + hi_half * hi_step)
 
     def gradients(self) -> np.ndarray:
         """Exact gradients of ``dist`` with respect to the vertex and the two
         edge endpoints, (3, P, 2)."""
         t, n, xi, eta, length = self._frames
-        m_lo, m_hi = (_smooth_pos_slope(s, self._mu, *factors) for s, *factors in self._ends)
-        c_eta = smooth_abs_prime(eta, self._mu)
+        m_lo, m_hi = (_smooth_pos_slope(s, self.mu, *factors) for s, *factors in self._ends)
+        c_eta = smooth_abs_prime(eta, self.mu)
         c_xi = -m_lo + m_hi
         c_len = -m_hi
 

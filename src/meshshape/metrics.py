@@ -6,7 +6,7 @@ assembled fresh at the current configuration) and a rank-one metric
 ``I + g g^T`` built from the gradient of the mesh-quality penalty, which the
 derivative-to-gradient solve inverts in closed form (Sherman-Morrison).  The
 SPD elasticity matrix is assembled in the complex's fill-reducing ``dof_order``,
-so SuperLU factors it as stored, in symmetric mode.  The matrix moves little
+in which SuperLU factors its columns, in symmetric mode.  The matrix moves little
 from one iterate to the next, so an operator built with ``previous`` keeps that
 operator's LU as the preconditioner of :func:`~meshshape.mesh.checked_solve`,
 the one SPD solve of the package; it factors its own matrix only when
@@ -22,7 +22,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import NonpositiveArea, SingularSystem
-from .mesh import PREORDERED_LU, ConnectivityComplex, checked_solve, configuration
+from .mesh import PREORDERED_LU, ConnectivityComplex, checked_solve, configuration, free_dofs
 from .penalty import PenaltyParams, penalty_gradient
 
 EUCLIDEAN = "euclidean"
@@ -116,7 +116,7 @@ class MetricOperator:
     def __init__(self, spec: MetricSpec, coords, complex, fixed_mask=None, previous=None):
         self.spec = spec
         self.n = 2 * complex.num_vertices
-        self._free = None if fixed_mask is None else ~np.repeat(np.asarray(fixed_mask, dtype=bool), 2)
+        self._free = free_dofs(fixed_mask)
         if spec.kind == ELASTICITY:
             self._lu = None
             if previous is not None and previous.spec.kind == ELASTICITY:

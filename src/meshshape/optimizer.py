@@ -33,7 +33,7 @@ from .fem import (
     solve_state,
 )
 from .geodesic import GeodesicConfig, retract_geodesic
-from .mesh import ConnectivityComplex, heights, signed_areas
+from .mesh import ConnectivityComplex, free_dofs, heights, signed_areas
 from .metrics import MetricOperator, MetricSpec, check_complete_weights, retract_euclidean
 from .penalty import PenaltyParams, mesh_quality, penalty_gradient, penalty_value
 
@@ -241,9 +241,7 @@ def steepest_descent(
     timer = timer if timer is not None else PhaseTimer()
     spec = _metric_spec(config, qref)
     mask = config.fixed_vertex_mask
-    free = None
-    if mask is not None:
-        free = ~np.repeat(np.asarray(mask, dtype=bool), 2)
+    free = free_dofs(mask)
 
     coords = np.array(qref, dtype=float)
     history: list[IterationRecord] = []

@@ -25,6 +25,8 @@ from .mesh import (
     _NEXT,
     PairDistances,
     configuration,
+    edge_areas,
+    read_only,
     scatter_add,
 )
 
@@ -64,20 +66,12 @@ class PenaltyParams:
 
 def quality_reciprocals(coords: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Per-triangle sum of squared edge lengths over ``4 sqrt(3)`` times the area (>= 1)."""
-    return configuration(coords, triangles).memo(_quality_reciprocals)
-
-
-def _quality_reciprocals(record: Configuration) -> np.ndarray:
-    if (record.areas <= 0.0).any():
-        raise NonpositiveArea("quality measure requires positive areas")
-    vals = (record.e * record.e).sum(axis=(1, 2)) / (4.0 * SQRT3 * record.areas)
-    vals.setflags(write=False)
-    return vals
+    return PenaltyEvaluator(configuration(coords, triangles), None).quality()
 
 
 def mesh_quality(coords: np.ndarray, complex: ConnectivityComplex) -> float:
     """Mean quality reciprocal over all triangles; 1 for all-equilateral meshes."""
-    vals = quality_reciprocals(coords, complex.triangles)
+    vals = _terms(coords, complex).quality()
     return float(vals.sum() / vals.size)
 
 
@@ -109,28 +103,85 @@ def cutoff_prime(s, threshold: float):
 
 
 # ---------------------------------------------------------------------------
-# Penalty value
+# The terms at a point
 # ---------------------------------------------------------------------------
 
-def _area_term(areas):
-    total = areas.sum()
-    if total <= 0.0:
-        raise NonpositiveArea("total mesh area must be positive")
-    return 1.0 / total
+_HALF_ROT90 = np.array([-0.5, 0.5])  # (x, y) -> (-y, x) / 2 on reversed components
 
 
-def _boundary_distances(record: Configuration, complex: ConnectivityComplex, mu: float) -> PairDistances:
-    """The boundary pairs' smoothed distances, kept for the gradient at the same configuration."""
-    return PairDistances(record.p.reshape(-1, 2), complex.boundary_pair_slots, mu)
+class PenaltyEvaluator:
+    """The penalty's terms at one point of ``complex``, each computed once and
+    read-only: at the configuration of a shared ``record``, which keeps them in
+    its memo, or, with ``record`` None, at the throwaway point :meth:`at` last met."""
+
+    def __init__(self, record: Configuration | None, complex: ConnectivityComplex | None):
+        self.complex, self._key = complex, None
+        if record is not None:
+            self._point(record.p, record.e, record.areas, None)
+        else:  # gathers whose results transpose to the layout of Configuration.e, local edge major
+            dofs = complex.vertex_dofs.transpose(1, 0, 2)
+            self._dofs = dofs[_AFTER_NEXT], dofs[_NEXT]
+
+    def _point(self, p, e, areas, ends):
+        self.p, self.e, self.areas, self._ends, self.total = p, e, areas, ends, areas.sum()
+        self._vals = self._slopes = self._distances = None
+
+    def at(self, coords: np.ndarray) -> "PenaltyEvaluator":
+        """Moved to ``coords``, unless they have the bytes of the last point; ``e`` comes
+        from two flat gathers laid out like ``Configuration.e``, so every term sums as there."""
+        key = coords.tobytes()
+        if key != self._key:
+            x = np.frombuffer(key, dtype=coords.dtype)  # the point's own read-only copy
+            heads, tails = x[self._dofs[0]], x[self._dofs[1]]
+            e = (heads - tails).transpose(1, 0, 2)
+            self._point(x[self.complex.vertex_dofs], e, edge_areas(e), (heads, tails))
+            self._key = key
+        return self
+
+    def quality(self) -> np.ndarray:
+        if self._vals is None:
+            if (self.areas <= 0.0).any():
+                raise NonpositiveArea("quality measure requires positive areas")
+            self._vals = read_only((self.e * self.e).sum(axis=(1, 2)) / (4.0 * SQRT3 * self.areas))
+        return self._vals
+
+    def slopes(self) -> tuple:
+        """Per-triangle derivatives of the area and the quality reciprocal, (N_T, 3, 2) each."""
+        if self._slopes is None:
+            p, e, vals = self.p, self.e, self.quality()  # raises on nonpositive areas
+            after_next, next_ = ((p[:, _AFTER_NEXT], p[:, _NEXT]) if self._ends is None
+                                 else (end.transpose(1, 0, 2) for end in self._ends))
+            # d area / d p_l = 0.5 * rot90(e_l), rot90 (x,y) -> (-y,x); adding 0.0 turns
+            # -0.0 into 0.0, as the matrix product 0.5 * e @ rot90.T it replaces did
+            darea = np.multiply(e[..., ::-1], _HALF_ROT90, order="C")
+            darea += 0.0
+            # d ssq / d p_l = 2 (2 p_l - p_{l+1} - p_{l+2})
+            dssq = 2.0 * (2.0 * p - next_ - after_next)
+            denom = 4.0 * SQRT3 * self.areas
+            dquality = (dssq - (4.0 * SQRT3 * vals)[:, None, None] * darea) / denom[:, None, None]
+            self._slopes = read_only(darea, dquality)
+        return self._slopes
+
+    def distances(self, mu: float) -> PairDistances:
+        """The boundary pairs' smoothed distances of width ``mu``; the last width's are kept."""
+        if self._distances is None or self._distances.mu != mu:
+            self._distances = PairDistances(self.p.reshape(-1, 2), self.complex.boundary_pair_slots, mu)
+        return self._distances
 
 
-def _boundary_term(record, complex, params):
-    if complex.boundary_pairs.shape[0] == 0:
-        return 0.0
-    recip = 1.0 / record.memo(_boundary_distances, complex, params.mu).dist
-    if params.cutoff_threshold is not None:
-        recip = cutoff(recip, params.cutoff_threshold)
-    return float(recip.sum()) / _boundary_scale(complex)
+def _terms(coords, complex, evaluator=None) -> PenaltyEvaluator:
+    """The terms at ``coords``: from ``evaluator`` if given, else kept by the shared record of ``coords``."""
+    if evaluator is None:
+        return configuration(coords, complex.triangles).memo(PenaltyEvaluator, complex)
+    return evaluator.at(coords)
+
+
+# ---------------------------------------------------------------------------
+# Penalty value and gradient
+# ---------------------------------------------------------------------------
+
+def _boundary_scale(complex):
+    return len(complex.boundary_edges) * len(complex.boundary_vertices)
 
 
 def penalty_value(
@@ -138,51 +189,29 @@ def penalty_value(
     qref: np.ndarray,
     complex: ConnectivityComplex,
     params: PenaltyParams,
+    evaluator: PenaltyEvaluator | None = None,
 ) -> float:
-    """Evaluate the mesh-quality penalty at ``coords`` with reference ``qref``."""
+    """Evaluate the mesh-quality penalty at ``coords`` with reference ``qref``, by ``evaluator`` if given."""
     a1, a2, a3, a4 = params.alpha
     value = 0.0
     if a1 != 0.0 or a2 != 0.0 or a3 != 0.0:
-        record = configuration(coords, complex.triangles)
+        terms = _terms(coords, complex, evaluator)
     if a1 != 0.0:
-        vals = record.memo(_quality_reciprocals)
+        vals = terms.quality()
         value += a1 * (vals.sum() / vals.size)  # np.mean's value, without its dispatch
     if a2 != 0.0:
-        value += a2 * _area_term(record.areas)
-    if a3 != 0.0:
-        value += a3 * _boundary_term(record, complex, params)
+        if terms.total <= 0.0:
+            raise NonpositiveArea("total mesh area must be positive")
+        value += a2 * (1.0 / terms.total)
+    if a3 != 0.0 and complex.boundary_pairs.shape[0] > 0:
+        recip = 1.0 / terms.distances(params.mu).dist
+        if params.cutoff_threshold is not None:
+            recip = cutoff(recip, params.cutoff_threshold)
+        value += a3 * (float(recip.sum()) / _boundary_scale(complex))
     if a4 != 0.0:
         diff = coords - qref
         value += 0.5 * a4 * float((diff * diff).sum())
     return value
-
-
-# ---------------------------------------------------------------------------
-# Derivatives
-# ---------------------------------------------------------------------------
-
-_HALF_ROT90 = np.array([-0.5, 0.5])  # (x, y) -> (-y, x) / 2 on reversed components
-
-
-def _boundary_scale(complex):
-    return len(complex.boundary_edges) * len(complex.boundary_vertices)
-
-
-def _area_and_quality_slopes(record: Configuration):
-    """Per-triangle derivatives of the area and the quality reciprocal, (N_T, 3, 2) each."""
-    p, e, areas = record.p, record.e, record.areas
-    vals = record.memo(_quality_reciprocals)  # raises on nonpositive areas
-    # d area / d p_l = 0.5 * rot90(e_l), rot90 (x,y) -> (-y,x); adding 0.0 turns
-    # -0.0 into 0.0, as the matrix product 0.5 * e @ rot90.T it replaces did
-    darea = np.multiply(e[..., ::-1], _HALF_ROT90, order="C")
-    darea += 0.0
-    # d ssq / d p_l = 2 (2 p_l - p_{l+1} - p_{l+2})
-    dssq = 2.0 * (2.0 * p - p[:, _NEXT] - p[:, _AFTER_NEXT])
-    denom = 4.0 * SQRT3 * areas
-    dquality = (dssq - (4.0 * SQRT3 * vals)[:, None, None] * darea) / denom[:, None, None]
-    for a in (darea, dquality):
-        a.setflags(write=False)
-    return darea, dquality
 
 
 def penalty_gradient(
@@ -190,31 +219,31 @@ def penalty_gradient(
     qref: np.ndarray,
     complex: ConnectivityComplex,
     params: PenaltyParams,
+    evaluator: PenaltyEvaluator | None = None,
 ) -> np.ndarray:
     """Exact gradient of :func:`penalty_value` in vec order (length ``2 N_V``)."""
     a1, a2, a3, a4 = params.alpha
-    terms = []  # (vec DOFs, contributions), summed in this order
+    parts = []  # (vec DOFs, contributions), summed in this order
     if a1 != 0.0 or a2 != 0.0 or a3 != 0.0:
-        record = configuration(coords, complex.triangles)
+        terms = _terms(coords, complex, evaluator)
     if a1 != 0.0 or a2 != 0.0:
-        darea, dquality = record.memo(_area_and_quality_slopes)
+        darea, dquality = terms.slopes()
         if a1 != 0.0:
-            terms.append((complex.vertex_dofs, (a1 / complex.num_triangles) * dquality))
+            parts.append((complex.vertex_dofs, (a1 / complex.num_triangles) * dquality))
         if a2 != 0.0:
-            total = record.areas.sum()
-            terms.append((complex.vertex_dofs, (-a2 / total**2) * darea))
+            parts.append((complex.vertex_dofs, (-a2 / terms.total**2) * darea))
     if a3 != 0.0 and complex.boundary_pairs.shape[0] > 0:
-        distances = record.memo(_boundary_distances, complex, params.mu)
+        distances = terms.distances(params.mu)
         dist, ddist = distances.dist, distances.gradients()
         # d/dd chi(1/d) = -chi'(1/d) / d^2, chi the identity without cutoff
         slope = -1.0 / dist**2
         if params.cutoff_threshold is not None:
             slope = slope * cutoff_prime(1.0 / dist, params.cutoff_threshold)
         w = (a3 / _boundary_scale(complex)) * slope
-        terms.append((complex.boundary_pair_dofs, w[:, None] * ddist))
+        parts.append((complex.boundary_pair_dofs, w[:, None] * ddist))
 
     n = 2 * complex.num_vertices
-    grad = scatter_add(n, *terms) if terms else np.zeros(n)
+    grad = scatter_add(n, *parts) if parts else np.zeros(n)
     if a4 != 0.0:
         grad += a4 * (coords - qref).ravel()
     return grad

@@ -1,21 +1,18 @@
 """The per-configuration record: what it caches equals an uncached
 computation byte for byte, is read-only, and is shared only where the inputs
-are the same."""
+are the same.  The geodesic's penalty evaluator, which takes the records'
+place at the points of one integration, equals them byte for byte."""
 
 import numpy as np
 import pytest
 
-from meshshape import fem, mesh as mesh_module, optimizer
+from meshshape import fem, geodesic, mesh as mesh_module, optimizer, penalty as penalty_module
 from meshshape.fem import assemble, constant_rhs, model_rhs, shape_derivative, solve_adjoint, solve_state
-from meshshape.mesh import SQRT3, SparsePattern, configuration
+from meshshape.geodesic import GeodesicConfig, retract_geodesic
+from meshshape.mesh import SQRT3, SparsePattern, configuration, free_dofs, make_disc_mesh
+from meshshape.metrics import MetricSpec
 from meshshape.optimizer import OptimizerConfig, steepest_descent
-from meshshape.penalty import (
-    PenaltyParams,
-    _area_and_quality_slopes,
-    _quality_reciprocals,
-    penalty_gradient,
-    penalty_value,
-)
+from meshshape.penalty import PenaltyEvaluator, PenaltyParams, penalty_gradient, penalty_value
 
 SET1 = PenaltyParams((1.0, 0.5, 0.0, 0.1))
 METRIC = PenaltyParams((10.0, 1.0, 0.1, 0.01))
@@ -81,13 +78,14 @@ def _cached_arrays(coords, cx, rhs):
     shape_derivative(coords, cx, y, p, rhs)
     penalty_gradient(coords, coords, cx, SET1)
     record = configuration(coords, cx.triangles)
-    darea, dquality = record.memo(_area_and_quality_slopes)
+    terms = record.memo(PenaltyEvaluator, cx)  # the penalty's terms, kept by the record
+    darea, dquality = terms.slopes()
     return record, {
         "p": record.p, "e": record.e, "areas": record.areas,
         "basis_gradients": record.basis_gradients, "centroids": record.centroids,
         "reduced.data": system.reduced.data, "load": system.load, "volume_weights": system.volume_weights,
         "centroid_rhs": record.memo(fem._centroid_rhs, rhs),
-        "quality": record.memo(_quality_reciprocals), "darea": darea, "dquality": dquality,
+        "quality": terms.quality(), "darea": darea, "dquality": dquality,
     }
 
 
@@ -205,3 +203,100 @@ def test_older_records_keep_only_their_geometry(mesh, rng):
         _assert_identical(again[name], cached[name])
     assert again["basis_gradients"] is not cached["basis_gradients"]
     assert again["load"] is not cached["load"]
+
+
+@pytest.mark.parametrize("rings", [1, 2, 5])
+def test_edge_vectors_are_local_edge_major(rings):
+    # the histories depend on this layout: the reductions over e sum in the order of its strides
+    cx, q = make_disc_mesh(rings)
+    e = configuration(q, cx.triangles).e
+    assert e.shape == (cx.num_triangles, 3, 2) and e.strides == (16, 16 * cx.num_triangles, 8)
+
+
+EVALUATOR_PARAMS = {
+    "a3-zero": PenaltyParams((10.0, 1.0, 0.0, 0.01)),
+    "a3": PenaltyParams((10.0, 1.0, 0.1, 0.01)),
+    "cutoff": PenaltyParams((10.0, 1.0, 0.1, 0.01), cutoff_threshold=0.4),
+}
+
+
+def _perturbed_points(rings, count=3):
+    cx, qref = make_disc_mesh(rings)
+    rng = np.random.default_rng(rings)
+    points = [qref + rng.uniform(-0.1, 0.1, size=qref.shape) / rings for _ in range(count)]
+    return cx, qref, points
+
+
+def _record_path(coords, qref, cx, params, free=None):
+    _fresh_cache()
+    value, grad = penalty_value(coords, qref, cx, params), penalty_gradient(coords, qref, cx, params)
+    return value, (grad if free is None else np.where(free, grad, 0.0)), configuration(coords, cx.triangles).e
+
+
+def _assert_same_value(got, want):
+    assert type(got) is type(want) and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("rings", [1, 2, 5])
+@pytest.mark.parametrize("name", EVALUATOR_PARAMS)
+@pytest.mark.parametrize("fixed", [False, True], ids=["free", "fixed-boundary"])
+def test_evaluator_equals_the_record_path(rings, name, fixed):
+    params = EVALUATOR_PARAMS[name]
+    cx, qref, points = _perturbed_points(rings)
+    mask = None
+    if fixed:
+        mask = np.zeros(cx.num_vertices, dtype=bool)
+        mask[cx.boundary_vertices] = True
+    phi_fn, w_fn = geodesic._penalty_field(MetricSpec.complete(params, qref), cx, mask)
+    evaluator = penalty_module.PenaltyEvaluator(None, cx)
+    for q in points:
+        value, grad, e = _record_path(q, qref, cx, params, free_dofs(mask))
+        _assert_identical(evaluator.at(q).e, e)
+        _assert_same_value(phi_fn(q), value)
+        _assert_identical(w_fn(q), grad)  # the gradient at the value's point, from its terms
+        _assert_same_value(phi_fn(q), value)
+
+
+@pytest.mark.parametrize("name", EVALUATOR_PARAMS)
+def test_evaluator_recomputes_every_other_point(name, monkeypatch):
+    params = EVALUATOR_PARAMS[name]
+    cx, qref, (q1, q2, q3) = _perturbed_points(2)
+    want = {key: _record_path(q, qref, cx, params)[:2] for key, q in (("q1", q1), ("q2", q2), ("q3", q3))}
+    built = []
+
+    class Counted(penalty_module.PairDistances):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(penalty_module, "PairDistances", Counted)
+    evaluator = penalty_module.PenaltyEvaluator(None, cx)
+
+    def check(coords, key):
+        _assert_same_value(penalty_value(coords, qref, cx, params, evaluator), want[key][0])
+        _assert_identical(penalty_gradient(coords, qref, cx, params, evaluator), want[key][1])
+
+    point = q1.copy()
+    check(point, "q1")
+    _assert_identical(penalty_gradient(q2, qref, cx, params, evaluator), want["q2"][1])  # gradient first
+    point[...] = q3  # the same array, other bytes
+    check(point, "q3")
+    check(q1.copy(), "q1")  # an earlier point, not the last one
+    assert len(built) == (4 if params.alpha[2] else 0)  # once per point: the value's, kept for its gradient
+
+
+def test_retraction_builds_records_for_its_snapshots_only(monkeypatch):
+    built = []
+
+    class Counted(mesh_module.Configuration):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(mesh_module, "Configuration", Counted)
+    cx, q = make_disc_mesh(1)
+    spec = MetricSpec.complete(PenaltyParams((10.0, 1.0, 0.0, 0.01)), q.copy())
+    v = 0.1 * np.random.default_rng(2).standard_normal(2 * cx.num_vertices)
+    _fresh_cache()
+    path = retract_geodesic(q, v, spec, GeodesicConfig(num_steps=64), cx)
+    assert len(path.snapshots) == 7 and len(built) <= 7  # the snapshots' area checks
