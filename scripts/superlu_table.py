@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Time SuperLU's supernode settings on the package's two SPD matrices.
+"""Time SuperLU's supernode settings on the package's SPD matrices.
 
 For the reduced P1 stiffness and the vector P1 elasticity metric on the
-deterministic discs, each factored as stored (``mesh.PREORDERED_LU``), print
+deterministic discs, the metric also with the boundary pinned (its matrix
+holds the free DOFs alone), each factored as stored (``mesh.PREORDERED_LU``), print
 the factor and solve times, min of ``--repeat`` repetitions, under SuperLU's
 default ``panel_size`` and ``relax`` and under the ones ``mesh.SPD_LU`` sets,
 with the ratio, the fill (``nnz`` of L plus U) and the largest relative
@@ -25,11 +26,19 @@ from scipy.sparse.linalg import splu
 
 from meshshape.fem import assemble, model_rhs
 from meshshape.mesh import PREORDERED_LU, make_disc_mesh
-from meshshape.metrics import assemble_elasticity
+from meshshape.metrics import MetricOperator, MetricSpec, assemble_elasticity
+
+
+def _pinned_elasticity(cx, q):
+    boundary = np.zeros(cx.num_vertices, dtype=bool)
+    boundary[cx.boundary_vertices] = True
+    return MetricOperator(MetricSpec.elasticity(), q, cx, fixed_mask=boundary)._matrix
+
 
 MATRICES = (
     ("P1", lambda cx, q: assemble(q, cx, model_rhs()).reduced),
     ("elasticity", lambda cx, q: assemble_elasticity(q, cx)),
+    ("pinned", _pinned_elasticity),
 )
 SUPERNODE_KEYS = ("panel_size", "relax")
 

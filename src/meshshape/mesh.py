@@ -131,15 +131,8 @@ class ConnectivityComplex:
 
     @cached_property
     def interior_p1_pattern(self) -> "SparsePattern":
-        """CSC pattern of the P1 stiffness restricted to ``interior_vertices``
-        in ``interior_order``, each entry summed in the order of ``p1_pattern``."""
-        full, keep, size = self.p1_pattern, self.interior_order, self.num_vertices
-        nnz = len(full.indices)
-        ids = sparse.csr_matrix((np.arange(1.0, nnz + 1), full.indices, full.indptr), shape=(size, size))
-        sub = ids[keep][:, keep].tocsc()  # the slicing replayed on the slot ids
-        slot = np.full(nnz + 1, sub.nnz)
-        slot[sub.data.astype(np.int64) - 1] = np.arange(sub.nnz)
-        return SparsePattern(sparse.csc_matrix, sub.indptr, sub.indices, full.order, slot[full.slots])
+        """CSC pattern of the P1 stiffness restricted to ``interior_vertices`` in ``interior_order``."""
+        return self.p1_pattern.restricted(self.interior_order)
 
     @cached_property
     def elasticity_pattern(self) -> "SparsePattern":
@@ -197,6 +190,16 @@ class SparsePattern:
         data = np.bincount(self.slots, weights=weights, minlength=len(self.indices) + 1)
         size = len(self.indptr) - 1
         return self.container((data[:-1], self.indices, self.indptr), shape=(size, size))
+
+    def restricted(self, keep: np.ndarray) -> "SparsePattern":
+        """CSC rows and columns ``keep``, in that order: its :meth:`matrix` is
+        ``self.matrix(values)[keep][:, keep].tocsc()``, byte for byte, each entry summed in this order."""
+        nnz, size = len(self.indices), len(self.indptr) - 1
+        ids = self.container((np.arange(1.0, nnz + 1), self.indices, self.indptr), shape=(size, size))
+        sub = ids[keep][:, keep].tocsc()  # the slicing replayed on the slot ids
+        slot = np.full(nnz + 1, sub.nnz)
+        slot[sub.data.astype(np.int64) - 1] = np.arange(sub.nnz)
+        return SparsePattern(sparse.csc_matrix, sub.indptr, sub.indices, self.order, slot[self.slots])
 
 
 # SuperLU options for the symmetric positive definite matrices assembled on

@@ -5,12 +5,12 @@ Three kinds: the Euclidean metric (identity), a linear-elasticity metric
 assembled fresh at the current configuration) and a rank-one metric
 ``I + g g^T`` built from the gradient of the mesh-quality penalty, which the
 derivative-to-gradient solve inverts in closed form (Sherman-Morrison).  The
-SPD elasticity matrix is assembled in the complex's fill-reducing ``dof_order``,
-in which SuperLU factors its columns, in symmetric mode.  The matrix moves little
-from one iterate to the next, so an operator built with ``previous`` keeps that
-operator's LU as the preconditioner of :func:`~meshshape.mesh.checked_solve`,
-the one SPD solve of the package; it factors its own matrix only when
-``CG_MAX_ITER`` iterations on the kept LU miss ``RESIDUAL_TOL``.
+SPD elasticity matrix is assembled in the complex's fill-reducing ``dof_order``, on
+the free DOFs alone when vertices are pinned; SuperLU factors its columns in that
+order, in symmetric mode.  It moves little from one iterate to the next, so an
+operator built with ``previous`` keeps that operator's LU as the preconditioner of
+:func:`~meshshape.mesh.checked_solve`, the one SPD solve of the package; it factors
+its own matrix only when ``CG_MAX_ITER`` iterations on the kept LU miss ``RESIDUAL_TOL``.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import NonpositiveArea, SingularSystem
-from .mesh import PREORDERED_LU, ConnectivityComplex, checked_solve, configuration, free_dofs
+from .mesh import PREORDERED_LU, ConnectivityComplex, SparsePattern, checked_solve, configuration, free_dofs
 from .penalty import PenaltyParams, penalty_gradient
 
 EUCLIDEAN = "euclidean"
@@ -75,10 +74,10 @@ class MetricSpec:
 _VECTOR_MASS = np.kron((np.ones((3, 3)) + np.eye(3)) / 12.0, np.eye(2))
 
 
-def assemble_elasticity(coords: np.ndarray, complex: ConnectivityComplex):
-    """Vector P1 elasticity stiffness with Lame constants ``MU`` and ``LAM``
-    plus ``DELTA`` times the vector L2 Gram matrix of the hat functions, rows
-    and columns in ``complex.dof_order``."""
+def assemble_elasticity(coords: np.ndarray, complex: ConnectivityComplex, pattern: SparsePattern | None = None):
+    """Vector P1 elasticity stiffness with Lame constants ``MU`` and ``LAM`` plus
+    ``DELTA`` times the vector L2 Gram matrix of the hat functions, on ``pattern``:
+    by default ``complex.elasticity_pattern``, in ``dof_order``, or a restriction of it."""
     record = configuration(coords, complex.triangles)
     areas = record.areas
     if np.any(areas <= 0.0):
@@ -99,18 +98,19 @@ def assemble_elasticity(coords: np.ndarray, complex: ConnectivityComplex):
     mass = areas[:, None, None] * _VECTOR_MASS  # the vector P1 Gram block
     mass *= DELTA
     k_loc += mass
-    return complex.elasticity_pattern.matrix(k_loc)
+    return (pattern or complex.elasticity_pattern).matrix(k_loc)
 
 
 class MetricOperator:
     """Metric at a fixed configuration: apply, solve, and norm.
 
-    An optional per-vertex boolean mask restricts the metric to the
-    complementary (free) subspace; masked coordinates are pinned to zero in
-    both inputs and outputs of ``solve``.  An elasticity operator built with
-    ``previous``, an elasticity operator with the same mask, takes over its LU
-    as the preconditioner of ``solve`` instead of factoring; ``previous`` is
-    spent, its matrix and LU released.
+    An optional per-vertex boolean mask restricts the metric to the complementary
+    (free) subspace, the elasticity metric to the free DOFs of ``dof_order``
+    (``_order``); masked coordinates are zero in both inputs and outputs of
+    ``solve`` and in the output of an elasticity ``apply``.  An elasticity
+    operator built with ``previous``, one on the same complex with the same mask,
+    takes over its pattern and its LU, which preconditions ``solve`` instead of a
+    factorization; ``previous`` is spent, its matrix and LU released.
     """
 
     def __init__(self, spec: MetricSpec, coords, complex, fixed_mask=None, previous=None):
@@ -118,22 +118,18 @@ class MetricOperator:
         self.n = 2 * complex.num_vertices
         self._free = free_dofs(fixed_mask)
         if spec.kind == ELASTICITY:
-            self._lu = None
+            self._complex, self._lu, self._pattern = complex, None, None
             if previous is not None and previous.spec.kind == ELASTICITY:
-                if previous.n == self.n and np.array_equal(previous._free, self._free):
-                    self._lu = previous._lu
+                if previous._complex is complex and np.array_equal(previous._free, self._free):
+                    self._lu, self._pattern, self._order = previous._lu, previous._pattern, previous._order
                 previous._matrix = previous._lu = None
             self._lagged = self._lu is not None
-            self._order, self._place = complex.dof_order, np.argsort(complex.dof_order)
-            mat = assemble_elasticity(coords, complex)
-            if self._free is not None:  # identity rows and columns for the fixed DOFs: no new fill
-                fixed, rows = ~self._free[self._order], mat.indices
-                cols = np.repeat(np.arange(self.n), np.diff(mat.indptr))
-                keep = ~(fixed[rows] | fixed[cols]) | (rows == cols)
-                indptr = np.r_[0, np.cumsum(np.bincount(cols[keep], minlength=self.n))]
-                data = np.where(fixed[rows], 1.0, mat.data)[keep]
-                mat = sparse.csc_matrix((data, rows[keep], indptr), shape=mat.shape)
-            self._matrix = mat
+            if self._pattern is None:  # restricted once per mask, then handed on
+                self._pattern, self._order = complex.elasticity_pattern, complex.dof_order
+                if self._free is not None:
+                    keep = np.flatnonzero(self._free[self._order])
+                    self._pattern, self._order = self._pattern.restricted(keep), self._order[keep]
+            self._matrix = assemble_elasticity(coords, complex, self._pattern)
             if self._lu is None:
                 self._factorize()
         elif spec.kind == COMPLETE:
@@ -155,14 +151,10 @@ class MetricOperator:
         if self.spec.kind == EUCLIDEAN:
             return np.array(v, dtype=float)
         if self.spec.kind == ELASTICITY:
-            return (self._matrix @ v[self._order])[self._place]
+            return self._scattered(self._matrix @ v[self._order])
         return v + self._g * (self._g @ v)
 
     def solve(self, d: np.ndarray) -> np.ndarray:
-        if self._free is not None:
-            d = np.where(self._free, d, 0.0)
-        if self.spec.kind == EUCLIDEAN:
-            return np.array(d, dtype=float)
         if self.spec.kind == ELASTICITY:
             d = d[self._order]
             x = checked_solve(self._matrix, self._lu, d)
@@ -171,9 +163,18 @@ class MetricOperator:
                 x = checked_solve(self._matrix, self._lu, d)
             if x is None:
                 raise SingularSystem("metric solve residual too large or non-finite")
-            return x[self._place]
+            return self._scattered(x)
+        if self._free is not None:
+            d = np.where(self._free, d, 0.0)
+        if self.spec.kind == EUCLIDEAN:
+            return np.array(d, dtype=float)
         g = self._g
         return d - g * ((g @ d) / (1.0 + g @ g))
+
+    def _scattered(self, x: np.ndarray) -> np.ndarray:  # x at _order, zeros elsewhere
+        out = np.zeros(self.n)
+        out[self._order] = x
+        return out
 
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(max(v @ self.apply(v), 0.0)))

@@ -122,13 +122,11 @@ class RunResult:
 
 
 def initial_step(n, prev_step, prev_pairing, cur_pairing, grad_norm_metric):
-    """Initial trial step: carry over the previous first-order decrease,
-    resetting to ``1 / |d|`` on the first iteration or when the carried-over
-    step becomes tiny relative to the direction norm."""
-    if cur_pairing >= 0.0:
-        raise NonDescentDirection(f"pairing {cur_pairing} at iteration {n}")
-    if grad_norm_metric <= 0.0:
-        raise ValueError("direction norm must be positive")
+    """Initial trial step: carry over the previous first-order decrease, resetting to ``1 / |d|``
+    on the first iteration or when the carried-over step becomes tiny relative to the direction
+    norm; raises unless the pairing is negative and the norm finite and positive (not NaN)."""
+    if not (cur_pairing < 0.0 and 0.0 < grad_norm_metric < np.inf):
+        raise NonDescentDirection(f"pairing {cur_pairing}, direction norm {grad_norm_metric} at iteration {n}")
     if n == 0:
         return 1.0 / grad_norm_metric
     candidate = prev_step * prev_pairing / cur_pairing
@@ -190,7 +188,7 @@ def armijo_search(
     s = s_init
     backtracks = 0
     while True:
-        if s < STEP_FLOOR:
+        if not s >= STEP_FLOOR:  # a NaN step too
             raise StepFloorFailure(f"trial step {s:.3e} below floor {STEP_FLOOR:.3e}")
         ok = s < s_crit
         if ok:

@@ -48,6 +48,8 @@ class PenaltyParams:
     def __post_init__(self):
         if len(self.alpha) != 4:
             raise ValueError("alpha must have four entries")
+        if not np.all(np.isfinite([*self.alpha, self.mu, self.cutoff_threshold or 1.0])):
+            raise ValueError("alpha, mu and cutoff_threshold must be finite")
         if any(a < 0 for a in self.alpha):
             raise ValueError("alpha entries must be nonnegative")
         if self.mu <= 0:
@@ -63,11 +65,6 @@ class PenaltyParams:
 # ---------------------------------------------------------------------------
 # Quality measure
 # ---------------------------------------------------------------------------
-
-def quality_reciprocals(coords: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Per-triangle sum of squared edge lengths over ``4 sqrt(3)`` times the area (>= 1)."""
-    return PenaltyEvaluator(configuration(coords, triangles), None).quality()
-
 
 def mesh_quality(coords: np.ndarray, complex: ConnectivityComplex) -> float:
     """Mean quality reciprocal over all triangles; 1 for all-equilateral meshes."""

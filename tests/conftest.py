@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from meshshape.errors import DegenerateEdge
-from meshshape.mesh import PairDistances, make_disc_mesh, make_square5_mesh
-from meshshape.penalty import quality_reciprocals
+from meshshape.mesh import PairDistances, configuration, make_disc_mesh, make_square5_mesh
+from meshshape.penalty import PenaltyEvaluator
 
 
 @pytest.fixture(scope="session")
@@ -81,9 +81,9 @@ def height(coords, tri, ell):
 
 def quality_reciprocal(coords, tri):
     """Sum of squared edge lengths over ``4 sqrt(3)`` times the area (>= 1)
-    of one triangle, from the vectorized ``quality_reciprocals``."""
-    vals = quality_reciprocals(coords, np.asarray(tri, dtype=np.int64).reshape(1, 3))
-    return float(vals[0])
+    of one triangle, from the record's ``PenaltyEvaluator``, as ``mesh_quality``."""
+    record = configuration(coords, np.asarray(tri, dtype=np.int64).reshape(1, 3))
+    return float(record.memo(PenaltyEvaluator, None).quality()[0])
 
 
 def regularized_distance(coords, vertex, edge, mu):

@@ -65,6 +65,11 @@ ERROR_CASES = {
                                            "--out", "{out}"], EXIT_USAGE),
     "experiment-negative-compcomp-cap": (["experiment", "1", "--compcomp-cap", "-1", "--out", "{out}"],
                                          EXIT_USAGE),
+    "optimize-infinite-penalty": (["optimize", "--mesh", "disc:3", "--variant", "EucEuc", "--penalty", "a4=inf",
+                                   "--out", "{out}"], EXIT_USAGE),
+    "optimize-nan-metric-alpha": (["optimize", "--mesh", "disc:1", "--variant", "CompEuc", "--metric-alpha",
+                                   "a1=nan,a2=1,a4=1", "--out", "{out}"], EXIT_USAGE),
+    "optimize-nan-mu": (["optimize", "--mesh", "disc:1", "--mu", "nan", "--out", "{out}"], EXIT_USAGE),
     "check-malformed-mesh": (["check", "--mesh", "{malformed}"], EXIT_USAGE),
     "eval-malformed-penalty": (["eval", "--mesh", "disc:2", "--which", "phi", "--penalty", "a1=x"],
                                EXIT_USAGE),
@@ -240,6 +245,22 @@ def test_optimize_failure_inside_the_optimizer_writes_outputs(tmp_path, monkeypa
     history = (out / "history.csv").read_text().splitlines()
     assert len(history) == 2 and history[1].startswith("0,")  # the header and the terminal row
     assert (out / "timing.csv").read_text().startswith("phase,seconds\n")
+
+
+def test_optimize_nan_derivative_ends_at_the_step_floor(tmp_path, monkeypatch, capsys):
+    from meshshape import optimizer
+
+    def nan_derivative(coords, *args):
+        return np.full(coords.size, np.nan)
+
+    monkeypatch.delenv("MESHSHAPE_OUT", raising=False)
+    monkeypatch.setattr(optimizer, "shape_derivative", nan_derivative)
+    out = tmp_path / "f"
+    code = run(["optimize", "--mesh", "disc:2", "--variant", "EucEuc", "--out", str(out)])
+    assert code == EXIT_OPT_FAILURE
+    assert capsys.readouterr().out.startswith("status: StepFloorFailure  iterations: 0 ")
+    history = (out / "history.csv").read_text().splitlines()
+    assert len(history) == 2 and history[1].startswith("0,")  # the header and the terminal row
 
 
 def test_optimize_fix_boundary_square5(tmp_path, capsys):

@@ -251,6 +251,35 @@ def test_pattern_assembly_matches_coo(mesh):
     assert _same_arrays(assemble_elasticity(q, cx), elasticity)
 
 
+def _restriction(cx, case, rng):
+    """The pattern, kept rows and columns, and element blocks of one case."""
+    if case == "p1-interior":
+        return cx.p1_pattern, cx.interior_order, rng.standard_normal((cx.num_triangles, 3, 3))
+    mask = np.zeros(cx.num_vertices, dtype=bool)
+    if case == "elasticity-boundary":
+        mask[cx.boundary_vertices] = True
+    else:  # a random set of interior vertices
+        mask[cx.interior_vertices] = rng.random(len(cx.interior_vertices)) < 0.3
+    keep = np.flatnonzero(~np.repeat(mask, 2)[cx.dof_order])  # places in dof_order
+    return cx.elasticity_pattern, keep, rng.standard_normal((cx.num_triangles, 6, 6))
+
+
+def _same_bytes(a, b):
+    return a.format == b.format and all(
+        getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize("rings", [3, 7])
+@pytest.mark.parametrize("case", ["p1-interior", "elasticity-boundary", "elasticity-random"])
+def test_restricted_pattern_is_the_sliced_matrix(rings, case, rng):
+    cx, _ = _perturbed_disc(rings, 5)
+    pattern, keep, values = _restriction(cx, case, rng)
+    sliced = pattern.matrix(values)[keep][:, keep].tocsc()
+    assert _same_bytes(pattern.restricted(keep).matrix(values), sliced)
+    if case == "p1-interior":
+        assert _same_bytes(cx.interior_p1_pattern.matrix(values), sliced)
+
+
 @pytest.mark.parametrize("refinements", [0, 2])
 def test_symmetric_mode_state_residual(refinements):
     # The criterion-1 square with its center at (0, 1 - eps), eps = 1e-3,

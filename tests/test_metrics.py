@@ -97,24 +97,21 @@ def test_closed_form_elasticity_matches_einsum(rings, perturb, rng):
         assert getattr(mat, field).tobytes() == getattr(ref, field).tobytes()
 
 
-def test_pinned_elasticity_matches_lil_assignment(disc3, rng):
+def test_pinned_elasticity_is_the_free_block(disc3, rng):
     cx, q = disc3
     q = q.copy()
     q[cx.interior_vertices] += rng.uniform(-0.05, 0.05, size=(len(cx.interior_vertices), 2))
     mask = np.zeros(cx.num_vertices, dtype=bool)
     mask[cx.boundary_vertices] = True
-    # The masked matrix as it was built before: assignments on a LIL copy,
-    # which keep no explicit zero in the fixed rows and columns, in dof_order.
-    ref = assemble_elasticity(q, cx).tolil()
-    fixed = np.flatnonzero(np.repeat(mask, 2)[cx.dof_order])
-    ref[fixed, :] = 0.0
-    ref[:, fixed] = 0.0
-    ref[fixed, fixed] = 1.0
-    ref = ref.tocsc()
-    mat = MetricOperator(MetricSpec.elasticity(), q, cx, fixed_mask=mask)._matrix
-    assert mat.format == "csc"
+    # the rows and columns of the free DOFs of the unpinned matrix, in dof_order
+    keep = np.flatnonzero(~np.repeat(mask, 2)[cx.dof_order])
+    ref = assemble_elasticity(q, cx)[keep][:, keep]
+    op = MetricOperator(MetricSpec.elasticity(), q, cx, fixed_mask=mask)
+    assert np.array_equal(op._order, cx.dof_order[keep])
+    mat = op._matrix
+    assert mat.format == ref.format == "csc"
     for field in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(mat, field), getattr(ref, field))
+        assert getattr(mat, field).tobytes() == getattr(ref, field).tobytes()
 
 
 def test_metric_symmetry_and_spd(disc2, rng):
@@ -310,8 +307,8 @@ def test_singular_elasticity_matrix_raises(disc7_moves, monkeypatch, pivot):
     spec = MetricSpec.elasticity()
     kept = MetricOperator(spec, qref, cx)
 
-    def singular(coords, complex):  # the first stored DOF's row and column: the pivot alone
-        mat = assemble_elasticity(coords, complex).copy()
+    def singular(coords, complex, pattern):  # the first stored DOF's row and column: the pivot alone
+        mat = assemble_elasticity(coords, complex, pattern).copy()
         cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
         first = (mat.indices == 0) | (cols == 0)
         mat.data[first] = np.where(mat.indices[first] == cols[first], pivot, 0.0)
@@ -330,12 +327,13 @@ def test_fresh_operator_solves_directly(disc7_moves, rng):
     mask = np.zeros(cx.num_vertices, dtype=bool)
     mask[cx.boundary_vertices] = True
     free = ~np.repeat(mask, 2)
-    order, place = cx.dof_order, np.argsort(cx.dof_order)
-    for fixed_mask, rhs_mask in ((None, True), (mask, free)):
+    for fixed_mask, order in ((None, cx.dof_order), (mask, cx.dof_order[free[cx.dof_order]])):
         op = MetricOperator(MetricSpec.elasticity(), moved, cx, fixed_mask=fixed_mask)
+        assert np.array_equal(op._order, order)
         d = rng.standard_normal(op.n)
-        # the direct solve: one factorization of the operator's matrix, one LU solve
-        direct = splu(op._matrix, **PREORDERED_LU).solve(np.where(rhs_mask, d, 0.0)[order])[place]
+        # the direct solve in the operator's order: one factorization of its matrix, one LU solve
+        direct = np.zeros(op.n)
+        direct[order] = splu(op._matrix, **PREORDERED_LU).solve(d[order])
         assert op.solve(d).tobytes() == direct.tobytes()
 
 

@@ -50,6 +50,13 @@ def test_initial_step_requires_descent():
         initial_step(1, 1.0, -1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("pairing,norm", [(np.nan, 1.0), (-1.0, np.nan), (-1.0, np.inf), (-1.0, 0.0)])
+@pytest.mark.parametrize("n", [0, 3])
+def test_initial_step_rejects_non_finite_input(n, pairing, norm):
+    with pytest.raises(NonDescentDirection):
+        initial_step(n, 1.0, -1.0, pairing, norm)
+
+
 # -- safeguard ---------------------------------------------------------------
 
 def test_safeguard_zero_direction(square5):
@@ -150,6 +157,13 @@ def test_armijo_step_floor_failure():
 
     with pytest.raises(StepFloorFailure):
         armijo_search(evaluate, coords, None, d, 1.0, -1.0, 0.0)
+
+
+def test_armijo_nan_step_is_below_the_floor():
+    coords = np.array([[0.0, 0.0]])
+    d = np.array([1.0, 0.0])
+    with pytest.raises(StepFloorFailure):
+        armijo_search(lambda c: -1.0, coords, None, d, float("nan"), -1.0, 0.0)
 
 
 def test_armijo_nan_treated_as_failure():

@@ -52,18 +52,27 @@ def test_every_factorization_keeps_the_stored_order(monkeypatch, fixed_boundary)
     assert set(calls) == {("NATURAL", True)}
 
 
-@pytest.mark.parametrize("max_iter", [1, 12])
-def test_each_pattern_is_ordered_once_per_run(monkeypatch, max_iter):
-    orderings = []
+@pytest.mark.parametrize("max_iter,fixed_boundary", [(1, False), (12, False), (12, True)],
+                         ids=["1", "12", "12-pinned"])
+def test_each_pattern_is_ordered_once_per_run(monkeypatch, max_iter, fixed_boundary):
+    orderings, restrictions = [], []
+    restricted = mesh.SparsePattern.restricted
 
     def spy(matrix, **options):
         orderings.append(options["permc_spec"])
         return spilu(matrix, **options)
 
+    def count(pattern, keep):
+        restrictions.append(keep)
+        return restricted(pattern, keep)
+
     monkeypatch.setattr(mesh, "spilu", spy)
-    result = _elaseuc(3, max_iter)
+    monkeypatch.setattr(mesh.SparsePattern, "restricted", count)
+    result = _elaseuc(3, max_iter, fixed_boundary)
     assert result.history[-1].iter == max_iter
-    assert orderings == ["MMD_AT_PLUS_A"] * 2  # the interior P1 graph and the full one
+    # the interior P1 graph and the full one; a pinned metric keeps the full one's order
+    assert orderings == ["MMD_AT_PLUS_A"] * 2
+    assert len(restrictions) == (2 if fixed_boundary else 1)  # the P1 interior, the pinned metric once
 
 
 # -- SuperLU's supernode settings ------------------------------------------------
@@ -75,7 +84,7 @@ def _pinned(cx):
 
 
 # The reduced P1 matrix holds the interior vertices alone, so a pinned boundary
-# leaves it as it is; the elasticity metric gets identity rows for the pinned DOFs.
+# leaves it as it is; the pinned elasticity metric holds the free DOFs alone.
 FACTORED = {
     "p1": lambda cx, q: assemble(q, cx, model_rhs()).reduced,
     "elasticity": lambda cx, q: MetricOperator(MetricSpec.elasticity(), q, cx)._matrix,

@@ -19,7 +19,6 @@ from meshshape.penalty import (
     mesh_quality,
     penalty_gradient,
     penalty_value,
-    quality_reciprocals,
 )
 
 from conftest import central_difference, quality_reciprocal, random_admissible_triangle
