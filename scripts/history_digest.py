@@ -49,6 +49,9 @@ CASES = (
     # several rings of triangles under the geodesic's penalty evaluator, not only the 7- and 19-vertex discs
     ("compcomp-disc5", ["optimize", "--variant", "CompComp", "--mesh", "disc:5", "--max-iter", "1"]),
     ("compeuc-set1-disc12", ["optimize", "--variant", "CompEuc", "--penalty", "set1", "--mesh", "disc:12"]),
+    # every penalty set has a3 = 0: this puts the objective's boundary term, with its cutoff, on the record path
+    ("compeuc-a3-cutoff-disc5", ["optimize", "--variant", "CompEuc", "--mesh", "disc:5", "--penalty",
+                                 "a1=1,a2=0.5,a3=0.01,a4=0.1", "--cutoff", "0.4", "--max-iter", "30"]),
     ("exp3", ["experiment", "3", "--rings", "3", "--max-iter", "20"]),
     # the two failure exits (exit 3): the line-search step floor and a singular adjoint system
     ("euceuc-disc5", ["optimize", "--variant", "EucEuc", "--mesh", "disc:5", "--max-iter", "1000", "--tol", "0"]),

@@ -125,7 +125,7 @@ def _outdir(out) -> Path:
 
 def cmd_check(args) -> int:
     complex, coords = load_mesh(args.mesh)
-    areas = signed_areas(coords, complex.triangles)
+    areas = signed_areas(coords, complex)
     admissible = is_admissible(complex, coords, check_intersections=True)
     print(f"vertices: {complex.num_vertices}")
     print(f"triangles: {complex.num_triangles}")

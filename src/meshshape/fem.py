@@ -20,7 +20,8 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import NonpositiveArea, SingularSystem
-from .mesh import PREORDERED_LU, ConnectivityComplex, Configuration, checked_solve, configuration, scatter_add, signed_areas
+from .mesh import (PREORDERED_LU, ConnectivityComplex, Configuration, checked_solve, configuration, read_only,
+                   scatter_add, signed_areas)
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class AssembledSystem:
 def assemble(coords: np.ndarray, complex: ConnectivityComplex, rhs: RhsField) -> AssembledSystem:
     """Assemble the reduced stiffness, load and volume weights on the current
     mesh, once per :class:`~meshshape.mesh.Configuration` and ``rhs``."""
-    record = configuration(coords, complex.triangles)
+    record = configuration(coords, complex)
     if np.any(record.areas <= 0.0):
         raise NonpositiveArea("assembly requires positive areas")
     return record.memo(_assembled_system, complex, rhs)
@@ -82,17 +83,14 @@ def _assembled_system(record: Configuration, complex: ConnectivityComplex, rhs: 
     load = scatter_add(n_v, (tris, np.repeat(areas * record.memo(_centroid_rhs, rhs) / 3.0, 3)))
     weights = scatter_add(n_v, (tris, np.repeat(areas / 3.0, 3)))
     reduced = complex.interior_p1_pattern.matrix(k_loc)
-    for a in (reduced.data, load, weights):
-        a.setflags(write=False)
+    read_only(reduced.data, load, weights)
     return AssembledSystem(reduced=reduced, load=load, volume_weights=weights, interior=complex.interior_order)
 
 
 def _centroid_rhs(record: Configuration, rhs: RhsField) -> np.ndarray:
     """The right-hand side at the triangle centroids (the load's quadrature points)."""
     centroids = record.centroids
-    r_c = np.asarray(rhs.value(centroids[:, 0], centroids[:, 1]), dtype=float)
-    r_c.setflags(write=False)
-    return r_c
+    return read_only(np.asarray(rhs.value(centroids[:, 0], centroids[:, 1]), dtype=float))
 
 
 def _reduced_solve(system: AssembledSystem, rhs_full: np.ndarray) -> np.ndarray:
@@ -123,7 +121,7 @@ def solve_adjoint(system: AssembledSystem) -> np.ndarray:
 
 def objective_value(coords: np.ndarray, complex: ConnectivityComplex, y: np.ndarray) -> float:
     """Integral of the piecewise linear field ``y`` over the mesh (exact)."""
-    areas = signed_areas(coords, complex.triangles)
+    areas = signed_areas(coords, complex)
     return float(np.sum(areas * y[complex.triangles].mean(axis=1)))
 
 
@@ -143,7 +141,7 @@ def shape_derivative(
     gradient is *not* included here.
     """
     tris = complex.triangles
-    record = configuration(coords, tris)
+    record = configuration(coords, complex)
     areas = record.areas
     if np.any(areas <= 0.0):
         raise NonpositiveArea("derivative requires positive areas")

@@ -128,7 +128,7 @@ def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, c
             t = snap_times[step]
             snapshots.append((t, snap_coords))
             if complex is not None:
-                min_area = float(np.min(signed_areas(snap_coords, complex.triangles)))
+                min_area = float(np.min(signed_areas(snap_coords, complex)))
                 if min_area <= 0.0:
                     area_warnings.append((t, min_area))
                     logger.warning(

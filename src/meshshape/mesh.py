@@ -5,7 +5,9 @@ holding the purely combinatorial data (triangles, derived edges, boundary
 sets, triangle adjacency) and a vertex configuration, which is simply an
 ``(N_V, 2)`` float array whose row ``j`` is the position of vertex ``j``.
 What the package derives from one configuration is computed once, in its
-:class:`Configuration` record.
+:class:`Configuration` record, kept per complex; its gathered vertices, edge
+vectors and signed areas come from :func:`gather_geometry`, the one gather
+that the penalty's evaluator also calls at the geodesic's throwaway points.
 
 Vectorized quantities use the "vec" ordering throughout the package: the
 flattened coordinate vector is ``coords.ravel()``, i.e.
@@ -91,16 +93,15 @@ class ConnectivityComplex:
         return np.column_stack([vertex, edge])[keep]
 
     @cached_property
-    def boundary_pair_slots(self) -> np.ndarray:
-        """``boundary_pairs`` with each vertex given by its first place in the
-        flattened ``triangles``, so its row of ``coords[triangles].reshape(-1, 2)``."""
-        _, first = np.unique(self.triangles, return_index=True)  # every vertex is in a triangle
-        return first[self.boundary_pairs]
-
-    @cached_property
     def vertex_dofs(self) -> np.ndarray:
         """Vec-order DOFs ``2 i + c`` of each triangle's vertices, shape (N_T, 3, 2)."""
         return 2 * self.triangles[..., None] + np.arange(2)
+
+    @cached_property
+    def edge_end_dofs(self) -> np.ndarray:
+        """Vec-order DOFs of local vertices 1, 2, 0, 1 of each triangle, shape (4, N_T, 2): rows
+        ``[:3]`` are the tails and rows ``[1:]`` the heads of the edges opposite local vertices 0, 1, 2."""
+        return self.vertex_dofs.transpose(1, 0, 2)[[1, 2, 0, 1]]
 
     @cached_property
     def boundary_pair_dofs(self) -> np.ndarray:
@@ -292,7 +293,7 @@ def build_complex(triangles, num_vertices: int) -> ConnectivityComplex:
     ValueError
         If an index is out of range or a triangle repeats a vertex.
     """
-    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    tris = np.ascontiguousarray(triangles, dtype=np.int64).reshape(-1, 3)  # the gathers take its layout
     if num_vertices <= 0 or tris.shape[0] == 0:
         raise NotPure("complex has no triangles")
     if tris.min(initial=0) < 0 or tris.max(initial=-1) >= num_vertices:
@@ -363,26 +364,37 @@ def build_complex(triangles, num_vertices: int) -> ConnectivityComplex:
 # Elementary geometric quantities
 # ---------------------------------------------------------------------------
 
-_NEXT, _AFTER_NEXT = np.array([1, 2, 0]), np.array([2, 0, 1])  # local vertices l + 1, l + 2
 _CONFIGURATION_CACHE_SIZE = 3
-_configuration_cache = []  # (triangles, coords key, record), the latest first
+_configuration_cache = []  # (complex, coords key, record), the latest first
+
+
+def gather_geometry(x: np.ndarray, complex: ConnectivityComplex) -> tuple:
+    """``(p, e, areas, ends)`` of the flat vec-order coordinates ``x`` on ``complex``.
+
+    ``p`` (N_T, 3, 2) holds the gathered vertices, ``e[:, l] = p[:, l+2] -
+    p[:, l+1]`` (N_T, 3, 2) the edge vector opposite local vertex ``l``,
+    ``areas`` (N_T,) the signed areas and ``ends`` (4, N_T, 2) the edges' end
+    points at ``complex.edge_end_dofs``.  ``e`` is local edge major in memory
+    (strides ``(16, 16 N_T, 8)``), which fixes the order of every later sum over it.
+    """
+    ends = x[complex.edge_end_dofs]
+    e = (ends[1:] - ends[:3]).transpose(1, 0, 2)
+    return x[complex.vertex_dofs], e, 0.5 * (e[:, 2, 0] * e[:, 0, 1] - e[:, 2, 1] * e[:, 0, 0]), ends
 
 
 class Configuration:
-    """Everything derived from one vertex configuration on one triangle array.
+    """Everything derived from one vertex configuration on one complex.
 
-    ``p`` (N_T, 3, 2) holds the gathered vertices, ``e[:, l] = p[:, l+2] -
-    p[:, l+1]`` (N_T, 3, 2) the edge vector opposite local vertex ``l``, and
-    ``areas`` (N_T,) the signed areas; ``basis_gradients`` and ``centroids``
-    are computed on first use, and :meth:`memo` keeps what other layers
-    derive (the assembled P1 system, the penalty's quality terms).  Every
-    array is read-only, so all callers can share them.
+    ``x`` holds the flat read-only coordinates, and ``p``, ``e`` and
+    ``areas`` the geometry of :func:`gather_geometry`; ``basis_gradients``
+    and ``centroids`` are computed on first use, and :meth:`memo` keeps what
+    other layers derive (the assembled P1 system, the penalty's terms).
+    Every array is read-only, so all callers can share them.
     """
 
-    def __init__(self, coords: np.ndarray, triangles: np.ndarray):
-        p = coords[triangles]
-        e = p[:, _AFTER_NEXT] - p[:, _NEXT]  # local edge major in memory, which fixes later sums' order
-        self.p, self.e, self.areas = read_only(p, e, edge_areas(e))
+    def __init__(self, x: np.ndarray, complex: ConnectivityComplex):
+        self.x = x
+        self.p, self.e, self.areas = read_only(*gather_geometry(x, complex)[:3])
         self._memo = {}
 
     @cached_property
@@ -413,29 +425,25 @@ class Configuration:
         return result
 
 
-def edge_areas(e: np.ndarray) -> np.ndarray:
-    """Signed areas of triangles with the edge vectors ``e`` (N_T, 3, 2) of :class:`Configuration`."""
-    return 0.5 * (e[:, 2, 0] * e[:, 0, 1] - e[:, 2, 1] * e[:, 0, 0])
+def configuration(coords: np.ndarray, complex: ConnectivityComplex) -> Configuration:
+    """The :class:`Configuration` of ``coords`` on ``complex``.
 
-
-def configuration(coords: np.ndarray, triangles: np.ndarray) -> Configuration:
-    """The :class:`Configuration` of ``coords`` on ``triangles``.
-
-    The last three records are kept, keyed by the ``triangles`` array itself
-    (by identity) and by the shape, dtype and bytes of ``coords``, so every
+    The last three records are kept, keyed by ``complex`` itself (by
+    identity) and by the shape, dtype and bytes of ``coords``, so every
     layer asking about one vertex configuration shares one record, and
-    changing ``coords`` in place gives a fresh one.  The older two are
-    released: every layer reads derived quantities only at the configuration
-    it has just asked for, and they raised the peak memory.
+    changing ``coords`` in place gives a fresh one.  A record's ``x`` reads
+    the key's bytes.  The older two are released: every layer reads derived
+    quantities only at the configuration it has just asked for, and they
+    raised the peak memory.
     """
     key = (coords.tobytes(), coords.shape, coords.dtype)  # the bytes first: they tell records apart
     entries = _configuration_cache
-    for k, (tris, entry_key, record) in enumerate(entries):
-        if tris is triangles and entry_key == key:
+    for k, (cx, entry_key, record) in enumerate(entries):
+        if cx is complex and entry_key == key:
             break
     else:
-        record = Configuration(coords, triangles)
-        entries.append((triangles, key, record))
+        record = Configuration(np.frombuffer(key[0], coords.dtype), complex)
+        entries.append((complex, key, record))
         k = len(entries) - 1
     if k:
         entries[0][2].release()
@@ -444,14 +452,14 @@ def configuration(coords: np.ndarray, triangles: np.ndarray) -> Configuration:
     return record
 
 
-def signed_areas(coords: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+def signed_areas(coords: np.ndarray, complex: ConnectivityComplex) -> np.ndarray:
     """Signed areas of all triangles, vectorized."""
-    return configuration(coords, triangles).areas
+    return configuration(coords, complex).areas
 
 
-def heights(coords: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+def heights(coords: np.ndarray, complex: ConnectivityComplex) -> np.ndarray:
     """All heights as an (N_T, 3) array, sign following the signed area."""
-    record = configuration(coords, triangles)
+    record = configuration(coords, complex)
     lengths = np.sqrt(np.sum(record.e**2, axis=2))
     if np.any(lengths == 0.0):
         raise DegenerateEdge("zero-length edge has no height")
@@ -631,7 +639,7 @@ def is_admissible(complex: ConnectivityComplex, coords: np.ndarray, check_inters
     """
     if not np.all(np.isfinite(coords)):
         return False
-    areas = signed_areas(coords, complex.triangles)
+    areas = signed_areas(coords, complex)
     if not np.all(areas > 0.0):
         return False
     return not check_intersections or not any(_boundary_overlaps(complex, coords))

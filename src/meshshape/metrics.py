@@ -78,7 +78,7 @@ def assemble_elasticity(coords: np.ndarray, complex: ConnectivityComplex, patter
     """Vector P1 elasticity stiffness with Lame constants ``MU`` and ``LAM`` plus
     ``DELTA`` times the vector L2 Gram matrix of the hat functions, on ``pattern``:
     by default ``complex.elasticity_pattern``, in ``dof_order``, or a restriction of it."""
-    record = configuration(coords, complex.triangles)
+    record = configuration(coords, complex)
     areas = record.areas
     if np.any(areas <= 0.0):
         raise NonpositiveArea("metric assembly requires positive areas")

@@ -140,7 +140,7 @@ def safeguard_critical_step(coords, complex: ConnectivityComplex, d) -> float:
     incident height (inf if never)."""
     moves = np.linalg.norm(np.asarray(d, dtype=float).reshape(-1, 2), axis=1)
     tri_moves = moves[complex.triangles]  # (N_T, 3)
-    h = heights(coords, complex.triangles)
+    h = heights(coords, complex)
     active = tri_moves > 0.0
     if not np.any(active):
         return np.inf
@@ -198,7 +198,7 @@ def armijo_search(
                 ok = False  # retraction not computable at this scale
             else:
                 if complex is not None and not np.all(
-                    signed_areas(candidate, complex.triangles) > 0.0
+                    signed_areas(candidate, complex) > 0.0
                 ):
                     ok = False
         if ok:
@@ -313,7 +313,7 @@ def steepest_descent(
             s, new_coords, backtracks = armijo_search(
                 merit, coords, complex, d, s_init, pairing, total, trial_point=trial_point
             )
-            if not np.all(signed_areas(new_coords, complex.triangles) > 0.0):
+            if not np.all(signed_areas(new_coords, complex) > 0.0):
                 raise NonpositiveArea(f"accepted iterate {n + 1} has a nonpositive area")
         except MeshShapeError as exc:
             # a failed solve, line search or check ends the run at this iterate

@@ -21,11 +21,9 @@ from .mesh import (
     SQRT3,
     ConnectivityComplex,
     Configuration,
-    _AFTER_NEXT,
-    _NEXT,
     PairDistances,
     configuration,
-    edge_areas,
+    gather_geometry,
     read_only,
     scatter_add,
 )
@@ -111,27 +109,20 @@ class PenaltyEvaluator:
     read-only: at the configuration of a shared ``record``, which keeps them in
     its memo, or, with ``record`` None, at the throwaway point :meth:`at` last met."""
 
-    def __init__(self, record: Configuration | None, complex: ConnectivityComplex | None):
+    def __init__(self, record: Configuration | None, complex: ConnectivityComplex):
         self.complex, self._key = complex, None
-        if record is not None:
-            self._point(record.p, record.e, record.areas, None)
-        else:  # gathers whose results transpose to the layout of Configuration.e, local edge major
-            dofs = complex.vertex_dofs.transpose(1, 0, 2)
-            self._dofs = dofs[_AFTER_NEXT], dofs[_NEXT]
-
-    def _point(self, p, e, areas, ends):
-        self.p, self.e, self.areas, self._ends, self.total = p, e, areas, ends, areas.sum()
-        self._vals = self._slopes = self._distances = None
+        if record is not None:  # the record's geometry; slopes() gathers the edges' ends
+            self._x, self.p, self.e, self.areas, self._ends = record.x, record.p, record.e, record.areas, None
+            self.total, self._vals, self._slopes, self._distances = self.areas.sum(), None, None, None
 
     def at(self, coords: np.ndarray) -> "PenaltyEvaluator":
-        """Moved to ``coords``, unless they have the bytes of the last point; ``e`` comes
-        from two flat gathers laid out like ``Configuration.e``, so every term sums as there."""
+        """Moved to ``coords``, unless they have the bytes of the last point; the
+        geometry is :func:`~meshshape.mesh.gather_geometry`'s, as a record's."""
         key = coords.tobytes()
         if key != self._key:
-            x = np.frombuffer(key, dtype=coords.dtype)  # the point's own read-only copy
-            heads, tails = x[self._dofs[0]], x[self._dofs[1]]
-            e = (heads - tails).transpose(1, 0, 2)
-            self._point(x[self.complex.vertex_dofs], e, edge_areas(e), (heads, tails))
+            self._x = x = np.frombuffer(key, coords.dtype)  # the point's own read-only copy
+            self.p, self.e, self.areas, self._ends = gather_geometry(x, self.complex)
+            self.total, self._vals, self._slopes, self._distances = self.areas.sum(), None, None, None
             self._key = key
         return self
 
@@ -146,14 +137,15 @@ class PenaltyEvaluator:
         """Per-triangle derivatives of the area and the quality reciprocal, (N_T, 3, 2) each."""
         if self._slopes is None:
             p, e, vals = self.p, self.e, self.quality()  # raises on nonpositive areas
-            after_next, next_ = ((p[:, _AFTER_NEXT], p[:, _NEXT]) if self._ends is None
-                                 else (end.transpose(1, 0, 2) for end in self._ends))
+            if self._ends is None:
+                self._ends = self._x[self.complex.edge_end_dofs]
+            ends = self._ends.transpose(1, 0, 2)  # (N_T, 4, 2): local vertices 1, 2, 0, 1
             # d area / d p_l = 0.5 * rot90(e_l), rot90 (x,y) -> (-y,x); adding 0.0 turns
             # -0.0 into 0.0, as the matrix product 0.5 * e @ rot90.T it replaces did
             darea = np.multiply(e[..., ::-1], _HALF_ROT90, order="C")
             darea += 0.0
             # d ssq / d p_l = 2 (2 p_l - p_{l+1} - p_{l+2})
-            dssq = 2.0 * (2.0 * p - next_ - after_next)
+            dssq = 2.0 * (2.0 * p - ends[:, :3] - ends[:, 1:])
             denom = 4.0 * SQRT3 * self.areas
             dquality = (dssq - (4.0 * SQRT3 * vals)[:, None, None] * darea) / denom[:, None, None]
             self._slopes = read_only(darea, dquality)
@@ -162,14 +154,14 @@ class PenaltyEvaluator:
     def distances(self, mu: float) -> PairDistances:
         """The boundary pairs' smoothed distances of width ``mu``; the last width's are kept."""
         if self._distances is None or self._distances.mu != mu:
-            self._distances = PairDistances(self.p.reshape(-1, 2), self.complex.boundary_pair_slots, mu)
+            self._distances = PairDistances(self._x.reshape(-1, 2), self.complex.boundary_pairs, mu)
         return self._distances
 
 
 def _terms(coords, complex, evaluator=None) -> PenaltyEvaluator:
     """The terms at ``coords``: from ``evaluator`` if given, else kept by the shared record of ``coords``."""
     if evaluator is None:
-        return configuration(coords, complex.triangles).memo(PenaltyEvaluator, complex)
+        return configuration(coords, complex).memo(PenaltyEvaluator, complex)
     return evaluator.at(coords)
 
 

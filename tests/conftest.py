@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from meshshape.errors import DegenerateEdge
-from meshshape.mesh import PairDistances, configuration, make_disc_mesh, make_square5_mesh
+from meshshape.mesh import PairDistances, build_complex, configuration, make_disc_mesh, make_square5_mesh
 from meshshape.penalty import PenaltyEvaluator
 
 
@@ -82,8 +82,8 @@ def height(coords, tri, ell):
 def quality_reciprocal(coords, tri):
     """Sum of squared edge lengths over ``4 sqrt(3)`` times the area (>= 1)
     of one triangle, from the record's ``PenaltyEvaluator``, as ``mesh_quality``."""
-    record = configuration(coords, np.asarray(tri, dtype=np.int64).reshape(1, 3))
-    return float(record.memo(PenaltyEvaluator, None).quality()[0])
+    one = build_complex([(0, 1, 2)], 3)
+    return float(configuration(np.asarray(coords)[list(tri)], one).memo(PenaltyEvaluator, one).quality()[0])
 
 
 def regularized_distance(coords, vertex, edge, mu):

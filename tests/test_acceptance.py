@@ -150,7 +150,7 @@ def test_criterion_3_gradient_correctness():
         cx, q = make_disc_mesh(3)
         rng = np.random.default_rng(20240817)
         coords = q + 0.02 * rng.standard_normal(q.shape)
-        assert np.all(signed_areas(coords, cx.triangles) > 0)
+        assert np.all(signed_areas(coords, cx) > 0)
 
         params = PenaltyParams((1.0, 0.5, 0.25, 0.1), mu=0.1)
         grad = penalty_gradient(coords, q, cx, params)
@@ -331,7 +331,7 @@ def test_criterion_9_quadrature_exploitation_signature(unpenalized_runs):
     with report(9, "quadrature exploitation signature"):
         cx, runs = unpenalized_runs
         coords = runs["CompEuc"].final_coords
-        areas = signed_areas(coords, cx.triangles)
+        areas = signed_areas(coords, cx)
         centroids = coords[cx.triangles].mean(axis=1)
         r = model_rhs().value(centroids[:, 0], centroids[:, 1])
         largest = np.argsort(areas)[-5:]

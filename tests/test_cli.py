@@ -379,18 +379,32 @@ def test_experiment_1_geodesic_retraction_dominates(tmp_path):
     )
 
 
-def _digest_cases():
-    path = Path(__file__).parents[1] / "scripts" / "history_digest.py"
-    spec = importlib.util.spec_from_file_location("history_digest", path)
+def _script(name):
+    path = Path(__file__).parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return dict(module.CASES)
+    return module
 
 
-DIGEST_CASES = _digest_cases()
+DIGEST_CASES = dict(_script("history_digest").CASES)
 
 
 @pytest.mark.parametrize("argv", DIGEST_CASES.values(), ids=DIGEST_CASES.keys())
 def test_digest_cases_parse(argv):
     # the digest runs each case with its own --out; a removed option would exit 1
     cli.parse_args([*argv, "--out", "out"])
+
+
+def test_point_table_rows_parse(capsys):
+    # one repeat on disc:1, this checkout's package against a copy of itself under another name
+    _script("point_table").main(["--rings", "1", "--repeat", "1", "--against", str(Path(__file__).parents[1])])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[-3:] == ["against", "µs", "ratio"]
+    measures = []
+    for row in rows:
+        mesh, weights, measure, this, against, ratio = row.split()
+        assert mesh == "disc:1" and float(this) > 0 and float(against) > 0 and float(ratio) > 0
+        measures.append((weights, measure))
+    assert measures == [("-", "record"), *((w, m) for w in ("10/1/0/0.01", "10/1/0.1/0.01")
+                                             for m in ("value", "value+gradient"))]

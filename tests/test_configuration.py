@@ -9,7 +9,7 @@ import pytest
 from meshshape import fem, geodesic, mesh as mesh_module, optimizer, penalty as penalty_module
 from meshshape.fem import assemble, constant_rhs, model_rhs, shape_derivative, solve_adjoint, solve_state
 from meshshape.geodesic import GeodesicConfig, retract_geodesic
-from meshshape.mesh import SQRT3, SparsePattern, configuration, free_dofs, make_disc_mesh
+from meshshape.mesh import SQRT3, SparsePattern, build_complex, configuration, free_dofs, make_disc_mesh
 from meshshape.metrics import MetricSpec
 from meshshape.optimizer import OptimizerConfig, steepest_descent
 from meshshape.penalty import PenaltyEvaluator, PenaltyParams, penalty_gradient, penalty_value
@@ -77,7 +77,7 @@ def _cached_arrays(coords, cx, rhs):
     y, p = solve_state(system), solve_adjoint(system)
     shape_derivative(coords, cx, y, p, rhs)
     penalty_gradient(coords, coords, cx, SET1)
-    record = configuration(coords, cx.triangles)
+    record = configuration(coords, cx)
     terms = record.memo(PenaltyEvaluator, cx)  # the penalty's terms, kept by the record
     darea, dquality = terms.slopes()
     return record, {
@@ -124,11 +124,11 @@ def test_cached_arrays_are_read_only(mesh):
 def test_moving_coordinates_in_place_gives_a_fresh_record(mesh, rng):
     cx, q = mesh
     rhs = model_rhs()
-    before = configuration(q, cx.triangles)
+    before = configuration(q, cx)
     system_before = assemble(q, cx, rhs)
     load_before = system_before.load.copy()
     q[cx.interior_vertices] += rng.uniform(-0.01, 0.01, size=(len(cx.interior_vertices), 2))
-    after = configuration(q, cx.triangles)
+    after = configuration(q, cx)
     system_after = assemble(q, cx, rhs)
     assert after is not before and system_after is not system_before
     _assert_identical(system_before.load, load_before)  # the old record is untouched
@@ -196,7 +196,7 @@ def test_older_records_keep_only_their_geometry(mesh, rng):
     moved[cx.interior_vertices] += rng.uniform(-0.01, 0.01, size=(len(cx.interior_vertices), 2))
     assemble(moved, cx, rhs)
     # the geometry stays; the derived quantities are computed again, equal
-    assert configuration(q, cx.triangles) is record
+    assert configuration(q, cx) is record
     assert record.p is cached["p"] and record.e is cached["e"] and record.areas is cached["areas"]
     _, again = _cached_arrays(q, cx, rhs)
     for name in cached:
@@ -207,10 +207,14 @@ def test_older_records_keep_only_their_geometry(mesh, rng):
 
 @pytest.mark.parametrize("rings", [1, 2, 5])
 def test_edge_vectors_are_local_edge_major(rings):
-    # the histories depend on this layout: the reductions over e sum in the order of its strides
+    # the histories depend on this layout: the reductions over p and e sum in the order of their strides
     cx, q = make_disc_mesh(rings)
-    e = configuration(q, cx.triangles).e
-    assert e.shape == (cx.num_triangles, 3, 2) and e.strides == (16, 16 * cx.num_triangles, 8)
+    rotated = build_complex(cx.triangles[:, [1, 2, 0]], cx.num_vertices)  # built from a non-contiguous array
+    n = cx.num_triangles
+    for complex in (cx, rotated):
+        for point in (configuration(q, complex), PenaltyEvaluator(None, complex).at(q)):
+            assert point.p.shape == point.e.shape == (n, 3, 2)
+            assert point.p.strides == (48, 16, 8) and point.e.strides == (16, 16 * n, 8)
 
 
 EVALUATOR_PARAMS = {
@@ -230,7 +234,7 @@ def _perturbed_points(rings, count=3):
 def _record_path(coords, qref, cx, params, free=None):
     _fresh_cache()
     value, grad = penalty_value(coords, qref, cx, params), penalty_gradient(coords, qref, cx, params)
-    return value, (grad if free is None else np.where(free, grad, 0.0)), configuration(coords, cx.triangles).e
+    return value, (grad if free is None else np.where(free, grad, 0.0)), configuration(coords, cx).e
 
 
 def _assert_same_value(got, want):

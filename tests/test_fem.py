@@ -163,7 +163,7 @@ def test_shape_derivative_fd(disc3, rng):
 @given(seed=st.integers(0, 2**32 - 1), rings=st.integers(1, 3))
 def test_shape_derivative_matches_central_differences(seed, rings):
     cx, q = _perturbed_disc(rings, seed)
-    assert np.all(signed_areas(q, cx.triangles) > 0.0)
+    assert np.all(signed_areas(q, cx) > 0.0)
     rhs = model_rhs()
     sys_ = assemble(q, cx, rhs)
     grad = shape_derivative(q, cx, solve_state(sys_), solve_adjoint(sys_), rhs)
@@ -200,7 +200,7 @@ def _coo_reference(coords, cx):
     their places in ``dof_order``."""
     tris = cx.triangles
     n_t = len(tris)
-    record = configuration(coords, tris)
+    record = configuration(coords, cx)
     areas, grads = record.areas, record.basis_gradients
     k_loc = areas[:, None, None] * np.einsum("tld,tmd->tlm", grads, grads)
     rows = np.repeat(tris, 3, axis=1).ravel()

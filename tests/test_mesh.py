@@ -359,7 +359,7 @@ def test_admissibility_implies_positive_heights(disc3):
     assert is_admissible(cx, q)
     from meshshape.mesh import heights
 
-    assert np.all(heights(q, cx.triangles) > 0.0)
+    assert np.all(heights(q, cx) > 0.0)
 
 
 def test_boundary_overlap_detected():
@@ -371,7 +371,7 @@ def test_boundary_overlap_detected():
         [[0.0, 0.0], np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])]
     )
     cx = build_complex([(0, k, k + 1) for k in range(1, 7)], 8)
-    assert np.all(signed_areas(coords, cx.triangles) > 0.0)
+    assert np.all(signed_areas(coords, cx) > 0.0)
     assert is_admissible(cx, coords, check_intersections=False)
     assert not is_admissible(cx, coords, check_intersections=True)
 
@@ -482,7 +482,7 @@ def test_vectorized_admissibility_matches_loops(name, crossing, inside, block, m
     if block is not None:  # blocks of one or a few rows
         monkeypatch.setattr(mesh_module, "_PAIR_BLOCK", block)
     cx, q = _admissibility_case(name)
-    assert np.all(signed_areas(q, cx.triangles) > 0.0)
+    assert np.all(signed_areas(q, cx) > 0.0)
     assert (_loop_boundary_edges_cross(cx, q), _loop_boundary_vertex_inside(cx, q)) == (crossing, inside)
     assert mesh_module._boundary_overlaps(cx, q) == (crossing, inside)
     assert is_admissible(cx, q, check_intersections=True) == (not (crossing or inside))
@@ -531,7 +531,7 @@ def test_refine_preserves_area_and_quality(rng):
     cx = build_complex([(0, 1, 2)], 3)
     rcx, rq = uniform_refine(cx, p)
     parent_quality = quality_reciprocal(p, (0, 1, 2))
-    child_areas = signed_areas(rq, rcx.triangles)
+    child_areas = signed_areas(rq, rcx)
     assert child_areas.sum() == pytest.approx(signed_area(p, (0, 1, 2)), rel=1e-14)
     for tri in rcx.triangles:
         assert quality_reciprocal(rq, tri) == pytest.approx(parent_quality, rel=1e-13)
@@ -546,7 +546,7 @@ def test_disc_mesh_counts(rings, nv, nt):
     cx, q = make_disc_mesh(rings)
     assert cx.num_vertices == nv
     assert cx.num_triangles == nt
-    assert np.all(signed_areas(q, cx.triangles) > 0.0)
+    assert np.all(signed_areas(q, cx) > 0.0)
     assert is_admissible(cx, q, check_intersections=True)
 
 
@@ -589,7 +589,7 @@ def test_vectorized_disc_mesh_matches_loops(rings):
 def test_square5_mesh_properties(square5):
     cx, q = square5
     assert is_admissible(cx, q)
-    assert signed_areas(q, cx.triangles).sum() == pytest.approx(4.0)
+    assert signed_areas(q, cx).sum() == pytest.approx(4.0)
     assert set(cx.boundary_vertices) == {0, 1, 2, 3}
 
 
@@ -600,8 +600,8 @@ def test_disc_requires_positive_rings():
 
 # -- geometry cache ----------------------------------------------------------
 
-def triangle_geometry(coords, triangles):
-    record = configuration(coords, triangles)
+def triangle_geometry(coords, complex):
+    record = configuration(coords, complex)
     return record.p, record.e, record.areas
 
 
@@ -619,7 +619,7 @@ def _assert_identical(got, want):
 
 def test_geometry_is_read_only(disc3):
     cx, q = disc3
-    for a in triangle_geometry(q, cx.triangles):
+    for a in triangle_geometry(q, cx):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.0
@@ -627,17 +627,17 @@ def test_geometry_is_read_only(disc3):
 
 def test_geometry_shared_per_configuration(disc3):
     cx, q = disc3
-    first = triangle_geometry(q, cx.triangles)
-    again = triangle_geometry(q.copy(), cx.triangles)  # equal bytes, another array
+    first = triangle_geometry(q, cx)
+    again = triangle_geometry(q.copy(), cx)  # equal bytes, another array
     assert all(a is b for a, b in zip(first, again))
 
 
 def test_geometry_follows_in_place_changes(disc3, rng):
     cx, q0 = disc3
     q = q0.copy()
-    before = triangle_geometry(q, cx.triangles)
+    before = triangle_geometry(q, cx)
     q[cx.interior_vertices] += rng.uniform(-0.05, 0.05, size=(len(cx.interior_vertices), 2))
-    after = triangle_geometry(q, cx.triangles)
+    after = triangle_geometry(q, cx)
     _assert_identical(after, _uncached_geometry(q, cx.triangles))
     assert not np.array_equal(before[2], after[2])
 
@@ -646,8 +646,9 @@ def test_geometry_keyed_by_triangles(disc3):
     cx, q = disc3
     rotated = cx.triangles[:, [1, 2, 0]]  # the same triangles, other local order
     reversed_order = cx.triangles[::-1].copy()
-    for tris in (cx.triangles, rotated, reversed_order, cx.triangles):
-        _assert_identical(triangle_geometry(q, tris), _uncached_geometry(q, tris))
+    complexes = [build_complex(tris, cx.num_vertices) for tris in (rotated, reversed_order)]
+    for complex in (cx, *complexes, cx):
+        _assert_identical(triangle_geometry(q, complex), _uncached_geometry(q, complex.triangles))
 
 
 def test_geometry_cache_is_bounded(disc3):
@@ -655,7 +656,7 @@ def test_geometry_cache_is_bounded(disc3):
     assert mesh_module._CONFIGURATION_CACHE_SIZE <= 3
     for k in range(10):
         moved = q * (1.0 + 0.01 * k)
-        _assert_identical(triangle_geometry(moved, cx.triangles), _uncached_geometry(moved, cx.triangles))
+        _assert_identical(triangle_geometry(moved, cx), _uncached_geometry(moved, cx.triangles))
         assert len(mesh_module._configuration_cache) <= mesh_module._CONFIGURATION_CACHE_SIZE
 
 

@@ -126,7 +126,7 @@ def test_armijo_rejects_flipping_trial(square5, monkeypatch):
         evaluate, q, cx, d, 1.0, -1.0, 0.0, trial_point=straight
     )
     # accepted only once the center stays inside
-    assert np.all(signed_areas(new, cx.triangles) > 0.0)
+    assert np.all(signed_areas(new, cx) > 0.0)
     assert backtracks >= 3
 
 
@@ -244,7 +244,7 @@ def test_square5_landscape_scan():
     def merit(x, y):
         c = q.copy()
         c[4] = (x, y)
-        if not np.all(signed_areas(c, cx.triangles) > 0):
+        if not np.all(signed_areas(c, cx) > 0):
             return np.inf
         sys_ = assemble(c, cx, rhs)
         return objective_value(c, cx, solve_state(sys_)) + penalty_value(c, q, cx, params)
@@ -277,7 +277,7 @@ def test_monotone_descent_and_descent_pairing(disc3):
         assert rec.theta >= 1.0
         if rec.step > 0.0:
             assert rec.grad_deriv_pairing < 0.0
-    assert np.all(signed_areas(res.final_coords, cx.triangles) > 0.0)
+    assert np.all(signed_areas(res.final_coords, cx) > 0.0)
 
 
 def test_converged_status_satisfies_stopping_rule(disc3):
@@ -454,7 +454,7 @@ def test_compcomp_runs_with_geodesic_ladder():
     assert res.status == MAX_ITER
     assert len(res.history) == 4
     assert all(r.step > 0 for r in res.history[:-1])
-    assert np.all(signed_areas(res.final_coords, cx.triangles) > 0.0)
+    assert np.all(signed_areas(res.final_coords, cx) > 0.0)
 
 
 def test_compcomp_with_boundary_term_in_the_metric(monkeypatch):
@@ -482,7 +482,7 @@ def test_compcomp_with_boundary_term_in_the_metric(monkeypatch):
     res = steepest_descent(cx, q, model_rhs(), cfg, on_iterate=lambda n, c: iterates.append(c))
     assert res.status == MAX_ITER
     assert len(iterates) == 3
-    assert all(np.all(signed_areas(c, cx.triangles) > 0.0) for c in iterates)
+    assert all(np.all(signed_areas(c, cx) > 0.0) for c in iterates)
     assert paths
     for path in paths:
         assert not path.area_warnings
@@ -512,7 +512,7 @@ def test_every_accepted_iterate_has_positive_areas(seed, variant):
     visited = []
 
     def on_iterate(n, coords):
-        assert np.all(signed_areas(coords, cx.triangles) > 0.0), f"iterate {n}"
+        assert np.all(signed_areas(coords, cx) > 0.0), f"iterate {n}"
         visited.append(n)
 
     res = steepest_descent(cx, q, model_rhs(), cfg, on_iterate=on_iterate)

@@ -195,7 +195,7 @@ def _perturbed_disc(seed, rings):
     # every vertex moved by at most 0.15 of the ring spacing: areas stay positive
     cx, qref = make_disc_mesh(rings)
     q = qref + np.random.default_rng(seed).uniform(-0.15, 0.15, size=qref.shape) / rings
-    assert np.all(signed_areas(q, cx.triangles) > 0.0)
+    assert np.all(signed_areas(q, cx) > 0.0)
     return cx, q, qref
 
 
