@@ -66,61 +66,38 @@ def run_experiment(
     with its failure status in the summary, as ``steepest_descent`` ends it."""
     zero = PenaltyParams((0.0, 0.0, 0.0, 0.0))
     metric = PenaltyParams(METRIC_ALPHA)
+    geodesic = GeodesicConfig(num_steps=geodesic_steps)  # checked for every experiment
+    if compcomp_cap < 0:
+        raise ValueError(f"compcomp_cap {compcomp_cap} must not be negative")
+    if compcomp_rings < 1:
+        raise ValueError(f"compcomp_rings {compcomp_rings} must be >= 1")
+    cap = max_iter if max_iter is not None else (500 if exp_id == 3 else 1000)
     tasks = []  # (label, variant, complex, coords, config)
 
+    def add(label, variant, mesh, penalty=zero, stop_tol=0.0, cap=cap):
+        config = OptimizerConfig(variant=variant, penalty=penalty, metric_penalty=metric, max_iter=cap,
+                                 stop_tol=stop_tol, geodesic=geodesic)
+        tasks.append((label, variant, *mesh, config))
+
     if exp_id == 1:
-        cap = max_iter if max_iter is not None else 1000
-        complex, coords = make_disc_mesh(rings if rings is not None else 5)
+        mesh = make_disc_mesh(rings if rings is not None else 5)
         for variant in ("EucEuc", "ElasEuc"):
-            config = OptimizerConfig(
-                variant=variant,
-                penalty=zero,
-                metric_penalty=metric,
-                max_iter=cap,
-                stop_tol=0.0,
-            )
-            tasks.append((variant, variant, complex, coords, config))
+            add(variant, variant, mesh)
         # Geodesic retraction on a reduced mesh by default: the integration
         # dominates the cost (compcomp_rings raises it to full scale).
-        small_complex, small_coords = make_disc_mesh(compcomp_rings)
-        config = OptimizerConfig(
-            variant="CompComp",
-            penalty=zero,
-            metric_penalty=metric,
-            max_iter=compcomp_cap,
-            stop_tol=0.0,
-            geodesic=GeodesicConfig(num_steps=geodesic_steps),
-        )
-        tasks.append(("CompComp", "CompComp", small_complex, small_coords, config))
+        add("CompComp", "CompComp", make_disc_mesh(compcomp_rings), cap=compcomp_cap)
 
     elif exp_id == 2:
-        cap = max_iter if max_iter is not None else 1000
-        complex, coords = make_disc_mesh(rings if rings is not None else 7)
+        mesh = make_disc_mesh(rings if rings is not None else 7)
         for set_id, alpha in PENALTY_SETS.items():
             for variant in ("EucEuc", "ElasEuc", "CompEuc"):
-                config = OptimizerConfig(
-                    variant=variant,
-                    penalty=PenaltyParams(alpha),
-                    metric_penalty=metric,
-                    max_iter=cap,
-                    stop_tol=1e-6,
-                )
-                tasks.append((f"set{set_id}_{variant}", variant, complex, coords, config))
+                add(f"set{set_id}_{variant}", variant, mesh, PenaltyParams(alpha), stop_tol=1e-6)
 
     elif exp_id == 3:
-        cap = max_iter if max_iter is not None else 500
-        ring_list = (rings,) if rings is not None else (5, 8, 12)
-        for r in ring_list:
-            complex, coords = make_disc_mesh(r)
+        for r in (rings,) if rings is not None else (5, 8, 12):
+            mesh = make_disc_mesh(r)
             for variant in ("ElasEuc", "CompEuc"):
-                config = OptimizerConfig(
-                    variant=variant,
-                    penalty=zero,
-                    metric_penalty=metric,
-                    max_iter=cap,
-                    stop_tol=0.0,
-                )
-                tasks.append((f"rings{r}_{variant}", variant, complex, coords, config))
+                add(f"rings{r}_{variant}", variant, mesh)
     else:
         raise ValueError(f"unknown experiment {exp_id}")
 

@@ -5,9 +5,10 @@ holding the purely combinatorial data (triangles, derived edges, boundary
 sets, triangle adjacency) and a vertex configuration, which is simply an
 ``(N_V, 2)`` float array whose row ``j`` is the position of vertex ``j``.
 What the package derives from one configuration is computed once, in its
-:class:`Configuration` record, kept per complex; its gathered vertices, edge
-vectors and signed areas come from :func:`gather_geometry`, the one gather
-that the penalty's evaluator also calls at the geodesic's throwaway points.
+:class:`Configuration` record, the latest of which is kept; its gathered
+vertices, edge vectors and signed areas come from :func:`gather_geometry`, the
+one gather that the penalty's evaluator also calls at the geodesic's throwaway
+points.
 
 Vectorized quantities use the "vec" ordering throughout the package: the
 flattened coordinate vector is ``coords.ravel()``, i.e.
@@ -74,10 +75,6 @@ class ConnectivityComplex:
     @property
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
-
-    @property
-    def num_edges(self) -> int:
-        return self.edges.shape[0]
 
     @cached_property
     def boundary_pairs(self) -> np.ndarray:
@@ -364,8 +361,7 @@ def build_complex(triangles, num_vertices: int) -> ConnectivityComplex:
 # Elementary geometric quantities
 # ---------------------------------------------------------------------------
 
-_CONFIGURATION_CACHE_SIZE = 3
-_configuration_cache = []  # (complex, coords key, record), the latest first
+_configuration_cache = []  # the latest (complex, coords key, record), or nothing
 
 
 def gather_geometry(x: np.ndarray, complex: ConnectivityComplex) -> tuple:
@@ -409,12 +405,6 @@ class Configuration:
     def centroids(self) -> np.ndarray:
         return read_only(self.p.mean(axis=1))
 
-    def release(self):
-        """Drop all but the geometry; the rest is computed again if asked for."""
-        self._memo.clear()
-        self.__dict__.pop("basis_gradients", None)
-        self.__dict__.pop("centroids", None)
-
     def memo(self, compute, *args):
         """``compute(self, *args)`` (read-only), once per ``compute`` and ``args``
         themselves; a ``compute`` that raises stores nothing."""
@@ -428,27 +418,21 @@ class Configuration:
 def configuration(coords: np.ndarray, complex: ConnectivityComplex) -> Configuration:
     """The :class:`Configuration` of ``coords`` on ``complex``.
 
-    The last three records are kept, keyed by ``complex`` itself (by
-    identity) and by the shape, dtype and bytes of ``coords``, so every
-    layer asking about one vertex configuration shares one record, and
-    changing ``coords`` in place gives a fresh one.  A record's ``x`` reads
-    the key's bytes.  The older two are released: every layer reads derived
-    quantities only at the configuration it has just asked for, and they
-    raised the peak memory.
+    The record of the last configuration asked for is kept, keyed by
+    ``complex`` itself (by identity) and by the shape, dtype and bytes of
+    ``coords``, so every layer asking about one vertex configuration shares
+    one record, and changing ``coords`` in place gives a fresh one.  A
+    record's ``x`` reads the key's bytes.  Any other configuration replaces
+    it: every layer reads derived quantities only at the configuration it
+    has just asked for.
     """
     key = (coords.tobytes(), coords.shape, coords.dtype)  # the bytes first: they tell records apart
-    entries = _configuration_cache
-    for k, (cx, entry_key, record) in enumerate(entries):
+    if _configuration_cache:
+        cx, entry_key, record = _configuration_cache[0]
         if cx is complex and entry_key == key:
-            break
-    else:
-        record = Configuration(np.frombuffer(key[0], coords.dtype), complex)
-        entries.append((complex, key, record))
-        k = len(entries) - 1
-    if k:
-        entries[0][2].release()
-        entries.insert(0, entries.pop(k))
-        del entries[_CONFIGURATION_CACHE_SIZE:]
+            return record
+    record = Configuration(np.frombuffer(key[0], coords.dtype), complex)
+    _configuration_cache[:] = [(complex, key, record)]
     return record
 
 

@@ -65,6 +65,15 @@ ERROR_CASES = {
                                            "--out", "{out}"], EXIT_USAGE),
     "experiment-negative-compcomp-cap": (["experiment", "1", "--compcomp-cap", "-1", "--out", "{out}"],
                                          EXIT_USAGE),
+    # experiments 2 and 3 do not read these options, and check them all the same
+    "experiment2-bad-geodesic-steps": (["experiment", "2", "--geodesic-steps", "3", "--out", "{out}"],
+                                       EXIT_USAGE),
+    "experiment3-negative-compcomp-cap": (["experiment", "3", "--compcomp-cap", "-1", "--out", "{out}"],
+                                          EXIT_USAGE),
+    "experiment2-no-compcomp-rings": (["experiment", "2", "--compcomp-rings", "0", "--out", "{out}"],
+                                      EXIT_USAGE),
+    "experiment3-bad-geodesic-steps": (["experiment", "3", "--geodesic-steps", "0", "--out", "{out}"],
+                                       EXIT_USAGE),
     "optimize-infinite-penalty": (["optimize", "--mesh", "disc:3", "--variant", "EucEuc", "--penalty", "a4=inf",
                                    "--out", "{out}"], EXIT_USAGE),
     "optimize-nan-metric-alpha": (["optimize", "--mesh", "disc:1", "--variant", "CompEuc", "--metric-alpha",
@@ -408,3 +417,17 @@ def test_point_table_rows_parse(capsys):
         measures.append((weights, measure))
     assert measures == [("-", "record"), *((w, m) for w in ("10/1/0/0.01", "10/1/0.1/0.01")
                                              for m in ("value", "value+gradient"))]
+
+
+def test_fast_histories_have_not_moved(tmp_path, monkeypatch):
+    # Recomputed in this process, after other tests have left records in the module's configuration
+    # slot, and compared with the lines a fresh process wrote.  A numpy or scipy other than the file's
+    # header fails here too, even where the bytes agree: regenerate the file on that build (see README).
+    digest = _script("history_digest")
+    monkeypatch.delenv("MESHSHAPE_OUT", raising=False)
+    want = (Path(__file__).parent / "data" / "history_digests.txt").read_text().splitlines()
+    fast = [case for case in digest.CASES if case[0] not in digest.SLOW]
+    got = [digest.build_line(), *digest.digest_lines(tmp_path, fast)]
+    agree = "agree" if got[1:] == want[1:] else "differ"
+    assert got[0] == want[0], f"histories written with {want[0][2:]}, this build is {got[0][2:]}; the lines {agree}"
+    assert got == want

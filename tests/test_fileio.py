@@ -63,7 +63,7 @@ def test_svg_output(tmp_path, square5):
     path = tmp_path / "m.svg"
     write_svg(path, cx, q)
     text = path.read_text()
-    assert text.count("<line") == cx.num_edges
+    assert text.count("<line") == len(cx.edges)
     assert "viewBox" in text
 
 
