@@ -6,7 +6,6 @@ from .mesh import (
     is_admissible,
     make_disc_mesh,
     make_square5_mesh,
-    uniform_refine,
 )
 from .penalty import (
     PenaltyParams,

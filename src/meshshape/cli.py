@@ -5,12 +5,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments
-from .errors import InadmissibleMesh, MalformedMesh, MeshShapeError
+from .errors import InadmissibleMesh, InvalidValue, MalformedMesh, MeshShapeError
 from .fem import (
     assemble,
     constant_rhs,
@@ -48,7 +49,9 @@ PENALTY_PRESETS = {
     "none": (0.0, 0.0, 0.0, 0.0),
     **{f"set{k}": alpha for k, alpha in experiments.PENALTY_SETS.items()},
 }
-METRIC_ALPHA_PRESET = experiments.METRIC_ALPHA
+# The option that gives each library parameter with a range check.
+OPTIONS = {"num_steps": "--geodesic-steps", "max_iter": "--max-iter", "stop_tol": "--tol",
+           "compcomp_cap": "--compcomp-cap", "compcomp_rings": "--compcomp-rings", "rings": "--rings"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,7 +75,7 @@ def parse_alpha(text: str):
     if text in PENALTY_PRESETS:
         return PENALTY_PRESETS[text]
     if text == "ag":
-        return METRIC_ALPHA_PRESET
+        return experiments.METRIC_ALPHA
     values = {}
     for part in text.split(","):
         key, _, raw = part.partition("=")
@@ -113,6 +116,15 @@ def _read_config_file(path, options):
     return values
 
 
+@contextmanager
+def _options_named():
+    """Report an :class:`InvalidValue` under the option that gave the value, as typed."""
+    try:
+        yield
+    except InvalidValue as exc:
+        raise ValueError(f"{OPTIONS.get(exc.name, exc.name)} {exc.value} {exc.rule}") from None
+
+
 def _require_admissible(complex, coords):
     if not is_admissible(complex, coords):
         raise InadmissibleMesh("mesh is not admissible")
@@ -140,6 +152,7 @@ def cmd_check(args) -> int:
     return EXIT_OK if admissible else EXIT_INADMISSIBLE
 
 
+@_options_named()
 def _build_config(args, complex):
     penalty = PenaltyParams(
         parse_alpha(args.penalty), mu=args.mu, cutoff_threshold=args.cutoff
@@ -192,6 +205,7 @@ def cmd_optimize(args) -> int:
     return EXIT_OK if result.status in (CONVERGED, MAX_ITER) else EXIT_OPT_FAILURE
 
 
+@_options_named()
 def cmd_experiment(args) -> int:
     return experiments.run_experiment(
         args.id,
@@ -277,12 +291,12 @@ def build_parser(config_values=None) -> _Parser:
     p_opt.add_argument("--rhs", default="model")
     p_opt.add_argument("--max-iter", type=int, default=500)
     p_opt.add_argument("--tol", type=float, default=1e-6)
-    p_opt.add_argument("--mu", type=float, default=0.1)
+    p_opt.add_argument("--mu", type=float, default=PenaltyParams.mu)
     p_opt.add_argument("--cutoff", type=float)
     p_opt.add_argument("--out", default="out")  # MESHSHAPE_OUT overrides it
     p_opt.add_argument("--fix-boundary", nargs="?", type=_truthy, const=True, default=False)
     p_opt.add_argument("--snapshot-stride", type=int, default=0)
-    p_opt.add_argument("--geodesic-steps", type=int, default=1024)
+    p_opt.add_argument("--geodesic-steps", type=int, default=GeodesicConfig.num_steps)
     p_opt.add_argument("--config")
     if config_values:
         p_opt.set_defaults(**config_values)
@@ -294,14 +308,14 @@ def build_parser(config_values=None) -> _Parser:
     p_exp.add_argument("--compcomp-cap", dest="compcomp_cap", type=int, default=15)
     p_exp.add_argument("--compcomp-rings", dest="compcomp_rings", type=int, default=1)
     p_exp.add_argument("--rings", type=int, default=None)
-    p_exp.add_argument("--geodesic-steps", dest="geodesic_steps", type=int, default=1024)
+    p_exp.add_argument("--geodesic-steps", dest="geodesic_steps", type=int, default=GeodesicConfig.num_steps)
 
     p_eval = sub.add_parser("eval", help="evaluate a quantity on a mesh")
     p_eval.add_argument("--mesh", required=True)
     p_eval.add_argument("--which", required=True, choices=("phi", "theta", "objective", "gradcheck"))
     p_eval.add_argument("--penalty", default="none")
     p_eval.add_argument("--rhs", default="const:1")
-    p_eval.add_argument("--mu", type=float, default=0.1)
+    p_eval.add_argument("--mu", type=float, default=PenaltyParams.mu)
     p_eval.add_argument("--cutoff", type=float, default=None)
 
     return parser

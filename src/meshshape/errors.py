@@ -1,6 +1,15 @@
 """Exception hierarchy shared by all modules."""
 
 
+class InvalidValue(ValueError):
+    """A parameter's value outside its range, read ``<name> <value> <rule>``;
+    the command line names the option that gave the value instead."""
+
+    def __init__(self, name: str, value, rule: str):
+        super().__init__(f"{name} {value} {rule}")
+        self.name, self.value, self.rule = name, value, rule
+
+
 class MeshShapeError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .errors import InvalidValue
 from .fem import model_rhs
 from .fileio import write_history, write_timing
 from .geodesic import GeodesicConfig
@@ -59,7 +60,7 @@ def run_experiment(
     compcomp_cap: int = 15,
     compcomp_rings: int = 1,
     rings: int | None = None,
-    geodesic_steps: int = 1024,
+    geodesic_steps: int = GeodesicConfig.num_steps,
 ) -> int:
     """Run experiment ``exp_id`` into ``outdir``, one run after another.  A
     bad option raises before ``outdir`` is made.  A run that fails ends
@@ -68,9 +69,9 @@ def run_experiment(
     metric = PenaltyParams(METRIC_ALPHA)
     geodesic = GeodesicConfig(num_steps=geodesic_steps)  # checked for every experiment
     if compcomp_cap < 0:
-        raise ValueError(f"compcomp_cap {compcomp_cap} must not be negative")
+        raise InvalidValue("compcomp_cap", compcomp_cap, "must not be negative")
     if compcomp_rings < 1:
-        raise ValueError(f"compcomp_rings {compcomp_rings} must be >= 1")
+        raise InvalidValue("compcomp_rings", compcomp_rings, "must be >= 1")
     cap = max_iter if max_iter is not None else (500 if exp_id == 3 else 1000)
     tasks = []  # (label, variant, complex, coords, config)
 

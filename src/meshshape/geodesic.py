@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FixedPointDivergence
+from .errors import FixedPointDivergence, InvalidValue
 from .mesh import ConnectivityComplex, free_dofs, signed_areas
 from .metrics import MetricSpec
 from .penalty import PenaltyEvaluator, penalty_gradient, penalty_value
@@ -55,7 +55,7 @@ class GeodesicConfig:
     def __post_init__(self):
         n = self.num_steps
         if n < 2 or (n & (n - 1)) != 0:
-            raise ValueError("num_steps must be a power of two >= 2")
+            raise InvalidValue("num_steps", n, "must be a power of two >= 2")
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 A mesh is split into two independent objects: a :class:`ConnectivityComplex`
 holding the purely combinatorial data (triangles, derived edges, boundary
-sets, triangle adjacency) and a vertex configuration, which is simply an
+sets) and a vertex configuration, which is simply an
 ``(N_V, 2)`` float array whose row ``j`` is the position of vertex ``j``.
 What the package derives from one configuration is computed once, in its
 :class:`Configuration` record, the latest of which is kept; its gathered
@@ -29,6 +29,7 @@ from .errors import (
     DegenerateEdge,
     EdgeOveruse,
     InconsistentOrientation,
+    InvalidValue,
     NotPure,
     NotTwoPathConnected,
 )
@@ -54,15 +55,12 @@ class ConnectivityComplex:
         Edges incident to exactly one triangle (subset of ``edges``).
     boundary_vertices : ndarray
         Sorted vertices of the boundary edges.
-    triangle_adjacency : ndarray, shape (N_T, 3)
-        ``triangle_adjacency[k, l]`` is the index of the triangle sharing
-        the edge opposite local vertex ``l`` of triangle ``k``, or ``-1``
-        for a boundary edge.
 
     Instances are produced by :func:`build_complex`, which verifies that the
     complex is pure (every vertex lies in some triangle), 2-path connected
-    (the adjacency graph is connected) and consistently oriented (each
-    interior edge is traversed in opposite directions by its two triangles).
+    (the graph of triangles sharing an interior edge is connected) and
+    consistently oriented (each interior edge is traversed in opposite
+    directions by its two triangles).
     """
 
     num_vertices: int
@@ -70,7 +68,6 @@ class ConnectivityComplex:
     edges: np.ndarray
     boundary_edges: np.ndarray
     boundary_vertices: np.ndarray
-    triangle_adjacency: np.ndarray
 
     @property
     def num_triangles(self) -> int:
@@ -327,10 +324,6 @@ def build_complex(triangles, num_vertices: int) -> ConnectivityComplex:
         raise InconsistentOrientation(
             f"edge {tuple(bad)} induced twice with the same orientation"
         )
-    adjacency = -np.ones(3 * n_t, dtype=np.int64)
-    adjacency[h0] = h1 // 3
-    adjacency[h1] = h0 // 3
-    triangle_adjacency = adjacency.reshape(n_t, 3)
 
     used = np.zeros(num_vertices, dtype=bool)
     used[tris.ravel()] = True
@@ -353,7 +346,6 @@ def build_complex(triangles, num_vertices: int) -> ConnectivityComplex:
         edges=edges,
         boundary_edges=boundary_edges,
         boundary_vertices=boundary_vertices,
-        triangle_adjacency=triangle_adjacency,
     )
 
 
@@ -482,26 +474,16 @@ def _smoothstep(u):
 
 
 def _smooth_pos_factors(t, mu: float):
-    # smooth_pos(t) = half_sum * step: (half_sum, u, step) with u = t / mu
-    # clipped to [0, 1], the argument of the step; its slope reuses all three.
+    """Factors ``(half_sum, u, step)`` of m_mu(t) = ``half_sum * step``, the C^3
+    underestimate of ``max(t, 0)``: exactly zero for ``t <= 0``, and equal to
+    ``half_sum = (t + smooth_abs(t)) / 2`` for ``t >= mu``.  ``step`` blends on
+    ``u = t / mu`` clipped to [0, 1]; the slope reuses all three factors."""
     u = np.clip(t / mu, 0.0, 1.0)
     return 0.5 * (t + smooth_abs(t, mu)), u, _smoothstep(u)
 
 
-def smooth_pos(t, mu: float):
-    """C^3 underestimate of ``max(t, 0)`` that is exactly zero for ``t <= 0``.
-
-    For ``t >= mu`` it equals ``(t + smooth_abs(t)) / 2``; a step blend on
-    ``[0, mu]`` removes the (slightly negative) values the plain average would
-    take for negative arguments, keeping the result nonnegative with zero set
-    exactly ``t <= 0``.
-    """
-    half_sum, _, step = _smooth_pos_factors(t, mu)
-    return half_sum * step
-
-
 def _smooth_pos_slope(t, mu: float, half_sum, u, step):
-    # d smooth_pos / dt from the factors of _smooth_pos_factors(t, mu)
+    # d m_mu / dt from the factors of _smooth_pos_factors(t, mu)
     step_slope = np.where((u > 0.0) & (u < 1.0), u**3 * (140.0 + u * (-420.0 + u * (420.0 - 140.0 * u))), 0.0) / mu
     return 0.5 * (1.0 + smooth_abs_prime(t, mu)) * step + half_sum * step_slope
 
@@ -658,34 +640,8 @@ def _boundary_overlaps(complex: ConnectivityComplex, coords: np.ndarray) -> tupl
 
 
 # ---------------------------------------------------------------------------
-# Refinement and generators
+# Generators
 # ---------------------------------------------------------------------------
-
-def uniform_refine(complex: ConnectivityComplex, coords: np.ndarray):
-    """Bisect every edge, splitting each triangle into 4 similar children.
-
-    Preserves total area and per-triangle quality exactly (children are
-    congruent and similar to their parent); the child count is ``4 N_T``.
-    """
-    n_v = complex.num_vertices
-    edges = complex.edges
-    edge_index = {(int(a), int(b)): n_v + i for i, (a, b) in enumerate(edges)}
-
-    def mid(a, b):
-        return edge_index[(a, b) if a < b else (b, a)]
-
-    new_coords = np.vstack([coords, 0.5 * (coords[edges[:, 0]] + coords[edges[:, 1]])])
-    children = []
-    for a, b, c in complex.triangles:
-        a, b, c = int(a), int(b), int(c)
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        children.append((a, mab, mca))
-        children.append((mab, b, mbc))
-        children.append((mca, mbc, c))
-        children.append((mab, mbc, mca))
-    refined = build_complex(children, n_v + len(edges))
-    return refined, new_coords
-
 
 def make_square5_mesh():
     """The 5-vertex mesh of the square [-1,1]^2: 4 corners plus the center."""
@@ -704,7 +660,7 @@ def make_disc_mesh(rings: int):
     positively oriented triangles.
     """
     if rings < 1:
-        raise ValueError("rings must be >= 1")
+        raise InvalidValue("rings", rings, "must be >= 1")
 
     coords = [np.zeros((1, 2))]
     triangles = []

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     FixedPointDivergence,
+    InvalidValue,
     MeshShapeError,
     NonDescentDirection,
     NonpositiveArea,
@@ -89,8 +90,9 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not (self.max_iter >= 0 and self.stop_tol >= 0.0):
-            raise ValueError(f"max_iter {self.max_iter} and stop_tol {self.stop_tol} must not be negative")
+        for name in ("max_iter", "stop_tol"):
+            if not getattr(self, name) >= 0:
+                raise InvalidValue(name, getattr(self, name), "must not be negative")
         if self.variant in ("CompEuc", "CompComp"):
             if self.metric_penalty is None:
                 raise ValueError(f"{self.variant} requires metric penalty parameters")

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from meshshape.errors import DegenerateEdge
-from meshshape.mesh import PairDistances, build_complex, configuration, make_disc_mesh, make_square5_mesh
+from meshshape.mesh import (
+    ConnectivityComplex,
+    PairDistances,
+    build_complex,
+    configuration,
+    make_disc_mesh,
+    make_square5_mesh,
+)
 from meshshape.penalty import PenaltyEvaluator
 
 
@@ -50,7 +57,8 @@ def central_difference(fn, coords, h=1e-6):
 
 # -- reference oracles --------------------------------------------------------
 # Scalar, one-element versions of the vectorized geometry in meshshape.mesh,
-# and the CG solve the paper uses for the rank-one metric.
+# uniform refinement (the refinement ladders of the convergence tests) and the
+# CG solve the paper uses for the rank-one metric.
 
 def signed_area(coords, tri):
     """Signed area of one triangle: half the determinant of two edge vectors.
@@ -92,6 +100,32 @@ def regularized_distance(coords, vertex, edge, mu):
         raise ValueError("smoothing parameter must be positive")
     pair = np.array([[vertex, edge[0], edge[1]]], dtype=np.int64)
     return float(PairDistances(coords, pair, mu).dist[0])
+
+
+def uniform_refine(complex: ConnectivityComplex, coords: np.ndarray):
+    """Bisect every edge, splitting each triangle into 4 similar children.
+
+    Preserves total area and per-triangle quality exactly (children are
+    congruent and similar to their parent); the child count is ``4 N_T``.
+    """
+    n_v = complex.num_vertices
+    edges = complex.edges
+    edge_index = {(int(a), int(b)): n_v + i for i, (a, b) in enumerate(edges)}
+
+    def mid(a, b):
+        return edge_index[(a, b) if a < b else (b, a)]
+
+    new_coords = np.vstack([coords, 0.5 * (coords[edges[:, 0]] + coords[edges[:, 1]])])
+    children = []
+    for a, b, c in complex.triangles:
+        a, b, c = int(a), int(b), int(c)
+        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
+        children.append((a, mab, mca))
+        children.append((mab, b, mbc))
+        children.append((mca, mbc, c))
+        children.append((mab, mbc, mca))
+    refined = build_complex(children, n_v + len(edges))
+    return refined, new_coords
 
 
 def cg_rank_one(g, d):

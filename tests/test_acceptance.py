@@ -24,7 +24,6 @@ from meshshape.mesh import (
     make_disc_mesh,
     make_square5_mesh,
     signed_areas,
-    uniform_refine,
 )
 from meshshape.metrics import MetricOperator, MetricSpec
 from meshshape.optimizer import (
@@ -40,7 +39,13 @@ from meshshape.penalty import (
     penalty_value,
 )
 
-from conftest import central_difference, cg_rank_one, quality_reciprocal, random_admissible_triangle
+from conftest import (
+    central_difference,
+    cg_rank_one,
+    quality_reciprocal,
+    random_admissible_triangle,
+    uniform_refine,
+)
 
 METRIC_ALPHA = PenaltyParams((10.0, 1.0, 0.0, 0.01))
 SET1 = PenaltyParams((1.0, 0.5, 0.0, 0.1))

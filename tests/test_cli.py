@@ -46,51 +46,56 @@ def test_usage_error_exit_code():
 
 # Each case: argv, with {out} a directory that does not exist yet, {file} a
 # regular file, {malformed} a malformed mesh file and {flipped} a mesh with a
-# flipped triangle, all in the test's own directory; and the exit code.  The
-# state solve of `eval` and the optimizer of `experiment` raise SingularSystem.
+# flipped triangle, all in the test's own directory; the exit code; and a text
+# the error line holds, the option as typed and its value where the library
+# checks the value.  The state solve of `eval` and the optimizer of
+# `experiment` raise SingularSystem.
 ERROR_CASES = {
-    "optimize-no-mesh": (["optimize", "--out", "{out}"], EXIT_USAGE),
+    "optimize-no-mesh": (["optimize", "--out", "{out}"], EXIT_USAGE, ""),
     "compeuc-incomplete-metric": (["optimize", "--mesh", "disc:1", "--variant", "CompEuc",
-                                   "--metric-alpha", "a1=1,a2=1", "--out", "{out}"], EXIT_USAGE),
-    "optimize-out-is-a-file": (["optimize", "--mesh", "disc:1", "--out", "{file}"], EXIT_USAGE),
-    "optimize-out-below-a-file": (["optimize", "--mesh", "disc:1", "--out", "{file}/sub"], EXIT_USAGE),
-    "experiment-no-rings": (["experiment", "1", "--rings", "0", "--out", "{out}"], EXIT_USAGE),
+                                   "--metric-alpha", "a1=1,a2=1", "--out", "{out}"], EXIT_USAGE, ""),
+    "optimize-out-is-a-file": (["optimize", "--mesh", "disc:1", "--out", "{file}"], EXIT_USAGE, ""),
+    "optimize-out-below-a-file": (["optimize", "--mesh", "disc:1", "--out", "{file}/sub"], EXIT_USAGE, ""),
+    "experiment-no-rings": (["experiment", "1", "--rings", "0", "--out", "{out}"], EXIT_USAGE, "--rings 0"),
     "experiment-bad-geodesic-steps": (["experiment", "1", "--geodesic-steps", "3", "--out", "{out}"],
-                                      EXIT_USAGE),
-    "experiment-out-below-a-file": (["experiment", "2", "--out", "{file}/sub"], EXIT_USAGE),
+                                      EXIT_USAGE, "--geodesic-steps 3"),
+    "experiment-out-below-a-file": (["experiment", "2", "--out", "{file}/sub"], EXIT_USAGE, ""),
     "optimize-negative-max-iter": (["optimize", "--mesh", "disc:1", "--max-iter", "-3", "--out", "{out}"],
-                                   EXIT_USAGE),
-    "optimize-negative-tol": (["optimize", "--mesh", "disc:1", "--tol", "-1", "--out", "{out}"], EXIT_USAGE),
+                                   EXIT_USAGE, "--max-iter -3"),
+    "optimize-negative-tol": (["optimize", "--mesh", "disc:1", "--tol", "-1", "--out", "{out}"], EXIT_USAGE,
+                              "--tol -1"),
+    "optimize-bad-geodesic-steps": (["optimize", "--mesh", "disc:1", "--geodesic-steps", "3", "--out", "{out}"],
+                                    EXIT_USAGE, "--geodesic-steps 3"),
     "optimize-negative-snapshot-stride": (["optimize", "--mesh", "disc:1", "--snapshot-stride", "-1",
-                                           "--out", "{out}"], EXIT_USAGE),
+                                           "--out", "{out}"], EXIT_USAGE, ""),
     "experiment-negative-compcomp-cap": (["experiment", "1", "--compcomp-cap", "-1", "--out", "{out}"],
-                                         EXIT_USAGE),
+                                         EXIT_USAGE, "--compcomp-cap -1"),
     # experiments 2 and 3 do not read these options, and check them all the same
     "experiment2-bad-geodesic-steps": (["experiment", "2", "--geodesic-steps", "3", "--out", "{out}"],
-                                       EXIT_USAGE),
+                                       EXIT_USAGE, "--geodesic-steps 3"),
     "experiment3-negative-compcomp-cap": (["experiment", "3", "--compcomp-cap", "-1", "--out", "{out}"],
-                                          EXIT_USAGE),
+                                          EXIT_USAGE, "--compcomp-cap -1"),
     "experiment2-no-compcomp-rings": (["experiment", "2", "--compcomp-rings", "0", "--out", "{out}"],
-                                      EXIT_USAGE),
+                                      EXIT_USAGE, "--compcomp-rings 0"),
     "experiment3-bad-geodesic-steps": (["experiment", "3", "--geodesic-steps", "0", "--out", "{out}"],
-                                       EXIT_USAGE),
+                                       EXIT_USAGE, "--geodesic-steps 0"),
     "optimize-infinite-penalty": (["optimize", "--mesh", "disc:3", "--variant", "EucEuc", "--penalty", "a4=inf",
-                                   "--out", "{out}"], EXIT_USAGE),
+                                   "--out", "{out}"], EXIT_USAGE, ""),
     "optimize-nan-metric-alpha": (["optimize", "--mesh", "disc:1", "--variant", "CompEuc", "--metric-alpha",
-                                   "a1=nan,a2=1,a4=1", "--out", "{out}"], EXIT_USAGE),
-    "optimize-nan-mu": (["optimize", "--mesh", "disc:1", "--mu", "nan", "--out", "{out}"], EXIT_USAGE),
-    "check-malformed-mesh": (["check", "--mesh", "{malformed}"], EXIT_USAGE),
+                                   "a1=nan,a2=1,a4=1", "--out", "{out}"], EXIT_USAGE, ""),
+    "optimize-nan-mu": (["optimize", "--mesh", "disc:1", "--mu", "nan", "--out", "{out}"], EXIT_USAGE, ""),
+    "check-malformed-mesh": (["check", "--mesh", "{malformed}"], EXIT_USAGE, ""),
     "eval-malformed-penalty": (["eval", "--mesh", "disc:2", "--which", "phi", "--penalty", "a1=x"],
-                               EXIT_USAGE),
+                               EXIT_USAGE, ""),
     "optimize-inadmissible-mesh": (["optimize", "--mesh", "{flipped}", "--out", "{out}"],
-                                   EXIT_INADMISSIBLE),
-    "eval-singular-system": (["eval", "--mesh", "disc:2", "--which", "objective"], EXIT_OPT_FAILURE),
-    "experiment-singular-system": (["experiment", "2", "--rings", "2", "--out", "{out}"], EXIT_OPT_FAILURE),
+                                   EXIT_INADMISSIBLE, ""),
+    "eval-singular-system": (["eval", "--mesh", "disc:2", "--which", "objective"], EXIT_OPT_FAILURE, ""),
+    "experiment-singular-system": (["experiment", "2", "--rings", "2", "--out", "{out}"], EXIT_OPT_FAILURE, ""),
 }
 
 
-@pytest.mark.parametrize("argv,code", ERROR_CASES.values(), ids=ERROR_CASES.keys())
-def test_error_exit_is_one_line(argv, code, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv,code,text", ERROR_CASES.values(), ids=ERROR_CASES.keys())
+def test_error_exit_is_one_line(argv, code, text, tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise SingularSystem("made to fail")
 
@@ -112,6 +117,7 @@ def test_error_exit_is_one_line(argv, code, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert got == code
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert text in err[0]
     if code == EXIT_USAGE:
         assert not [p for p in tmp_path.rglob("*") if p.is_dir()]
 

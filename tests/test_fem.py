@@ -12,11 +12,11 @@ from meshshape.fem import (
     solve_adjoint,
     solve_state,
 )
-from meshshape.mesh import configuration, make_disc_mesh, make_square5_mesh, signed_areas, uniform_refine
+from meshshape.mesh import configuration, make_disc_mesh, make_square5_mesh, signed_areas
 from meshshape.metrics import DELTA, LAM, MU, assemble_elasticity
 from scipy import sparse
 
-from conftest import central_difference
+from conftest import central_difference, uniform_refine
 
 
 def _degenerate_square5(eps):

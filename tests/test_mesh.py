@@ -24,8 +24,6 @@ from meshshape.mesh import (
     scatter_add,
     signed_areas,
     smooth_abs,
-    smooth_pos,
-    uniform_refine,
 )
 from meshshape import mesh as mesh_module
 from meshshape.metrics import assemble_elasticity
@@ -37,6 +35,7 @@ from conftest import (
     random_admissible_triangle,
     regularized_distance,
     signed_area,
+    uniform_refine,
 )
 from test_fem import _perturbed_disc
 from test_metrics import _moved
@@ -95,17 +94,9 @@ def test_index_out_of_range():
         build_complex([(0, 1, 7)], 3)
 
 
-def test_triangle_adjacency(square5):
-    cx, _ = square5
-    # every fan triangle has two neighbors (left and right), outer edge free
-    counts = (cx.triangle_adjacency >= 0).sum(axis=1)
-    assert list(counts) == [2, 2, 2, 2]
-
-
-def _loop_adjacency(triangles, num_vertices):
-    # Reference: the per-edge loop build_complex ran before it was vectorized.
+def _loop_orientation(triangles, num_vertices):
+    # Reference: the per-edge orientation loop build_complex ran before it was vectorized.
     tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    n_t = tris.shape[0]
     directed = np.stack([tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]]], axis=1).reshape(-1, 2)
     lo = directed.min(axis=1)
     hi = directed.max(axis=1)
@@ -114,17 +105,9 @@ def _loop_adjacency(triangles, num_vertices):
     uniq_keys, first, counts = np.unique(keys[order], return_index=True, return_counts=True)
     edges = np.column_stack([uniq_keys // num_vertices, uniq_keys % num_vertices])
     forward = (directed[:, 0] == lo).astype(np.int8)
-    adjacency = -np.ones(3 * n_t, dtype=np.int64)
     for e, (start, cnt) in enumerate(zip(first, counts)):
-        if cnt == 2:
-            h0, h1 = order[start], order[start + 1]
-            if forward[h0] == forward[h1]:
-                raise InconsistentOrientation(
-                    f"edge {tuple(edges[e])} induced twice with the same orientation"
-                )
-            adjacency[h0] = h1 // 3
-            adjacency[h1] = h0 // 3
-    return adjacency.reshape(n_t, 3)
+        if cnt == 2 and forward[order[start]] == forward[order[start + 1]]:
+            raise InconsistentOrientation(f"edge {tuple(edges[e])} induced twice with the same orientation")
 
 
 def _loop_boundary_pairs(cx):
@@ -140,7 +123,6 @@ def _loop_boundary_pairs(cx):
 @pytest.mark.parametrize("mesh", ["square5", "disc3"])
 def test_vectorized_connectivity_matches_loops(mesh, request):
     cx, _ = request.getfixturevalue(mesh)
-    assert np.array_equal(cx.triangle_adjacency, _loop_adjacency(cx.triangles, cx.num_vertices))
     pairs = cx.boundary_pairs
     assert pairs.dtype == np.int64
     assert np.array_equal(pairs, _loop_boundary_pairs(cx))
@@ -151,7 +133,7 @@ def test_inconsistent_orientation_names_first_sorted_edge():
     # between the last two; the sorted-first one is named
     tris = [(1, 2, 4), (0, 1, 2), (0, 1, 3)]
     with pytest.raises(InconsistentOrientation) as expected:
-        _loop_adjacency(tris, 5)
+        _loop_orientation(tris, 5)
     with pytest.raises(InconsistentOrientation) as got:
         build_complex(tris, 5)
     assert str(got.value) == str(expected.value)
@@ -324,9 +306,12 @@ def test_regularized_distance_underestimates(seed, mu):
 
 def test_smoothers_zero_sets():
     assert smooth_abs(0.0, 0.1) == 0.0
-    assert smooth_pos(0.0, 0.1) == 0.0
-    assert smooth_pos(-2.0, 0.1) == 0.0
-    assert smooth_pos(0.05, 0.1) > 0.0
+    # m_mu is the product PairDistances takes of the factors
+    half_sum, _, step = mesh_module._smooth_pos_factors(np.array([0.0, -2.0, 0.05]), 0.1)
+    m_mu = half_sum * step
+    assert m_mu[0] == 0.0
+    assert m_mu[1] == 0.0
+    assert m_mu[2] > 0.0
 
 
 def test_regularized_distance_rigid_invariance(rng):

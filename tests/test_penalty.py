@@ -10,7 +10,6 @@ from meshshape.mesh import (
     make_disc_mesh,
     make_square5_mesh,
     signed_areas,
-    uniform_refine,
 )
 from meshshape.penalty import (
     PenaltyParams,
@@ -21,7 +20,7 @@ from meshshape.penalty import (
     penalty_value,
 )
 
-from conftest import central_difference, quality_reciprocal, random_admissible_triangle
+from conftest import central_difference, quality_reciprocal, random_admissible_triangle, uniform_refine
 
 SQRT3 = np.sqrt(3.0)
 
