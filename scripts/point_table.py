@@ -9,7 +9,13 @@ microseconds per point, min of ``--repeat`` batches of at least 20 ms each, of
   ``mesh._configuration_cache`` (the same call at every version of the package);
 - ``value``: ``penalty_value`` through one ``PenaltyEvaluator`` at a new point;
 - ``value+gradient``: ``penalty_value`` and then ``penalty_gradient`` at a new
-  point, which reuses the value's terms.
+  point, which reuses the value's terms;
+- ``step``: one ``retract_geodesic`` of 1024 steps from the first point with the
+  velocity that leads to the reference, the microseconds per step, and after
+  them ``values/step``, the ``penalty_value`` calls per step (the constraint
+  solve's, counted in one more integration outside the timing).  Only discs of
+  at most ``STEP_MAX_RINGS`` rings get this row: a ``disc:50`` integration
+  takes seconds.
 
 The points alternate between two perturbations of the disc, so every call
 meets a point other than the last::
@@ -34,6 +40,8 @@ from pathlib import Path
 import numpy as np
 
 WEIGHTS = ((10.0, 1.0, 0.0, 0.01), (10.0, 1.0, 0.1, 0.01))
+STEPS = 1024
+STEP_MAX_RINGS = 7
 
 
 def _keep_freed_memory():
@@ -62,8 +70,10 @@ def _load_copy(root):
             sys.path.remove(tmp)
 
 
-def _calls(package, rings, alpha):
-    """The timed calls of one mesh, by measure, each covering the two points."""
+def _calls(package, rings, alpha, step):
+    """The timed calls of one mesh, by measure, each with the points (or
+    steps) it covers, and the value calls per step of the ``step`` measure,
+    which is there if ``step``."""
     mesh, penalty = package.mesh, package.penalty
     complex, qref = mesh.make_disc_mesh(rings)
     rng = np.random.default_rng(rings)
@@ -73,7 +83,7 @@ def _calls(package, rings, alpha):
             for c in points:
                 mesh._configuration_cache.clear()
                 mesh.is_admissible(complex, c)
-        return {"record": record}
+        return {"record": (record, 2)}, None
     params = penalty.PenaltyParams(alpha)
     evaluator = penalty.PenaltyEvaluator(None, complex)
 
@@ -85,16 +95,34 @@ def _calls(package, rings, alpha):
         for c in points:
             penalty.penalty_value(c, qref, complex, params, evaluator)
             penalty.penalty_gradient(c, qref, complex, params, evaluator)
-    return {"value": value, "value+gradient": value_gradient}
+    calls = {"value": (value, 2), "value+gradient": (value_gradient, 2)}
+    if not step:
+        return calls, None
+    geodesic = package.geodesic
+    spec = package.metrics.MetricSpec.complete(params, qref)
+    cfg = geodesic.GeodesicConfig(num_steps=STEPS)
+    velocity = (qref - points[0]).ravel()
+
+    def retract():
+        geodesic.retract_geodesic(points[0], velocity, spec, cfg, complex)
+    counted = []
+    original = geodesic.penalty_value  # looked up by name at every call, as the benchmark's tracer wraps it
+    geodesic.penalty_value = lambda *args: counted.append(1) or original(*args)
+    try:
+        retract()
+    finally:
+        geodesic.penalty_value = original
+    return {**calls, "step": (retract, STEPS)}, len(counted) / STEPS
 
 
 def table_rows(packages, rings_list, repeat):
-    """``(mesh, weights, measure, µs per point of each package)`` rows."""
+    """``(mesh, weights, measure, µs per point or step of each package, value
+    calls per step of each package or None)`` rows."""
     for rings in rings_list:
         for alpha in (None, *WEIGHTS):
-            sides = [_calls(package, rings, alpha) for package in packages]
-            for measure in sides[0]:
-                timers = [timeit.Timer(side[measure]) for side in sides]
+            sides, counts = zip(*(_calls(package, rings, alpha, rings <= STEP_MAX_RINGS) for package in packages))
+            for measure, (_, per) in sides[0].items():
+                timers = [timeit.Timer(side[measure][0]) for side in sides]
                 number = max(1, int(np.ceil(0.02 / max(timers[0].timeit(1), 1e-7))))
                 best = [np.inf] * len(timers)
                 for r in range(repeat):
@@ -102,7 +130,8 @@ def table_rows(packages, rings_list, repeat):
                     for i in order:
                         best[i] = min(best[i], timers[i].timeit(number) / number)
                 weights = "-" if alpha is None else "/".join(f"{a:g}" for a in alpha)
-                yield f"disc:{rings}", weights, measure, [1e6 * t / 2 for t in best]  # two points per call
+                yield (f"disc:{rings}", weights, measure, [1e6 * t / per for t in best],
+                       counts if measure == "step" else None)
 
 
 def main(argv=None):
@@ -117,10 +146,12 @@ def main(argv=None):
         packages.append(_load_copy(args.against))
         header += "  against µs  ratio"
     print(header)
-    for mesh, weights, measure, times in table_rows(packages, args.rings, args.repeat):
+    for mesh, weights, measure, times, counts in table_rows(packages, args.rings, args.repeat):
         line = f"{mesh:<8} {weights:<16} {measure:<15} {times[0]:8.2f}"
         if args.against:
             line += f"  {times[1]:10.2f}  {times[0] / times[1]:5.3f}"
+        if counts:
+            line += "  values/step " + "/".join(f"{c:.3f}" for c in counts)
         print(line, flush=True)
 
 

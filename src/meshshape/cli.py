@@ -51,7 +51,8 @@ PENALTY_PRESETS = {
 }
 # The option that gives each library parameter with a range check.
 OPTIONS = {"num_steps": "--geodesic-steps", "max_iter": "--max-iter", "stop_tol": "--tol",
-           "compcomp_cap": "--compcomp-cap", "compcomp_rings": "--compcomp-rings", "rings": "--rings"}
+           "compcomp_cap": "--compcomp-cap", "compcomp_rings": "--compcomp-rings", "rings": "--rings",
+           "mu": "--mu", "cutoff_threshold": "--cutoff"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,7 +67,8 @@ def load_mesh(source: str | None):
     if source == "square5":
         return make_square5_mesh()
     if source.startswith("disc:"):
-        return make_disc_mesh(int(source.split(":", 1)[1]))
+        with _options_named(rings=f"--mesh {source}"):
+            return make_disc_mesh(int(source.split(":", 1)[1]))
     path = source[5:] if source.startswith("file:") else source
     return read_mesh(path)
 
@@ -117,12 +119,14 @@ def _read_config_file(path, options):
 
 
 @contextmanager
-def _options_named():
-    """Report an :class:`InvalidValue` under the option that gave the value, as typed."""
+def _options_named(**typed):
+    """Report an :class:`InvalidValue` under the option that gave the value, as typed: by parameter
+    name, ``typed`` holds an option's text (``alpha="--penalty a4=inf"``) and ``OPTIONS`` the rest's."""
     try:
         yield
     except InvalidValue as exc:
-        raise ValueError(f"{OPTIONS.get(exc.name, exc.name)} {exc.value} {exc.rule}") from None
+        option = typed.get(exc.name) or f"{OPTIONS.get(exc.name, exc.name)} {exc.value}"
+        raise ValueError(f"{option} {exc.rule}") from None
 
 
 def _require_admissible(complex, coords):
@@ -154,10 +158,10 @@ def cmd_check(args) -> int:
 
 @_options_named()
 def _build_config(args, complex):
-    penalty = PenaltyParams(
-        parse_alpha(args.penalty), mu=args.mu, cutoff_threshold=args.cutoff
-    )
-    metric_penalty = PenaltyParams(parse_alpha(args.metric_alpha), mu=args.mu)
+    with _options_named(alpha=f"--penalty {args.penalty}"):
+        penalty = PenaltyParams(parse_alpha(args.penalty), mu=args.mu, cutoff_threshold=args.cutoff)
+    with _options_named(alpha=f"--metric-alpha {args.metric_alpha}"):
+        metric_penalty = PenaltyParams(parse_alpha(args.metric_alpha), mu=args.mu)
     mask = None
     if args.fix_boundary:
         mask = np.zeros(complex.num_vertices, dtype=bool)
@@ -224,7 +228,8 @@ def cmd_eval(args) -> int:
     alpha = parse_alpha(args.penalty)
     if args.which == "gradcheck" and all(a == 0.0 for a in alpha):
         alpha = (1.0, 0.5, 0.25, 0.1)
-    params = PenaltyParams(alpha, mu=args.mu, cutoff_threshold=args.cutoff)
+    with _options_named(alpha=f"--penalty {args.penalty}"):
+        params = PenaltyParams(alpha, mu=args.mu, cutoff_threshold=args.cutoff)
     _require_admissible(complex, coords)
     if args.which == "theta":
         print(f"{mesh_quality(coords, complex)!r}")

@@ -5,10 +5,9 @@ holding the purely combinatorial data (triangles, derived edges, boundary
 sets) and a vertex configuration, which is simply an
 ``(N_V, 2)`` float array whose row ``j`` is the position of vertex ``j``.
 What the package derives from one configuration is computed once, in its
-:class:`Configuration` record, the latest of which is kept; its gathered
-vertices, edge vectors and signed areas come from :func:`gather_geometry`, the
-one gather that the penalty's evaluator also calls at the geodesic's throwaway
-points.
+:class:`Configuration` record, the latest of which is kept; its edge vectors
+and signed areas come from :func:`gather_geometry`, the one gather that the
+penalty's evaluator also calls at the geodesic's throwaway points.
 
 Vectorized quantities use the "vec" ordering throughout the package: the
 flattened coordinate vector is ``coords.ravel()``, i.e.
@@ -92,10 +91,10 @@ class ConnectivityComplex:
         return 2 * self.triangles[..., None] + np.arange(2)
 
     @cached_property
-    def edge_end_dofs(self) -> np.ndarray:
-        """Vec-order DOFs of local vertices 1, 2, 0, 1 of each triangle, shape (4, N_T, 2): rows
-        ``[:3]`` are the tails and rows ``[1:]`` the heads of the edges opposite local vertices 0, 1, 2."""
-        return self.vertex_dofs.transpose(1, 0, 2)[[1, 2, 0, 1]]
+    def cycle_dofs(self) -> np.ndarray:
+        """Vec-order DOFs of local vertices 0, 1, 2, 0, 1, 2 of each triangle, shape (6, N_T, 2):
+        rows ``[:3]`` are ``vertex_dofs`` local vertex major, and successive rows walk the boundary twice."""
+        return self.vertex_dofs.transpose(1, 0, 2)[[0, 1, 2, 0, 1, 2]]
 
     @cached_property
     def boundary_pair_dofs(self) -> np.ndarray:
@@ -357,32 +356,33 @@ _configuration_cache = []  # the latest (complex, coords key, record), or nothin
 
 
 def gather_geometry(x: np.ndarray, complex: ConnectivityComplex) -> tuple:
-    """``(p, e, areas, ends)`` of the flat vec-order coordinates ``x`` on ``complex``.
+    """``(e, areas, edges)`` of the flat vec-order coordinates ``x`` on ``complex``, from one gather.
 
-    ``p`` (N_T, 3, 2) holds the gathered vertices, ``e[:, l] = p[:, l+2] -
-    p[:, l+1]`` (N_T, 3, 2) the edge vector opposite local vertex ``l``,
-    ``areas`` (N_T,) the signed areas and ``ends`` (4, N_T, 2) the edges' end
-    points at ``complex.edge_end_dofs``.  ``e`` is local edge major in memory
-    (strides ``(16, 16 N_T, 8)``), which fixes the order of every later sum over it.
+    For the gathered vertices ``p``, ``edges`` (5, N_T, 2) holds ``p_{k+1} - p_k`` in row ``k`` (local
+    indices mod 3): row ``l + 1`` is ``e_l = p_{l+2} - p_{l+1}``, the edge vector opposite local vertex
+    ``l``, and ``e`` (N_T, 3, 2) the view of rows 1 to 3, local edge major in memory (strides ``(16,
+    16 N_T, 8)``), which fixes the order of every later sum over it; ``areas`` (N_T,) holds the signed
+    areas.
     """
-    ends = x[complex.edge_end_dofs]
-    e = (ends[1:] - ends[:3]).transpose(1, 0, 2)
-    return x[complex.vertex_dofs], e, 0.5 * (e[:, 2, 0] * e[:, 0, 1] - e[:, 2, 1] * e[:, 0, 0]), ends
+    cycle = x[complex.cycle_dofs]
+    edges = cycle[1:] - cycle[:-1]
+    e = edges[1:4].transpose(1, 0, 2)
+    return e, 0.5 * (e[:, 2, 0] * e[:, 0, 1] - e[:, 2, 1] * e[:, 0, 0]), edges
 
 
 class Configuration:
     """Everything derived from one vertex configuration on one complex.
 
-    ``x`` holds the flat read-only coordinates, and ``p``, ``e`` and
-    ``areas`` the geometry of :func:`gather_geometry`; ``basis_gradients``
+    ``x`` holds the flat read-only coordinates, and ``e``, ``areas`` and
+    ``edges`` the geometry of :func:`gather_geometry`; ``basis_gradients``
     and ``centroids`` are computed on first use, and :meth:`memo` keeps what
     other layers derive (the assembled P1 system, the penalty's terms).
     Every array is read-only, so all callers can share them.
     """
 
     def __init__(self, x: np.ndarray, complex: ConnectivityComplex):
-        self.x = x
-        self.p, self.e, self.areas = read_only(*gather_geometry(x, complex)[:3])
+        self.x, self._vertex_dofs = x, complex.vertex_dofs
+        self.e, self.areas, self.edges = read_only(*gather_geometry(x, complex))
         self._memo = {}
 
     @cached_property
@@ -395,7 +395,7 @@ class Configuration:
 
     @cached_property
     def centroids(self) -> np.ndarray:
-        return read_only(self.p.mean(axis=1))
+        return read_only(self.x[self._vertex_dofs].mean(axis=1))
 
     def memo(self, compute, *args):
         """``compute(self, *args)`` (read-only), once per ``compute`` and ``args``
@@ -517,16 +517,17 @@ class PairDistances:
     def __init__(self, coords, pairs, mu: float):
         self.mu = mu
         self._frames = t, n, xi, eta, length = _pair_frames(coords, pairs)
-        # the tangential overshoots past j0 and past j1, each with its smoother factors
-        self._ends = [(s, *_smooth_pos_factors(s, mu)) for s in (-xi, xi - length)]
-        (_, lo_half, _, lo_step), (_, hi_half, _, hi_step) = self._ends
-        self.dist = read_only(smooth_abs(eta, mu) + lo_half * lo_step + hi_half * hi_step)
+        # the tangential overshoots past j0 and past j1, rows of one (2, P) array, and their smoother factors
+        self._overshoots = np.stack([-xi, xi - length])
+        self._factors = half_sum, _, step = _smooth_pos_factors(self._overshoots, mu)
+        m = half_sum * step
+        self.dist = read_only(smooth_abs(eta, mu) + m[0] + m[1])
 
     def gradients(self) -> np.ndarray:
         """Exact gradients of ``dist`` with respect to the vertex and the two
         edge endpoints, (3, P, 2)."""
         t, n, xi, eta, length = self._frames
-        m_lo, m_hi = (_smooth_pos_slope(s, self.mu, *factors) for s, *factors in self._ends)
+        m_lo, m_hi = _smooth_pos_slope(self._overshoots, self.mu, *self._factors)
         c_eta = smooth_abs_prime(eta, self.mu)
         c_xi = -m_lo + m_hi
         c_len = -m_hi

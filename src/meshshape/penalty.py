@@ -9,6 +9,8 @@ The penalty combines its mesh average, the reciprocal total area, smoothed
 reciprocal distances between boundary vertices and non-incident boundary
 edges, and the squared Frobenius distance to a reference configuration.  The
 gradient is exact (chain rule), in vec order ``[x_0, y_0, x_1, y_1, ...]``.
+At a point, the terms read one gather (:func:`~meshshape.mesh.gather_geometry`),
+and the gradient is scattered once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import NonpositiveArea
+from .errors import InvalidValue, NonpositiveArea
 from .mesh import (
     SQRT3,
     ConnectivityComplex,
@@ -44,16 +46,12 @@ class PenaltyParams:
     cutoff_threshold: float | None = None
 
     def __post_init__(self):
-        if len(self.alpha) != 4:
-            raise ValueError("alpha must have four entries")
-        if not np.all(np.isfinite([*self.alpha, self.mu, self.cutoff_threshold or 1.0])):
-            raise ValueError("alpha, mu and cutoff_threshold must be finite")
-        if any(a < 0 for a in self.alpha):
-            raise ValueError("alpha entries must be nonnegative")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.cutoff_threshold is not None and self.cutoff_threshold <= 0:
-            raise ValueError("cutoff_threshold must be positive")
+        if len(self.alpha) != 4 or not all(0.0 <= a < np.inf for a in self.alpha):
+            raise InvalidValue("alpha", self.alpha, "must give four finite, nonnegative weights")
+        if not 0.0 < self.mu < np.inf:
+            raise InvalidValue("mu", self.mu, "must be finite and positive")
+        if self.cutoff_threshold is not None and not 0.0 < self.cutoff_threshold < np.inf:
+            raise InvalidValue("cutoff_threshold", self.cutoff_threshold, "must be finite and positive")
 
     @property
     def is_zero(self) -> bool:
@@ -111,9 +109,9 @@ class PenaltyEvaluator:
 
     def __init__(self, record: Configuration | None, complex: ConnectivityComplex):
         self.complex, self._key = complex, None
-        if record is not None:  # the record's geometry; slopes() gathers the edges' ends
-            self._x, self.p, self.e, self.areas, self._ends = record.x, record.p, record.e, record.areas, None
-            self.total, self._vals, self._slopes, self._distances = self.areas.sum(), None, None, None
+        if record is not None:  # the record's geometry
+            self._x, self.e, self.areas, self.edges = record.x, record.e, record.areas, record.edges
+            self.total, self._vals, self._distances = self.areas.sum(), None, None
 
     def at(self, coords: np.ndarray) -> "PenaltyEvaluator":
         """Moved to ``coords``, unless they have the bytes of the last point; the
@@ -121,35 +119,31 @@ class PenaltyEvaluator:
         key = coords.tobytes()
         if key != self._key:
             self._x = x = np.frombuffer(key, coords.dtype)  # the point's own read-only copy
-            self.p, self.e, self.areas, self._ends = gather_geometry(x, self.complex)
-            self.total, self._vals, self._slopes, self._distances = self.areas.sum(), None, None, None
+            self.e, self.areas, self.edges = gather_geometry(x, self.complex)
+            self.total, self._vals, self._distances = self.areas.sum(), None, None
             self._key = key
         return self
 
     def quality(self) -> np.ndarray:
         if self._vals is None:
-            if (self.areas <= 0.0).any():
+            if self.areas.min() <= 0.0:
                 raise NonpositiveArea("quality measure requires positive areas")
             self._vals = read_only((self.e * self.e).sum(axis=(1, 2)) / (4.0 * SQRT3 * self.areas))
         return self._vals
 
-    def slopes(self) -> tuple:
-        """Per-triangle derivatives of the area and the quality reciprocal, (N_T, 3, 2) each."""
-        if self._slopes is None:
-            p, e, vals = self.p, self.e, self.quality()  # raises on nonpositive areas
-            if self._ends is None:
-                self._ends = self._x[self.complex.edge_end_dofs]
-            ends = self._ends.transpose(1, 0, 2)  # (N_T, 4, 2): local vertices 1, 2, 0, 1
-            # d area / d p_l = 0.5 * rot90(e_l), rot90 (x,y) -> (-y,x); adding 0.0 turns
-            # -0.0 into 0.0, as the matrix product 0.5 * e @ rot90.T it replaces did
-            darea = np.multiply(e[..., ::-1], _HALF_ROT90, order="C")
-            darea += 0.0
-            # d ssq / d p_l = 2 (2 p_l - p_{l+1} - p_{l+2})
-            dssq = 2.0 * (2.0 * p - ends[:, :3] - ends[:, 1:])
-            denom = 4.0 * SQRT3 * self.areas
-            dquality = (dssq - (4.0 * SQRT3 * vals)[:, None, None] * darea) / denom[:, None, None]
-            self._slopes = read_only(darea, dquality)
-        return self._slopes
+    def area_quality_gradient(self, c1: float, c2: float) -> np.ndarray:
+        """Derivatives of ``c1 * sum(quality()) + c2 * total`` by each triangle's vertices, (3, N_T, 2)
+        in the order of ``cycle_dofs[:3]``.  With ``q = ssq / (k A)``, ``k = 4 sqrt(3)``, ``d ssq / d p_l
+        = 2 (e_{l+1} - e_{l+2})`` and ``d A / d p_l = rot90(e_l) / 2``, the slope at ``p_l`` is
+        ``u (e_{l+1} - e_{l+2}) + (c2 - k/2 q u) rot90(e_l) / 2`` with ``u = 2 c1 / (k A)``; those
+        edges are rows 2:5, 0:3 and 1:4 of ``edges``."""
+        vals, edges = self.quality(), self.edges  # raises on nonpositive areas
+        u = (c1 / (2.0 * SQRT3)) / self.areas
+        v = c2 - (vals * u) * (2.0 * SQRT3)
+        slope = edges[2:5] - edges[0:3]
+        slope *= u[:, None]
+        slope += edges[1:4, :, ::-1] * (v[:, None] * _HALF_ROT90)
+        return slope
 
     def distances(self, mu: float) -> PairDistances:
         """The boundary pairs' smoothed distances of width ``mu``; the last width's are kept."""
@@ -216,11 +210,8 @@ def penalty_gradient(
     if a1 != 0.0 or a2 != 0.0 or a3 != 0.0:
         terms = _terms(coords, complex, evaluator)
     if a1 != 0.0 or a2 != 0.0:
-        darea, dquality = terms.slopes()
-        if a1 != 0.0:
-            parts.append((complex.vertex_dofs, (a1 / complex.num_triangles) * dquality))
-        if a2 != 0.0:
-            parts.append((complex.vertex_dofs, (-a2 / terms.total**2) * darea))
+        slope = terms.area_quality_gradient(a1 / complex.num_triangles, -a2 / terms.total**2)
+        parts.append((complex.cycle_dofs[:3], slope))
     if a3 != 0.0 and complex.boundary_pairs.shape[0] > 0:
         distances = terms.distances(params.mu)
         dist, ddist = distances.dist, distances.gradients()

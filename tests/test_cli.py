@@ -80,10 +80,16 @@ ERROR_CASES = {
     "experiment3-bad-geodesic-steps": (["experiment", "3", "--geodesic-steps", "0", "--out", "{out}"],
                                        EXIT_USAGE, "--geodesic-steps 0"),
     "optimize-infinite-penalty": (["optimize", "--mesh", "disc:3", "--variant", "EucEuc", "--penalty", "a4=inf",
-                                   "--out", "{out}"], EXIT_USAGE, ""),
+                                   "--out", "{out}"], EXIT_USAGE, "--penalty a4=inf"),
     "optimize-nan-metric-alpha": (["optimize", "--mesh", "disc:1", "--variant", "CompEuc", "--metric-alpha",
-                                   "a1=nan,a2=1,a4=1", "--out", "{out}"], EXIT_USAGE, ""),
-    "optimize-nan-mu": (["optimize", "--mesh", "disc:1", "--mu", "nan", "--out", "{out}"], EXIT_USAGE, ""),
+                                   "a1=nan,a2=1,a4=1", "--out", "{out}"], EXIT_USAGE,
+                                  "--metric-alpha a1=nan,a2=1,a4=1"),
+    "optimize-nan-mu": (["optimize", "--mesh", "disc:1", "--mu", "nan", "--out", "{out}"], EXIT_USAGE, "--mu nan"),
+    "optimize-negative-cutoff": (["optimize", "--mesh", "disc:1", "--cutoff", "-1", "--out", "{out}"], EXIT_USAGE,
+                                 "--cutoff -1"),
+    "optimize-no-rings": (["optimize", "--mesh", "disc:0", "--out", "{out}"], EXIT_USAGE, "--mesh disc:0"),
+    "eval-negative-penalty": (["eval", "--mesh", "disc:2", "--which", "phi", "--penalty", "a1=-1"], EXIT_USAGE,
+                              "--penalty a1=-1"),
     "check-malformed-mesh": (["check", "--mesh", "{malformed}"], EXIT_USAGE, ""),
     "eval-malformed-penalty": (["eval", "--mesh", "disc:2", "--which", "phi", "--penalty", "a1=x"],
                                EXIT_USAGE, ""),
@@ -418,11 +424,16 @@ def test_point_table_rows_parse(capsys):
     assert header.split()[-3:] == ["against", "µs", "ratio"]
     measures = []
     for row in rows:
-        mesh, weights, measure, this, against, ratio = row.split()
+        mesh, weights, measure, this, against, ratio, *counts = row.split()
         assert mesh == "disc:1" and float(this) > 0 and float(against) > 0 and float(ratio) > 0
+        if measure == "step":  # the value calls per step of each side: the constraint solve takes one or more
+            label, per_step = counts
+            assert label == "values/step" and all(float(c) >= 1.0 for c in per_step.split("/"))
+            counts = []
+        assert counts == []
         measures.append((weights, measure))
     assert measures == [("-", "record"), *((w, m) for w in ("10/1/0/0.01", "10/1/0.1/0.01")
-                                             for m in ("value", "value+gradient"))]
+                                             for m in ("value", "value+gradient", "step"))]
 
 
 def test_fast_histories_have_not_moved(tmp_path, monkeypatch):

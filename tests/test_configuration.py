@@ -61,13 +61,15 @@ def _uncached_system(coords, cx, rhs):
     return cx.interior_p1_pattern.matrix(k_loc), load, weights, r_c
 
 
-def _uncached_quality_terms(coords, triangles):
-    p, e, areas = _uncached_geometry(coords, triangles)
-    vals = np.sum(e**2, axis=(1, 2)) / (4.0 * SQRT3 * areas)
-    darea = 0.5 * e @ np.array([[0.0, -1.0], [1.0, 0.0]]).T
-    dssq = 2.0 * (2.0 * p - p[:, [1, 2, 0]] - p[:, [2, 0, 1]])
-    dquality = (dssq - (4.0 * SQRT3 * vals)[:, None, None] * darea) / (4.0 * SQRT3 * areas)[:, None, None]
-    return vals, darea, dquality
+def _uncached_quality(coords, triangles):
+    _, e, areas = _uncached_geometry(coords, triangles)
+    return np.sum(e**2, axis=(1, 2)) / (4.0 * SQRT3 * areas)
+
+
+def _uncached_edges(coords, triangles):
+    # row k: p_{k+1} - p_k, local indices mod 3, (5, N_T, 2)
+    walk = coords[triangles[:, [0, 1, 2, 0, 1, 2]].T]
+    return walk[1:] - walk[:-1]
 
 
 def _cached_arrays(coords, cx, rhs):
@@ -79,13 +81,12 @@ def _cached_arrays(coords, cx, rhs):
     penalty_gradient(coords, coords, cx, SET1)
     record = configuration(coords, cx)
     terms = record.memo(PenaltyEvaluator, cx)  # the penalty's terms, kept by the record
-    darea, dquality = terms.slopes()
     return record, {
-        "p": record.p, "e": record.e, "areas": record.areas,
+        "e": record.e, "areas": record.areas, "edges": record.edges,
         "basis_gradients": record.basis_gradients, "centroids": record.centroids,
         "reduced.data": system.reduced.data, "load": system.load, "volume_weights": system.volume_weights,
         "centroid_rhs": record.memo(fem._centroid_rhs, rhs),
-        "quality": terms.quality(), "darea": darea, "dquality": dquality,
+        "quality": terms.quality(),
     }
 
 
@@ -96,12 +97,11 @@ def test_cached_quantities_equal_uncached(mesh):
     _, cached = _cached_arrays(q, cx, rhs)
     p, e, areas = _uncached_geometry(q, cx.triangles)
     reduced, load, weights, r_c = _uncached_system(q, cx, rhs)
-    vals, darea, dquality = _uncached_quality_terms(q, cx.triangles)
     want = {
-        "p": p, "e": e, "areas": areas,
+        "e": e, "areas": areas, "edges": _uncached_edges(q, cx.triangles),
         "basis_gradients": _uncached_basis_gradients(e, areas), "centroids": p.mean(axis=1),
         "reduced.data": reduced.data, "load": load, "volume_weights": weights, "centroid_rhs": r_c,
-        "quality": vals, "darea": darea, "dquality": dquality,
+        "quality": _uncached_quality(q, cx.triangles),
     }
     assert cached.keys() == want.keys()
     for name in want:
@@ -213,8 +213,8 @@ def test_edge_vectors_are_local_edge_major(rings):
     n = cx.num_triangles
     for complex in (cx, rotated):
         for point in (configuration(q, complex), PenaltyEvaluator(None, complex).at(q)):
-            assert point.p.shape == point.e.shape == (n, 3, 2)
-            assert point.p.strides == (48, 16, 8) and point.e.strides == (16, 16 * n, 8)
+            assert point.e.shape == (n, 3, 2) and point.e.strides == (16, 16 * n, 8)
+            assert point.edges.shape == (5, n, 2) and point.edges.strides == (16 * n, 16, 8)
 
 
 EVALUATOR_PARAMS = {

@@ -263,6 +263,56 @@ def test_penalty_gradient_translation_invariance(disc3):
     assert abs(grad @ ty) < 1e-10
 
 
+# An unfused reference: per-triangle slopes of the area and of the quality
+# reciprocal from the gathered vertices, each term scattered on its own by
+# np.add.at, and the reference term as a sum of squares.
+def _reference_penalty(coords, qref, cx, params):
+    a1, a2, a3, a4 = params.alpha
+    p = coords[cx.triangles]
+    e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+    areas = 0.5 * (e[:, 2, 0] * e[:, 0, 1] - e[:, 2, 1] * e[:, 0, 0])
+    vals = np.sum(e**2, axis=(1, 2)) / (4.0 * SQRT3 * areas)
+    darea = 0.5 * e @ np.array([[0.0, -1.0], [1.0, 0.0]]).T
+    dssq = 2.0 * (2.0 * p - p[:, [1, 2, 0]] - p[:, [2, 0, 1]])
+    dquality = (dssq - (4.0 * SQRT3 * vals)[:, None, None] * darea) / (4.0 * SQRT3 * areas)[:, None, None]
+    diff = coords - qref
+    value = a1 * vals.mean() + a2 / areas.sum() + 0.5 * a4 * np.sum(diff * diff)
+    grad = a4 * diff.ravel()
+    np.add.at(grad, cx.vertex_dofs, (a1 / cx.num_triangles) * dquality)
+    np.add.at(grad, cx.vertex_dofs, (-a2 / areas.sum() ** 2) * darea)
+    if a3 != 0.0:
+        distances = mesh_module.PairDistances(coords, cx.boundary_pairs, params.mu)
+        recip, slope = 1.0 / distances.dist, -1.0 / distances.dist**2
+        if params.cutoff_threshold is not None:
+            recip, slope = cutoff(recip, params.cutoff_threshold), slope * cutoff_prime(recip, params.cutoff_threshold)
+        scale = len(cx.boundary_edges) * len(cx.boundary_vertices)
+        value += a3 * recip.sum() / scale
+        np.add.at(grad, cx.boundary_pair_dofs, (a3 / scale) * slope[:, None] * distances.gradients())
+    return value, grad
+
+
+REFERENCE_PARAMS = {
+    "metric": PenaltyParams((10.0, 1.0, 0.0, 0.01)),
+    "a1-zero": PenaltyParams((0.0, 1.0, 0.0, 0.01)),
+    "a2-zero": PenaltyParams((10.0, 0.0, 0.0, 0.01)),
+    "a3": PenaltyParams((10.0, 1.0, 0.1, 0.01)),
+    "a3-cutoff": PenaltyParams((1.0, 0.5, 0.25, 0.1), mu=0.05, cutoff_threshold=0.6),
+}
+
+
+@pytest.mark.parametrize("rings", [1, 3, 7])
+@pytest.mark.parametrize("name", REFERENCE_PARAMS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_value_and_gradient_match_the_unfused_reference(rings, name, seed):
+    params = REFERENCE_PARAMS[name]
+    cx, q, qref = _perturbed_disc(seed, rings)
+    want_value, want_grad = _reference_penalty(q, qref, cx, params)
+    evaluator = penalty_module.PenaltyEvaluator(None, cx)
+    for grad in (penalty_gradient(q, qref, cx, params), penalty_gradient(q, qref, cx, params, evaluator)):
+        assert np.max(np.abs(grad - want_grad)) <= 1e-13 * np.max(np.abs(want_grad))
+    assert penalty_value(q, qref, cx, params) == pytest.approx(want_value, rel=1e-13, abs=0.0)
+
+
 # -- cutoff ------------------------------------------------------------------
 
 def test_cutoff_plateaus():
