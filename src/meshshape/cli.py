@@ -82,9 +82,12 @@ def parse_alpha(text: str):
     for part in text.split(","):
         key, _, raw = part.partition("=")
         key = key.strip()
-        if key not in ("a1", "a2", "a3", "a4") or not raw:
-            raise ValueError(f"bad penalty spec {text!r}")
-        values[key] = float(raw)
+        if key not in ("a1", "a2", "a3", "a4") or key in values:
+            raise InvalidValue("alpha", text, "must set only a1, a2, a3 and a4, each at most once")
+        try:
+            values[key] = float(raw)
+        except ValueError:
+            raise InvalidValue("alpha", text, f"must give {key} a number") from None
     return tuple(values.get(k, 0.0) for k in ("a1", "a2", "a3", "a4"))
 
 
@@ -160,21 +163,20 @@ def cmd_check(args) -> int:
 def _build_config(args, complex):
     with _options_named(alpha=f"--penalty {args.penalty}"):
         penalty = PenaltyParams(parse_alpha(args.penalty), mu=args.mu, cutoff_threshold=args.cutoff)
-    with _options_named(alpha=f"--metric-alpha {args.metric_alpha}"):
-        metric_penalty = PenaltyParams(parse_alpha(args.metric_alpha), mu=args.mu)
     mask = None
     if args.fix_boundary:
         mask = np.zeros(complex.num_vertices, dtype=bool)
         mask[complex.boundary_vertices] = True
-    return OptimizerConfig(
-        variant=args.variant,
-        penalty=penalty,
-        metric_penalty=metric_penalty,
-        max_iter=args.max_iter,
-        stop_tol=args.tol,
-        fixed_vertex_mask=mask,
-        geodesic=GeodesicConfig(num_steps=args.geodesic_steps),
-    )
+    with _options_named(alpha=f"--metric-alpha {args.metric_alpha}"):  # also the complete metric's check
+        return OptimizerConfig(
+            variant=args.variant,
+            penalty=penalty,
+            metric_penalty=PenaltyParams(parse_alpha(args.metric_alpha), mu=args.mu),
+            max_iter=args.max_iter,
+            stop_tol=args.tol,
+            fixed_vertex_mask=mask,
+            geodesic=GeodesicConfig(num_steps=args.geodesic_steps),
+        )
 
 
 def cmd_optimize(args) -> int:
@@ -225,17 +227,17 @@ def cmd_experiment(args) -> int:
 def cmd_eval(args) -> int:
     complex, coords = load_mesh(args.mesh)
     rhs = parse_rhs(args.rhs)
-    alpha = parse_alpha(args.penalty)
-    if args.which == "gradcheck" and all(a == 0.0 for a in alpha):
-        alpha = (1.0, 0.5, 0.25, 0.1)
     with _options_named(alpha=f"--penalty {args.penalty}"):
+        alpha = parse_alpha(args.penalty)
+        if args.which == "gradcheck" and all(a == 0.0 for a in alpha):
+            alpha = (1.0, 0.5, 0.25, 0.1)
         params = PenaltyParams(alpha, mu=args.mu, cutoff_threshold=args.cutoff)
     _require_admissible(complex, coords)
     if args.which == "theta":
         print(f"{mesh_quality(coords, complex)!r}")
         return EXIT_OK
     if args.which == "phi":
-        print(f"{penalty_value(coords, coords, complex, params)!r}")
+        print(f"{float(penalty_value(coords, coords, complex, params))!r}")
         return EXIT_OK
     if args.which == "objective":
         system = assemble(coords, complex, rhs)

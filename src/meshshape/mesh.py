@@ -109,8 +109,7 @@ class ConnectivityComplex:
 
     @cached_property
     def p1_pattern(self) -> "SparsePattern":
-        """CSR pattern of the full P1 stiffness: 3x3 blocks over ``triangles``;
-        ``interior_p1_pattern`` takes its summation order from it."""
+        """CSR pattern of the full P1 stiffness: 3x3 blocks over ``triangles``."""
         return SparsePattern.of_blocks(self.triangles, self.num_vertices, sparse.csr_matrix)
 
     @cached_property
@@ -138,15 +137,13 @@ class ConnectivityComplex:
 @dataclass(frozen=True, eq=False)
 class SparsePattern:
     """Compressed pattern of a sum of dense element blocks: :meth:`matrix`
-    adds the flattened element entry ``order[k]`` to stored entry
-    ``slots[k]`` (none for ``len(indices)``), in the order scipy's COO
-    conversion adds them, so it gives ``coo_matrix(...).tocsr()`` (or
-    ``.tocsc()``) byte for byte."""
+    adds the flattened element entry ``k`` to stored entry ``slots[k]``
+    (none for ``len(indices)``), each stored entry summing its contributions
+    in element order, as :func:`scatter_add` and ``np.add.at`` do."""
 
     container: type  # sparse.csr_matrix or sparse.csc_matrix
     indptr: np.ndarray
     indices: np.ndarray
-    order: np.ndarray
     slots: np.ndarray
 
     def __post_init__(self):
@@ -157,43 +154,37 @@ class SparsePattern:
     def of_blocks(cls, dofs: np.ndarray, size: int, container: type) -> "SparsePattern":
         """The ``k x k`` blocks over the rows of ``dofs`` (n, k): flat entry
         ``(n k + a) k + b`` sits at ``(dofs[n, a], dofs[n, b])``."""
-        k, dofs = dofs.shape[1], dofs.astype(np.int32)
-        major, minor = np.repeat(dofs, k, axis=1).ravel(), np.tile(dofs, (1, k)).ravel()
-        if container is sparse.csc_matrix:
-            major, minor = minor, major
-        # Replay the conversion on the entry ids: a stable counting sort by the
-        # major index, then std::sort of each slice by the minor index, which
-        # is not stable but depends on the keys alone.  int32 keys and ids,
-        # each intermediate dropped once used, keep the replay's memory small.
-        first = np.argsort(major, kind="stable").astype(np.int32)
-        indptr = np.r_[0, np.cumsum(np.bincount(major, minlength=size))]
-        replay = container((first, minor[first], indptr), shape=(size, size))
-        del first, minor
-        replay.sort_indices()
-        order, minor = replay.data.astype(np.int64), replay.indices
-        del replay
-        major = major[order]
-        starts = np.r_[True, (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])]
-        indptr = np.r_[0, np.cumsum(np.bincount(major[starts], minlength=size))].astype(minor.dtype)
-        del major
-        return cls(container, indptr, minor[starts], order, np.cumsum(starts) - 1)
+        rows, cols = dofs[:, :, None], dofs[:, None, :]
+        major, minor = (rows, cols) if container is sparse.csr_matrix else (cols, rows)
+        keys = (major.astype(np.int64) * size + minor).ravel()
+        # A stored entry is a run of equal keys in sorted order; a slot depends on its key alone,
+        # so any sort gives the same slots, and the fastest is used.
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.r_[True, keys[1:] != keys[:-1]]
+        keys = keys[starts]
+        indptr = np.searchsorted(keys, np.arange(size + 1) * size).astype(np.int32)
+        indices = (keys % size).astype(np.int32)
+        ranks = np.cumsum(starts) - 1  # before slots: the cast of starts takes an entry-long temporary
+        slots = np.empty_like(order)
+        slots[order] = ranks
+        return cls(container, indptr, indices, slots)
 
     def matrix(self, values: np.ndarray):
         """The sum of the element blocks ``values``."""
-        weights = np.ravel(values)[self.order]
-        data = np.bincount(self.slots, weights=weights, minlength=len(self.indices) + 1)
+        data = np.bincount(self.slots, weights=np.ravel(values), minlength=len(self.indices) + 1)
         size = len(self.indptr) - 1
         return self.container((data[:-1], self.indices, self.indptr), shape=(size, size))
 
     def restricted(self, keep: np.ndarray) -> "SparsePattern":
         """CSC rows and columns ``keep``, in that order: its :meth:`matrix` is
-        ``self.matrix(values)[keep][:, keep].tocsc()``, byte for byte, each entry summed in this order."""
+        ``self.matrix(values)[keep][:, keep].tocsc()``, byte for byte."""
         nnz, size = len(self.indices), len(self.indptr) - 1
         ids = self.container((np.arange(1.0, nnz + 1), self.indices, self.indptr), shape=(size, size))
         sub = ids[keep][:, keep].tocsc()  # the slicing replayed on the slot ids
         slot = np.full(nnz + 1, sub.nnz)
         slot[sub.data.astype(np.int64) - 1] = np.arange(sub.nnz)
-        return SparsePattern(sparse.csc_matrix, sub.indptr, sub.indices, self.order, slot[self.slots])
+        return SparsePattern(sparse.csc_matrix, sub.indptr, sub.indices, slot[self.slots])
 
 
 # SuperLU options for the symmetric positive definite matrices assembled on

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .errors import NonpositiveArea, SingularSystem
+from .errors import InvalidValue, NonpositiveArea, SingularSystem
 from .mesh import PREORDERED_LU, ConnectivityComplex, SparsePattern, checked_solve, configuration, free_dofs
 from .penalty import PenaltyParams, penalty_gradient
 
@@ -36,12 +36,12 @@ DELTA = 0.2 * 1.0
 
 
 def check_complete_weights(penalty: PenaltyParams):
-    """Raise ``ValueError`` unless ``penalty`` can weight the complete metric:
+    """Raise :class:`InvalidValue` unless ``penalty`` can weight the complete metric:
     a1, a2 and a4 positive.  a3 == 0 is admitted: the boundary term can be
     switched off by a cutoff without affecting completeness in practice."""
     a1, a2, a3, a4 = penalty.alpha
     if a1 <= 0 or a2 <= 0 or a4 <= 0 or a3 < 0:
-        raise ValueError("complete metric requires positive weights a1, a2, a4 and a3 >= 0")
+        raise InvalidValue("alpha", penalty.alpha, "must give the complete metric positive a1, a2, a4 and a3 >= 0")
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,8 @@ def test_usage_error_exit_code():
 ERROR_CASES = {
     "optimize-no-mesh": (["optimize", "--out", "{out}"], EXIT_USAGE, ""),
     "compeuc-incomplete-metric": (["optimize", "--mesh", "disc:1", "--variant", "CompEuc",
-                                   "--metric-alpha", "a1=1,a2=1", "--out", "{out}"], EXIT_USAGE, ""),
+                                   "--metric-alpha", "a1=1,a2=1", "--out", "{out}"], EXIT_USAGE,
+                                  "--metric-alpha a1=1,a2=1"),
     "optimize-out-is-a-file": (["optimize", "--mesh", "disc:1", "--out", "{file}"], EXIT_USAGE, ""),
     "optimize-out-below-a-file": (["optimize", "--mesh", "disc:1", "--out", "{file}/sub"], EXIT_USAGE, ""),
     "experiment-no-rings": (["experiment", "1", "--rings", "0", "--out", "{out}"], EXIT_USAGE, "--rings 0"),
@@ -92,7 +93,9 @@ ERROR_CASES = {
                               "--penalty a1=-1"),
     "check-malformed-mesh": (["check", "--mesh", "{malformed}"], EXIT_USAGE, ""),
     "eval-malformed-penalty": (["eval", "--mesh", "disc:2", "--which", "phi", "--penalty", "a1=x"],
-                               EXIT_USAGE, ""),
+                               EXIT_USAGE, "--penalty a1=x"),
+    "eval-repeated-penalty-key": (["eval", "--mesh", "disc:2", "--which", "phi", "--penalty", "a1=1,a1=2"],
+                                  EXIT_USAGE, "--penalty a1=1,a1=2"),
     "optimize-inadmissible-mesh": (["optimize", "--mesh", "{flipped}", "--out", "{out}"],
                                    EXIT_INADMISSIBLE, ""),
     "eval-singular-system": (["eval", "--mesh", "disc:2", "--which", "objective"], EXIT_OPT_FAILURE, ""),
@@ -142,6 +145,12 @@ def test_eval_theta_equilateral(capsys):
     assert run(["eval", "--mesh", "disc:1", "--which", "theta"]) == 0
     value = float(capsys.readouterr().out.strip())
     assert value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_eval_phi_prints_a_float(capsys):
+    # a penalty with a1 or a2 nonzero sums numpy scalars; the line is a plain number all the same
+    assert run(["eval", "--mesh", "disc:1", "--which", "phi", "--penalty", "a1=1,a2=2"]) == 0
+    assert float(capsys.readouterr().out.strip()) > 0.0
 
 
 def test_eval_gradcheck(capsys):
@@ -434,6 +443,21 @@ def test_point_table_rows_parse(capsys):
         measures.append((weights, measure))
     assert measures == [("-", "record"), *((w, m) for w in ("10/1/0/0.01", "10/1/0.1/0.01")
                                              for m in ("value", "value+gradient", "step"))]
+
+
+def test_superlu_table_rows_parse(capsys):
+    # one repeat on disc:3: the reduced P1, elasticity and pinned metric matrices keep their sizes, and
+    # SuperLU keeps its fill on them (and its permutations, which the script checks itself)
+    _script("superlu_table").main(["--rings", "3", "--repeat", "1"])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[:3] == ["mesh", "matrix", "n"]
+    matrices = []
+    for row in rows:
+        mesh, matrix, n, setting, fill, _, fill_set, *times, diff = row.split()
+        assert mesh == "disc:3" and setting == "panel_size=1" and fill == fill_set
+        assert all(float(t.strip("()")) > 0 for t in times if t != "/") and float(diff) < 1e-12
+        matrices.append((matrix, int(n), int(fill)))
+    assert matrices == [("P1", 19, 170), ("elasticity", 74, 1652), ("pinned", 38, 672)]
 
 
 def test_fast_histories_have_not_moved(tmp_path, monkeypatch):

@@ -194,18 +194,15 @@ def test_shape_derivative_symmetry_center(square5):
 
 # -- assembly from the cached sparse patterns --------------------------------
 
-def _coo_reference(coords, cx):
-    """P1 stiffness and vector elasticity metric as COO conversions: the
-    assembly the cached patterns replace, the metric's DOFs relabelled by
-    their places in ``dof_order``."""
-    tris = cx.triangles
-    n_t = len(tris)
+def _element_blocks(coords, cx):
+    """The element blocks of the P1 stiffness and of the vector elasticity
+    metric, each with the DOFs its blocks are over (flat entry ``(n k + a) k + b``
+    at ``(dofs[n, a], dofs[n, b])``), the metric's DOFs relabelled by their
+    places in ``dof_order``."""
+    n_t = len(cx.triangles)
     record = configuration(coords, cx)
     areas, grads = record.areas, record.basis_gradients
     k_loc = areas[:, None, None] * np.einsum("tld,tmd->tlm", grads, grads)
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    stiffness = sparse.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(cx.num_vertices,) * 2).tocsr()
 
     mu, lam, delta = MU, LAM, DELTA
     b_mat = np.zeros((n_t, 3, 6))
@@ -222,11 +219,20 @@ def _coo_reference(coords, cx):
             m_loc[:, 2 * a, 2 * b] = areas * m_scalar[a, b]
             m_loc[:, 2 * a + 1, 2 * b + 1] = areas * m_scalar[a, b]
     dofs = np.argsort(cx.dof_order)[cx.vertex_dofs.reshape(n_t, 6)]
-    rows = np.repeat(dofs, 6, axis=1).ravel()
-    cols = np.tile(dofs, (1, 6)).ravel()
-    vals = (k_el + delta * m_loc).ravel()
-    elasticity = sparse.coo_matrix((vals, (rows, cols)), shape=(2 * cx.num_vertices,) * 2).tocsc()
-    return stiffness, elasticity
+    return (cx.triangles, k_loc), (dofs, k_el + delta * m_loc)
+
+
+def _coo(dofs, blocks, size):
+    k = dofs.shape[1]
+    rows, cols = np.repeat(dofs, k, axis=1).ravel(), np.tile(dofs, (1, k)).ravel()
+    return sparse.coo_matrix((blocks.ravel(), (rows, cols)), shape=(size, size))
+
+
+def _coo_reference(coords, cx):
+    """P1 stiffness and vector elasticity metric (in ``dof_order``) as COO
+    conversions: the assembly the cached patterns replace."""
+    (tris, k_loc), (dofs, m_loc) = _element_blocks(coords, cx)
+    return _coo(tris, k_loc, cx.num_vertices).tocsr(), _coo(dofs, m_loc, 2 * cx.num_vertices).tocsc()
 
 
 def _perturbed_disc(rings, seed):
@@ -237,18 +243,46 @@ def _perturbed_disc(rings, seed):
     return cx, q
 
 
-def _same_arrays(a, b):
-    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("data", "indices", "indptr"))
+def _element_order_sums(matrix, coo, keep):
+    """``matrix``'s stored values as ``np.add.at`` sums of the element entries
+    ``coo`` (unconverted, so in element order), kept in rows and columns
+    ``keep`` and numbered by their places in it."""
+    n = matrix.shape[0]
+    place = np.full(coo.shape[0], -1)
+    place[keep] = np.arange(len(keep))
+    rows, cols = place[coo.row], place[coo.col]
+    kept = (rows >= 0) & (cols >= 0)
+    major, minor = (rows, cols) if matrix.format == "csr" else (cols, rows)
+    stored = np.repeat(np.arange(n), np.diff(matrix.indptr)) * n + matrix.indices  # sorted: see the caller
+    wanted = (major * n + minor)[kept]
+    where = np.searchsorted(stored, wanted)
+    assert np.array_equal(stored[where], wanted)
+    data = np.zeros(matrix.nnz)
+    np.add.at(data, where, coo.data[kept])
+    return data
 
 
 @pytest.mark.parametrize("mesh", ["square5", "disc3", "disc7"])
 def test_pattern_assembly_matches_coo(mesh):
+    # The structure of scipy's COO conversion and its values to round-off; each stored value is, byte
+    # for byte, the np.add.at sum of its element contributions in element order.
     cx, q = make_square5_mesh() if mesh == "square5" else _perturbed_disc(int(mesh[4:]), 5)
-    stiffness, elasticity = _coo_reference(q, cx)
-    sys_ = assemble(q, cx, model_rhs())
-    interior = sys_.interior
-    assert _same_arrays(sys_.reduced, stiffness[interior][:, interior].tocsc())
-    assert _same_arrays(assemble_elasticity(q, cx), elasticity)
+    (tris, k_loc), (dofs, m_loc) = _element_blocks(q, cx)
+    p1, elasticity = _coo(tris, k_loc, cx.num_vertices), _coo(dofs, m_loc, 2 * cx.num_vertices)
+    free = np.flatnonzero(~np.isin(cx.dof_order // 2, cx.boundary_vertices))  # places in dof_order
+    cases = [  # assembled matrix, element entries, kept rows and columns (None for all)
+        (cx.p1_pattern.matrix(k_loc), p1, None),
+        (assemble(q, cx, model_rhs()).reduced, p1, cx.interior_order),
+        (assemble_elasticity(q, cx), elasticity, None),
+        (assemble_elasticity(q, cx, cx.elasticity_pattern.restricted(free)), elasticity, free),
+    ]
+    for got, coo, keep in cases:
+        want = coo.asformat(got.format) if keep is None else coo.tocsr()[keep][:, keep].tocsc()
+        assert got.format == want.format
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-13, atol=1e-13 * np.abs(want.data).max())
+        keep = np.arange(coo.shape[0]) if keep is None else keep
+        assert got.data.tobytes() == _element_order_sums(got, coo, keep).tobytes()
 
 
 def _restriction(cx, case, rng):
