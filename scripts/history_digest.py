@@ -53,6 +53,10 @@ CASES = (
                               "--max-iter", "1"]),
     # several rings of triangles under the geodesic's penalty evaluator, not only the 7- and 19-vertex discs
     ("compcomp-disc5", ["optimize", "--variant", "CompComp", "--mesh", "disc:5", "--max-iter", "1"]),
+    # 4 steps give 2 ladder levels per integration: a trial past them starts a fresh one, and an
+    # integration that meets a nonpositive area rejects its trials
+    ("compcomp-steps4-disc2", ["optimize", "--variant", "CompComp", "--mesh", "disc:2", "--geodesic-steps", "4",
+                               "--max-iter", "6"]),
     ("compeuc-set1-disc12", ["optimize", "--variant", "CompEuc", "--penalty", "set1", "--mesh", "disc:12"]),
     # every penalty set has a3 = 0: this puts the objective's boundary term, with its cutoff, on the record path
     ("compeuc-a3-cutoff-disc5", ["optimize", "--variant", "CompEuc", "--mesh", "disc:5", "--penalty",

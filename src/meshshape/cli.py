@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -22,6 +23,7 @@ from .fem import (
     solve_state,
 )
 from .fileio import (
+    data_lines,
     read_mesh,
     write_history,
     write_mesh,
@@ -68,7 +70,7 @@ def load_mesh(source: str | None):
         return make_square5_mesh()
     if source.startswith("disc:"):
         with _options_named(rings=f"--mesh {source}"):
-            return make_disc_mesh(int(source.split(":", 1)[1]))
+            return make_disc_mesh(_number_after_colon(source, "--mesh", int))
     path = source[5:] if source.startswith("file:") else source
     return read_mesh(path)
 
@@ -95,8 +97,21 @@ def parse_rhs(text: str):
     if text == "model":
         return model_rhs()
     if text.startswith("const:"):
-        return constant_rhs(float(text.split(":", 1)[1]))
-    raise ValueError(f"bad rhs spec {text!r}")
+        return constant_rhs(_number_after_colon(text, "--rhs", float))
+    raise ValueError(f"--rhs {text} must be model or const:C")
+
+
+def _number_after_colon(text: str, option: str, kind):
+    """The number after the colon of ``disc:N`` or ``const:C``, read by ``kind``; it must be
+    finite, and an error names ``option`` with ``text`` as typed."""
+    try:
+        value = kind(text.partition(":")[2])
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{option} {text} must give {'an integer' if kind is int else 'a finite number'} "
+                         "after the colon")
+    return value
 
 
 def _truthy(text: str) -> bool:
@@ -107,16 +122,12 @@ def _read_config_file(path, options):
     """The ``key = value`` lines of a ``--config`` file; each key must name
     one of ``options``, the dests of the ``optimize`` options."""
     values = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        if not _:
-            raise ValueError(f"bad config line {raw!r}")
+    for lineno, line in data_lines(path):
+        key, equals, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in options:
-            raise ValueError(f"unknown config key {key!r}")
+        if not equals or key not in options:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value' with the key an optimize option, "
+                             f"found {line!r}")
         values[key] = value.strip()
     return values
 

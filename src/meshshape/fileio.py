@@ -15,71 +15,53 @@ from .errors import ParseError
 from .mesh import ConnectivityComplex, build_complex
 
 HISTORY_HEADER = "iter,Obj,Penalty,Total,mshQua,step,backtracks"
+_NOUNS = {int: "integers", float: "numbers"}
 
 
-def _data_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def data_lines(path):
+    """``(lineno, line)`` for each line of the UTF-8 text file ``path``, stripped, that is
+    neither blank nor a ``#`` comment."""
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _fields(path, line, kind, form):
+    """The fields of the data line ``(lineno, text)``, each read by ``kind``; the line must hold
+    as many as ``form`` names, or the error says what it should hold."""
+    lineno, text = line
+    parts = text.split()
+    try:
+        if len(parts) == len(form.split()):
+            return [kind(part) for part in parts]
+    except ValueError:
+        pass
+    raise ParseError(f"{path}:{lineno}: expected {len(form.split())} {_NOUNS[kind]} '{form}'")
 
 
 def read_mesh(path):
     """Read ``(complex, coords)`` from a mesh text file.
 
-    Raises :class:`ParseError` on malformed content (wrong counts, bad
-    numbers, indices out of range) and propagates the errors of
-    :func:`~meshshape.mesh.build_complex` for invalid connectivity.
+    Raises :class:`ParseError`, naming ``path:line``, on malformed content
+    (wrong counts, bad numbers, indices out of range) and propagates the
+    errors of :func:`~meshshape.mesh.build_complex` for invalid connectivity.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = list(_data_lines(text))
+    lines = list(data_lines(path))
     if not lines:
-        raise ParseError(f"{path}: empty file")
-
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise ParseError(f"{path}:{lineno}: expected 'N_V N_T' header")
-    try:
-        n_v, n_t = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: non-integer header") from exc
-    if n_v < 0 or n_t < 0:
-        raise ParseError(f"{path}:{lineno}: negative counts")
-    if len(lines) != 1 + n_v + n_t:
-        raise ParseError(
-            f"{path}: expected {1 + n_v + n_t} data lines, found {len(lines)}"
-        )
-
-    coords = np.empty((n_v, 2))
-    for i in range(n_v):
-        lineno, line = lines[1 + i]
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 'x y'")
-        try:
-            coords[i, 0] = float(parts[0])
-            coords[i, 1] = float(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: bad coordinate") from exc
-
-    triangles = np.empty((n_t, 3), dtype=np.int64)
-    for i in range(n_t):
-        lineno, line = lines[1 + n_v + i]
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 'i0 i1 i2'")
-        try:
-            triangles[i] = [int(p) for p in parts]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: bad vertex index") from exc
-        if triangles[i].min() < 0 or triangles[i].max() >= n_v:
-            raise ParseError(f"{path}:{lineno}: vertex index out of range")
-
-    complex = build_complex(triangles, n_v)
-    return complex, coords
+        raise ParseError(f"{path}: empty file, expected an 'N_V N_T' header")
+    n_v, n_t = _fields(path, lines[0], int, "N_V N_T")
+    if min(n_v, n_t) < 0 or 1 + n_v + n_t != len(lines):
+        raise ParseError(f"{path}:{lines[0][0]}: expected 2 nonnegative integers 'N_V N_T' that count "
+                         f"the {len(lines) - 1} data lines after it")
+    vertices, triangles = lines[1 : 1 + n_v], lines[1 + n_v :]
+    coords = np.array([_fields(path, line, float, "x y") for line in vertices]).reshape(n_v, 2)
+    triangles = np.array([_fields(path, line, int, "i0 i1 i2") for line in triangles], np.int64).reshape(n_t, 3)
+    outside = ((triangles < 0) | (triangles >= n_v)).any(axis=1)
+    if outside.any():
+        lineno = lines[1 + n_v + int(outside.argmax())][0]
+        raise ParseError(f"{path}:{lineno}: expected 3 vertex indices from 0 to {n_v - 1}")
+    return build_complex(triangles, n_v), coords
 
 
 def write_mesh(path, complex: ConnectivityComplex, coords: np.ndarray) -> None:

@@ -60,18 +60,13 @@ class GeodesicConfig:
 
 @dataclass
 class GeodesicPath:
-    """Snapshots at dyadic times (descending from 1) plus diagnostics."""
+    """Snapshots at dyadic times plus diagnostics: ``levels[k]`` holds the
+    coordinates at ``t = 2**-k``; ``area_warnings`` holds ``(t, min_area)``."""
 
-    snapshots: list  # list of (time, coords)
+    levels: list
     initial_hamiltonian: float
     final_hamiltonian: float
     area_warnings: list = field(default_factory=list)
-
-    def at_time(self, t: float) -> np.ndarray:
-        for time, coords in self.snapshots:
-            if abs(time - t) < 1e-15:
-                return coords
-        raise KeyError(f"no snapshot at t={t}")
 
 
 def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, cfg: GeodesicConfig,
@@ -80,8 +75,8 @@ def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, c
 
     ``phi_fn(coords) -> float`` evaluates the function whose graph carries
     the motion and ``w_fn(coords) -> vec`` its gradient.  Returns snapshots
-    at every dyadic time ``2^-k`` reachable with the step count, endpoint
-    first.  Raises :class:`FixedPointDivergence` when a constraint solve does
+    at every dyadic time ``2^-k`` reachable with the step count, by level
+    ``k``.  Raises :class:`FixedPointDivergence` when a constraint solve does
     not converge or meets a non-finite residual.
     """
     shape = coords.shape
@@ -95,8 +90,8 @@ def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, c
     h0 = 0.5 * (v @ v + v_z * v_z)
     lift = 1.0 + g @ g  # 1 + |g|^2, for this step's slope and the last one's projection
 
-    snap_times = {cfg.num_steps >> k: 0.5**k for k in range(cfg.num_steps.bit_length())}
-    snapshots = []
+    depth = cfg.num_steps.bit_length() - 1  # levels 0..depth, the last one after the first step
+    levels = [None] * (depth + 1)
     area_warnings = []
     for step in range(1, cfg.num_steps + 1):
         x_free, z_free = x + h * v, z + h * v_z
@@ -123,21 +118,18 @@ def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, c
         mu = (u_z - g @ u) / lift
         v, v_z = u + mu * g, u_z - mu
 
-        if step in snap_times:
-            snap_coords = q_new.copy()
-            t = snap_times[step]
-            snapshots.append((t, snap_coords))
+        if step & (step - 1) == 0:  # t = step h = 2**-level
+            snap_coords = levels[depth + 1 - step.bit_length()] = q_new.copy()
             if complex is not None:
                 min_area = float(np.min(signed_areas(snap_coords, complex)))
                 if min_area <= 0.0:
-                    area_warnings.append((t, min_area))
+                    area_warnings.append((step * h, min_area))
                     logger.warning(
-                        "geodesic snapshot at t=%g has nonpositive area %g", t, min_area
+                        "geodesic snapshot at t=%g has nonpositive area %g", step * h, min_area
                     )
 
-    snapshots.sort(key=lambda item: -item[0])
     return GeodesicPath(
-        snapshots=snapshots,
+        levels=levels,
         initial_hamiltonian=h0,
         final_hamiltonian=0.5 * (v @ v + v_z * v_z),
         area_warnings=area_warnings,

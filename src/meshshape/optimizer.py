@@ -249,22 +249,18 @@ def steepest_descent(
     prev_step = None
     prev_pairing = None
 
-    def evaluate(q, value_phase):
-        """System, state, objective and penalty of the configuration ``q``;
-        the two values are timed under ``value_phase``."""
-        with timer.phase("state"):
-            system = assemble(q, complex, rhs)
-            y = solve_state(system)
-        with timer.phase(value_phase):
-            j = objective_value(q, complex, y)
-            phi = penalty_value(q, qref, complex, config.penalty)
-        return system, y, j, phi
+    def evaluate(q):
+        """System, state, objective and penalty of the configuration ``q``."""
+        system = assemble(q, complex, rhs)
+        y = solve_state(system)
+        return system, y, objective_value(q, complex, y), penalty_value(q, qref, complex, config.penalty)
 
     def merit(candidate):
-        try:
-            _, _, j, phi = evaluate(candidate, "backtracking")
-        except SingularSystem:
-            return float("inf")
+        with timer.phase("backtracking"):
+            try:
+                _, _, j, phi = evaluate(candidate)
+            except SingularSystem:
+                return float("inf")
         return j + phi
 
     n = 0
@@ -275,7 +271,8 @@ def steepest_descent(
             on_iterate(n, coords)
         theta = mesh_quality(coords, complex)
         try:
-            system, y, j, phi = evaluate(coords, "state")
+            with timer.phase("state"):
+                system, y, j, phi = evaluate(coords)
             total = j + phi
             totals.append(total)
 
@@ -337,35 +334,29 @@ def _geodesic_ladder(coords, d, s_init, spec, config, complex, mask, timer):
     """Trial-point source for the geodesic retraction.
 
     One integration with velocity ``s_init * d`` yields snapshots at the
-    dyadic times matching the backtracking ladder (``TAU`` = 1/2): trial
-    ``m``, step ``s_init / 2**m``, reads level ``m``.  If those are exhausted
-    a fresh integration is started from the smallest stored scale.
+    dyadic times matching the backtracking ladder (``TAU`` = 1/2).  Trial
+    ``m``, step ``s_init / 2**m``, reads level ``m % depth`` of integration
+    ``m // depth``, whose velocity is ``s_init * d`` scaled by
+    ``2**-(start * depth)``; with ``depth = log2(num_steps)`` the deepest
+    level is never read.  An integration that diverges or whose penalty
+    meets a nonpositive area rejects its trials.
     """
-    cache = {}
-
-    def ensure_path(base_scale):
-        if base_scale not in cache:
-            with timer.phase("retraction"):
-                try:
-                    cache[base_scale] = retract_geodesic(
-                        coords,
-                        base_scale * np.asarray(d, dtype=float),
-                        spec,
-                        config.geodesic,
-                        complex,
-                        fixed_mask=mask,
-                    )
-                except FixedPointDivergence:
-                    cache[base_scale] = None
-        if cache[base_scale] is None:
-            raise FixedPointDivergence(f"geodesic at scale {base_scale} diverged")
-        return cache[base_scale]
-
-    max_level = int(np.log2(config.geodesic.num_steps))
+    depth = config.geodesic.num_steps.bit_length() - 1
+    paths = {}
 
     def trial_point(s, m):
-        base_level = (m // max_level) * max_level
-        path = ensure_path(s_init * 0.5**base_level)
-        return path.at_time(0.5 ** (m - base_level))
+        start, level = divmod(m, depth)
+        if start not in paths:
+            with timer.phase("retraction"):
+                try:
+                    paths[start] = retract_geodesic(
+                        coords, s_init * 0.5 ** (start * depth) * np.asarray(d, dtype=float),
+                        spec, config.geodesic, complex, fixed_mask=mask,
+                    )
+                except (FixedPointDivergence, NonpositiveArea):
+                    paths[start] = None
+        if paths[start] is None:
+            raise FixedPointDivergence(f"no geodesic for trial {m}: it diverged or met a nonpositive area")
+        return paths[start].levels[level]
 
     return trial_point

@@ -89,6 +89,15 @@ ERROR_CASES = {
     "optimize-negative-cutoff": (["optimize", "--mesh", "disc:1", "--cutoff", "-1", "--out", "{out}"], EXIT_USAGE,
                                  "--cutoff -1"),
     "optimize-no-rings": (["optimize", "--mesh", "disc:0", "--out", "{out}"], EXIT_USAGE, "--mesh disc:0"),
+    "optimize-malformed-rings": (["optimize", "--mesh", "disc:x", "--out", "{out}"], EXIT_USAGE, "--mesh disc:x"),
+    "optimize-nan-rhs": (["optimize", "--mesh", "disc:1", "--rhs", "const:nan", "--out", "{out}"], EXIT_USAGE,
+                         "--rhs const:nan"),
+    "optimize-infinite-rhs": (["optimize", "--mesh", "disc:1", "--rhs", "const:-inf", "--out", "{out}"], EXIT_USAGE,
+                              "--rhs const:-inf"),
+    "eval-malformed-rhs": (["eval", "--mesh", "disc:1", "--which", "objective", "--rhs", "const:x"], EXIT_USAGE,
+                           "--rhs const:x"),
+    "eval-unknown-rhs": (["eval", "--mesh", "disc:1", "--which", "objective", "--rhs", "foo"], EXIT_USAGE,
+                         "--rhs foo"),
     "eval-negative-penalty": (["eval", "--mesh", "disc:2", "--which", "phi", "--penalty", "a1=-1"], EXIT_USAGE,
                               "--penalty a1=-1"),
     "check-malformed-mesh": (["check", "--mesh", "{malformed}"], EXIT_USAGE, ""),
@@ -373,6 +382,13 @@ def test_malformed_config_is_a_usage_error(tmp_path, line, capsys):
     assert run(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
     assert "error: " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_malformed_config_line_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment, then a blank line\n\nmax-iter = 5\nmax-iter 5\n")
+    assert run(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert f"error: {cfg}:4: expected 'key = value'" in capsys.readouterr().err
 
 
 def test_experiment_writes_summary(tmp_path):

@@ -303,4 +303,4 @@ def test_retraction_builds_records_for_its_snapshots_only(monkeypatch):
     v = 0.1 * np.random.default_rng(2).standard_normal(2 * cx.num_vertices)
     _fresh_cache()
     path = retract_geodesic(q, v, spec, GeodesicConfig(num_steps=64), cx)
-    assert len(path.snapshots) == 7 and len(built) <= 7  # the snapshots' area checks
+    assert len(path.levels) == 7 and len(built) <= 7  # the snapshots' area checks

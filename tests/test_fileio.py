@@ -51,6 +51,31 @@ def test_bad_number(tmp_path):
         read_mesh(path)
 
 
+# Each case: the data lines of a malformed mesh after a comment and a blank line, the line the
+# error names and what it says that line should hold.
+MALFORMED_LINES = {
+    "header-fields": ("3\n0 0\n1 0\n0 1\n0 1 2\n", 3, "2 integers 'N_V N_T'"),
+    "header-number": ("3 one\n0 0\n1 0\n0 1\n0 1 2\n", 3, "2 integers 'N_V N_T'"),
+    "header-negative": ("-1 5\n0 0\n1 0\n0 1\n0 1 2\n", 3, "2 nonnegative integers 'N_V N_T'"),
+    "header-count": ("3 2\n0 0\n1 0\n0 1\n0 1 2\n", 3, "count the 4 data lines after it"),
+    "coordinate-fields": ("3 1\n0 0\n1 0 0\n0 1\n0 1 2\n", 5, "2 numbers 'x y'"),
+    "coordinate-number": ("3 1\n0 0\n1 zero\n0 1\n0 1 2\n", 5, "2 numbers 'x y'"),
+    "triangle-fields": ("3 1\n0 0\n1 0\n0 1\n0 1\n", 7, "3 integers 'i0 i1 i2'"),
+    "triangle-number": ("3 1\n0 0\n1 0\n0 1\n0 1 2.0\n", 7, "3 integers 'i0 i1 i2'"),
+    "triangle-range": ("4 2\n0 0\n1 0\n0 1\n1 1\n0 1 2\n1 3 -1\n", 9, "3 vertex indices from 0 to 3"),
+}
+
+
+@pytest.mark.parametrize("text,lineno,holds", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys())
+def test_malformed_line_names_its_line(tmp_path, text, lineno, holds):
+    path = tmp_path / "m.mesh"
+    path.write_text("# comment\n\n" + text)
+    with pytest.raises(ParseError) as info:
+        read_mesh(path)
+    assert str(info.value).startswith(f"{path}:{lineno}: expected ")
+    assert holds in str(info.value)
+
+
 def test_empty_triangle_section(tmp_path):
     path = tmp_path / "m.mesh"
     path.write_text("3 0\n0 0\n1 0\n0 1\n")

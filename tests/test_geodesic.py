@@ -24,20 +24,22 @@ def test_flat_field_gives_straight_line(disc2, rng):
     cfg = GeodesicConfig(num_steps=32)
     zero = np.zeros(2 * cx.num_vertices)
     path = integrate_geodesic(lambda c: 0.0, lambda c: zero, q, v, cfg)
-    end = path.at_time(1.0)
+    end = path.levels[0]
     assert np.max(np.abs(end - (q + v.reshape(q.shape)))) < 1e-13
     # midpoint snapshot is the half step
-    mid = path.at_time(0.5)
+    mid = path.levels[1]
     assert np.max(np.abs(mid - (q + 0.5 * v.reshape(q.shape)))) < 1e-13
 
 
-def test_snapshots_are_dyadic():
-    cx, q = make_disc_mesh(1)
-    spec = MetricSpec.complete(METRIC_ALPHA, q.copy())
-    v = 0.1 * np.ones(2 * cx.num_vertices)
-    path = retract_geodesic(q, v, spec, GeodesicConfig(num_steps=16), cx)
-    times = [t for t, _ in path.snapshots]
-    assert times == [1.0, 0.5, 0.25, 0.125, 0.0625]
+def test_snapshots_are_dyadic(disc2, rng):
+    # on the flat field, level k is the straight line at t = 2**-k, for every k down to one step
+    cx, q = disc2
+    v = rng.standard_normal(2 * cx.num_vertices)
+    zero = np.zeros(2 * cx.num_vertices)
+    path = integrate_geodesic(lambda c: 0.0, lambda c: zero, q, v, GeodesicConfig(num_steps=16))
+    assert len(path.levels) == 5
+    for k, coords in enumerate(path.levels):
+        assert np.max(np.abs(coords - (q + 2.0**-k * v.reshape(q.shape)))) < 1e-13, k
 
 
 def test_hamiltonian_drift_small():
@@ -79,7 +81,7 @@ def test_rescaling_equivariance():
     v = 0.5 * rng.standard_normal(2 * cx.num_vertices)
     half = retract_geodesic(q, 0.5 * v, spec, GeodesicConfig(num_steps=128), cx)
     full = retract_geodesic(q, v, spec, GeodesicConfig(num_steps=256), cx)
-    assert np.max(np.abs(half.at_time(1.0) - full.at_time(0.5))) < 1e-10
+    assert np.max(np.abs(half.levels[0] - full.levels[1])) < 1e-10
 
 
 def test_metric_speed_conservation():
@@ -130,9 +132,9 @@ def test_fixed_boundary_stays_put(disc2):
     # as the step squared
     path = retract_geodesic(q, v, spec, GeodesicConfig(num_steps=4096), cx, fixed_mask=mask)
     fixed = np.repeat(mask, 2)
-    for _, coords in path.snapshots:
+    for coords in path.levels:
         assert np.array_equal(coords.ravel()[fixed], q.ravel()[fixed])
-    assert np.max(np.abs(path.at_time(1.0) - q)) > 0.1  # the free vertices move
+    assert np.max(np.abs(path.levels[0] - q)) > 0.1  # the free vertices move
     drift = abs(path.final_hamiltonian - path.initial_hamiltonian) / path.initial_hamiltonian
     assert drift < 1e-6
 
@@ -142,9 +144,9 @@ def test_endpoint_converges_second_order():
     cx, q = make_disc_mesh(1)
     spec = MetricSpec.complete(METRIC_ALPHA, q.copy())
     v = _descent_velocity(cx, q, spec)
-    ref = retract_geodesic(q, v, spec, GeodesicConfig(num_steps=4096), cx).at_time(1.0)
+    ref = retract_geodesic(q, v, spec, GeodesicConfig(num_steps=4096), cx).levels[0]
     errors = [
-        np.max(np.abs(retract_geodesic(q, v, spec, GeodesicConfig(num_steps=n), cx).at_time(1.0) - ref))
+        np.max(np.abs(retract_geodesic(q, v, spec, GeodesicConfig(num_steps=n), cx).levels[0] - ref))
         for n in (256, 512)
     ]
     assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.15)
@@ -209,7 +211,7 @@ def test_default_tolerance_matches_tight_solve(rings, alpha, fix_boundary, monke
     for tol in (geodesic.FIXED_POINT_TOL, 1e-14):
         monkeypatch.setattr(geodesic, "FIXED_POINT_TOL", tol)
         paths.append(retract_geodesic(q, v, spec, GeodesicConfig(num_steps=1024), cx, fixed_mask=mask))
-    assert np.max(np.abs(paths[0].at_time(1.0) - paths[1].at_time(1.0))) <= 1e-10
+    assert np.max(np.abs(paths[0].levels[0] - paths[1].levels[0])) <= 1e-10
     assert abs(paths[0].final_hamiltonian - paths[1].final_hamiltonian) <= 1e-10
 
 
@@ -217,4 +219,4 @@ def test_repeated_retraction_is_bit_identical():
     # no multiplier history carries over from one integration to the next
     cx, q, spec, _, v = _first_geodesic(1, METRIC_ALPHA, False)
     first, second = (retract_geodesic(q, v, spec, GeodesicConfig(num_steps=256), cx) for _ in range(2))
-    assert [(t, c.tobytes()) for t, c in first.snapshots] == [(t, c.tobytes()) for t, c in second.snapshots]
+    assert [c.tobytes() for c in first.levels] == [c.tobytes() for c in second.levels]

@@ -1,11 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshshape import optimizer
-from meshshape.errors import NonDescentDirection, SingularSystem, StepFloorFailure
-from meshshape.fem import constant_rhs, model_rhs
+from meshshape.errors import NonDescentDirection, NonpositiveArea, SingularSystem, StepFloorFailure
+from meshshape.fem import constant_rhs, model_rhs, solve_state
 from meshshape.geodesic import GeodesicConfig
 from meshshape.mesh import build_complex, make_disc_mesh, make_square5_mesh, signed_areas
 from meshshape.optimizer import (
@@ -15,6 +17,7 @@ from meshshape.optimizer import (
     VARIANTS,
     WINDOW,
     OptimizerConfig,
+    PhaseTimer,
     armijo_search,
     initial_step,
     safeguard_critical_step,
@@ -541,9 +544,53 @@ def test_geodesic_ladder_relaunches_after_exhaustion():
     from meshshape.geodesic import retract_geodesic
 
     direct = retract_geodesic(q, 0.125 * d, spec, GeodesicConfig(num_steps=4), cx)
-    assert np.max(np.abs(deep - direct.at_time(1.0))) < 1e-3  # coarse-grid O(h^2) gap
+    assert np.max(np.abs(deep - direct.levels[0])) < 1e-3  # coarse-grid O(h^2) gap
     shallow = trial(1.0, 0)
-    assert np.max(np.abs(shallow - retract_geodesic(q, d, spec, GeodesicConfig(num_steps=4), cx).at_time(1.0))) < 1e-12
+    assert np.max(np.abs(shallow - retract_geodesic(q, d, spec, GeodesicConfig(num_steps=4), cx).levels[0])) < 1e-12
+
+
+def test_geodesic_ladder_rejects_an_inverting_integration(monkeypatch):
+    # with 4 steps the first integration's penalty meets a nonpositive area: its trials are
+    # rejected and the search backtracks to a fresh integration, instead of ending the run
+    raised = []
+
+    def recorded(*args, **kwargs):
+        try:
+            return retract(*args, **kwargs)
+        except NonpositiveArea as exc:
+            raised.append(exc)
+            raise
+
+    retract = optimizer.retract_geodesic
+    monkeypatch.setattr(optimizer, "retract_geodesic", recorded)
+    cx, q = make_disc_mesh(1)
+    cfg = OptimizerConfig(variant="CompComp", penalty=ZERO, metric_penalty=METRIC_ALPHA, max_iter=6,
+                          geodesic=GeodesicConfig(num_steps=4))
+    res = steepest_descent(cx, q, model_rhs(), cfg)
+    assert raised
+    assert res.status == MAX_ITER and res.history[-1].iter == 6
+
+
+def test_trial_solves_are_booked_under_backtracking(monkeypatch):
+    # every state solve takes a fixed delay: `state` holds the top-of-loop solves, one per history
+    # row, and `backtracking` the line search's
+    delay, calls = 0.05, []
+
+    def slow(system):
+        calls.append(1)
+        time.sleep(delay)
+        return solve_state(system)
+
+    monkeypatch.setattr(optimizer, "solve_state", slow)
+    cx, q = make_disc_mesh(2)
+    timer = PhaseTimer()
+    res = steepest_descent(cx, q, model_rhs(), OptimizerConfig(variant="EucEuc", penalty=ZERO, max_iter=3),
+                           timer=timer)
+    tops = len(res.history)
+    trials = len(calls) - tops
+    assert trials >= tops - 1
+    assert tops * delay <= timer.seconds["state"] < (tops + 1) * delay
+    assert trials * delay <= timer.seconds["backtracking"] < (trials + 1) * delay
 
 
 def test_config_validation():
