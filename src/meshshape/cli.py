@@ -6,6 +6,7 @@ import argparse
 import math
 import os
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -51,13 +52,43 @@ PENALTY_PRESETS = {
     "none": (0.0, 0.0, 0.0, 0.0),
     **{f"set{k}": alpha for k, alpha in experiments.PENALTY_SETS.items()},
 }
-# The option that gives each library parameter with a range check.
-OPTIONS = {"num_steps": "--geodesic-steps", "max_iter": "--max-iter", "stop_tol": "--tol",
-           "compcomp_cap": "--compcomp-cap", "compcomp_rings": "--compcomp-rings", "rings": "--rings",
-           "mu": "--mu", "cutoff_threshold": "--cutoff"}
+
+
+def _switch(text: str) -> bool:
+    """``--fix-boundary``'s value: ``1``, ``true`` or ``yes`` is on and ``0``, ``false`` or ``no`` off, in any case."""
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise argparse.ArgumentTypeError(f"expected 1, true, yes, 0, false or no, found {text!r}")
+    return word in ("1", "true", "yes")
+
+
+# One row per option of the command line and of ``--config`` files: its flag, the converter of its text, its default
+# under each command that takes it, the library parameter whose range errors it reports, and other argparse settings.
+Option = namedtuple("Option", "flag convert defaults param settings", defaults=(None, {}))
+OPTION_TABLE = (
+    Option("--mesh", str, {"optimize": None}),  # check and eval require it, and declare it themselves
+    Option("--variant", str, {"optimize": "CompEuc"}, settings={"choices": VARIANTS}),
+    Option("--penalty", str, {"optimize": "none", "eval": "none"}),
+    Option("--metric-alpha", str, {"optimize": "ag"}),
+    Option("--rhs", str, {"optimize": "model", "eval": "const:1"}),
+    Option("--max-iter", int, {"optimize": 500, "experiment": None}, "max_iter"),
+    Option("--tol", float, {"optimize": OptimizerConfig.stop_tol}, "stop_tol"),
+    Option("--mu", float, {"optimize": PenaltyParams.mu, "eval": PenaltyParams.mu}, "mu"),
+    Option("--cutoff", float, {"optimize": None, "eval": None}, "cutoff_threshold"),
+    Option("--out", str, {"optimize": "out", "experiment": None}),  # MESHSHAPE_OUT overrides it
+    Option("--fix-boundary", _switch, {"optimize": False}, settings={"nargs": "?", "const": True}),
+    Option("--snapshot-stride", int, {"optimize": 0}),
+    Option("--compcomp-cap", int, {"experiment": 15}, "compcomp_cap"),
+    Option("--compcomp-rings", int, {"experiment": 1}, "compcomp_rings"),
+    Option("--rings", int, {"experiment": None}, "rings"),
+    Option("--geodesic-steps", int, dict.fromkeys(("optimize", "experiment"), GeodesicConfig.num_steps), "num_steps"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ValueError(message)
@@ -114,32 +145,34 @@ def _number_after_colon(text: str, option: str, kind):
     return value
 
 
-def _truthy(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes")
-
-
 def _read_config_file(path, options):
-    """The ``key = value`` lines of a ``--config`` file; each key must name
-    one of ``options``, the dests of the ``optimize`` options."""
+    """The values of a ``--config`` file's ``key = value`` lines by dest: each key names one of ``options``,
+    by dest (``max_iter``) or flag (``max-iter``), at most once, and each value is read as its flag's is."""
     values = {}
     for lineno, line in data_lines(path):
-        key, equals, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if not equals or key not in options:
+        key, equals, text = (part.strip() for part in line.partition("="))
+        dest = key.replace("-", "_")
+        if not equals or dest not in options:
             raise ValueError(f"{path}:{lineno}: expected 'key = value' with the key an optimize option, "
                              f"found {line!r}")
-        values[key] = value.strip()
+        if dest in values:
+            raise ValueError(f"{path}:{lineno}: {key} is set a second time")
+        try:
+            values[dest] = options[dest].convert(text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
 @contextmanager
 def _options_named(**typed):
     """Report an :class:`InvalidValue` under the option that gave the value, as typed: by parameter
-    name, ``typed`` holds an option's text (``alpha="--penalty a4=inf"``) and ``OPTIONS`` the rest's."""
+    name, ``typed`` holds an option's text (``alpha="--penalty a4=inf"``) and ``OPTION_TABLE`` the rest's flag."""
     try:
         yield
     except InvalidValue as exc:
-        option = typed.get(exc.name) or f"{OPTIONS.get(exc.name, exc.name)} {exc.value}"
+        flag = next((option.flag for option in OPTION_TABLE if option.param == exc.name), exc.name)
+        option = typed.get(exc.name) or f"{flag} {exc.value}"
         raise ValueError(f"{option} {exc.rule}") from None
 
 
@@ -292,62 +325,35 @@ def _fd_error(value, grad, coords, h=1e-6):
     return float(np.max(np.abs(fd - grad)) / (scale if scale > 0 else 1.0))
 
 
-def build_parser(config_values=None) -> _Parser:
-    """The command line parser; ``config_values`` (strings, keyed by dest)
-    replace the ``optimize`` defaults and are converted by each option's type."""
+def build_parser() -> _Parser:
+    """The command line parser: each subcommand takes its own arguments and the rows of ``OPTION_TABLE``
+    that name it.  An option that ``argv`` does not give is absent from the namespace."""
     parser = _Parser(prog="meshshape")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="validate a mesh and print a report")
-    p_check.add_argument("--mesh", required=True)
-
+    sub.add_parser("check", help="validate a mesh and print a report").add_argument("--mesh", required=True)
     p_opt = sub.add_parser("optimize", help="run the shape optimizer")
-    p_opt.add_argument("--mesh")
-    p_opt.add_argument("--variant", default="CompEuc", choices=VARIANTS)
-    p_opt.add_argument("--penalty", default="none")
-    p_opt.add_argument("--metric-alpha", default="ag")
-    p_opt.add_argument("--rhs", default="model")
-    p_opt.add_argument("--max-iter", type=int, default=500)
-    p_opt.add_argument("--tol", type=float, default=1e-6)
-    p_opt.add_argument("--mu", type=float, default=PenaltyParams.mu)
-    p_opt.add_argument("--cutoff", type=float)
-    p_opt.add_argument("--out", default="out")  # MESHSHAPE_OUT overrides it
-    p_opt.add_argument("--fix-boundary", nargs="?", type=_truthy, const=True, default=False)
-    p_opt.add_argument("--snapshot-stride", type=int, default=0)
-    p_opt.add_argument("--geodesic-steps", type=int, default=GeodesicConfig.num_steps)
-    p_opt.add_argument("--config")
-    if config_values:
-        p_opt.set_defaults(**config_values)
-
     p_exp = sub.add_parser("experiment", help="run a scripted experiment batch")
     p_exp.add_argument("id", type=int, choices=(1, 2, 3))
-    p_exp.add_argument("--out", default=None)
-    p_exp.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p_exp.add_argument("--compcomp-cap", dest="compcomp_cap", type=int, default=15)
-    p_exp.add_argument("--compcomp-rings", dest="compcomp_rings", type=int, default=1)
-    p_exp.add_argument("--rings", type=int, default=None)
-    p_exp.add_argument("--geodesic-steps", dest="geodesic_steps", type=int, default=GeodesicConfig.num_steps)
-
     p_eval = sub.add_parser("eval", help="evaluate a quantity on a mesh")
     p_eval.add_argument("--mesh", required=True)
     p_eval.add_argument("--which", required=True, choices=("phi", "theta", "objective", "gradcheck"))
-    p_eval.add_argument("--penalty", default="none")
-    p_eval.add_argument("--rhs", default="const:1")
-    p_eval.add_argument("--mu", type=float, default=PenaltyParams.mu)
-    p_eval.add_argument("--cutoff", type=float, default=None)
-
+    commands = {"optimize": p_opt, "experiment": p_exp, "eval": p_eval}
+    for option in OPTION_TABLE:
+        for command in option.defaults:
+            commands[command].add_argument(option.flag, type=option.convert, **option.settings)
+    p_opt.add_argument("--config", default=None)
     return parser
 
 
 def parse_args(argv=None):
-    """Parse ``argv``.  For ``optimize``, the lines of a ``--config`` file
-    become the parser's defaults and ``argv`` is parsed again: flags beat
-    file values, which beat the built-in defaults."""
-    args = build_parser().parse_args(argv)
-    if getattr(args, "config", None):
-        options = set(vars(args)) - {"command", "config"}
-        args = build_parser(_read_config_file(args.config, options)).parse_args(argv)
-    return args
+    """Parse ``argv`` once.  Each option of the command that ``argv`` does not give takes its value from a
+    ``--config`` file's line (``optimize``), else its default: flags beat file values, which beat defaults."""
+    given = vars(build_parser().parse_args(argv))
+    options = {o.flag[2:].replace("-", "_"): o for o in OPTION_TABLE if given["command"] in o.defaults}
+    values = {dest: option.defaults[given["command"]] for dest, option in options.items()}
+    if given.get("config"):
+        values |= _read_config_file(given["config"], options)
+    return argparse.Namespace(**(values | given))
 
 
 COMMANDS = {"check": cmd_check, "optimize": cmd_optimize, "experiment": cmd_experiment, "eval": cmd_eval}

@@ -391,6 +391,50 @@ def test_malformed_config_line_names_its_line(tmp_path, capsys):
     assert f"error: {cfg}:4: expected 'key = value'" in capsys.readouterr().err
 
 
+# a bad value, a value outside a switch's words and a repeated key, each named by its file and line
+@pytest.mark.parametrize("text,lineno", [("max-iter = x", 1), ("tol = small", 1), ("fix-boundary = maybe", 1),
+                                         ("# twice\nmax-iter = 5\nmax-iter = 7", 3)],
+                         ids=["int", "float", "switch", "repeated-key"])
+def test_bad_config_value_names_its_line(tmp_path, text, lineno, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "o"
+    assert run(["optimize", "--mesh", "disc:1", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error: ")] == err[-1:]
+    assert err[-1].startswith(f"error: {cfg}:{lineno}: ")
+    assert not out.exists()
+
+
+def test_fix_boundary_flag_takes_only_its_words(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["optimize", "--mesh", "disc:1", "--fix-boundary", "maybe", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: ") and err[-1].startswith("error: argument --fix-boundary: ")
+    assert not out.exists()
+    for word, on in [("1", True), ("True", True), ("YES", True), ("0", False), ("false", False), ("No", False)]:
+        assert cli.parse_args(["optimize", "--fix-boundary", word]).fix_boundary is on
+
+
+# every option's value when the command line gives none: the commands differ on --rhs, --max-iter and --out
+DEFAULTS = {
+    ("optimize",): {"command": "optimize", "mesh": None, "variant": "CompEuc", "penalty": "none",
+                    "metric_alpha": "ag", "rhs": "model", "max_iter": 500, "tol": 1e-6, "mu": 0.1, "cutoff": None,
+                    "out": "out", "fix_boundary": False, "snapshot_stride": 0, "geodesic_steps": 1024,
+                    "config": None},
+    ("experiment", "2"): {"command": "experiment", "id": 2, "out": None, "max_iter": None, "compcomp_cap": 15,
+                          "compcomp_rings": 1, "rings": None, "geodesic_steps": 1024},
+    ("eval", "--mesh", "square5", "--which", "phi"): {"command": "eval", "mesh": "square5", "which": "phi",
+                                                       "penalty": "none", "rhs": "const:1", "mu": 0.1,
+                                                       "cutoff": None},
+}
+
+
+@pytest.mark.parametrize("argv", DEFAULTS, ids=[argv[0] for argv in DEFAULTS])
+def test_every_command_keeps_its_defaults(argv):
+    assert vars(cli.parse_args(list(argv))) == DEFAULTS[argv]
+
+
 def test_experiment_writes_summary(tmp_path):
     out = tmp_path / "exp2"
     code = run([
