@@ -78,8 +78,8 @@ OPTION_TABLE = (
     Option("--out", str, {"optimize": "out", "experiment": None}),  # MESHSHAPE_OUT overrides it
     Option("--fix-boundary", _switch, {"optimize": False}, settings={"nargs": "?", "const": True}),
     Option("--snapshot-stride", int, {"optimize": 0}),
-    Option("--compcomp-cap", int, {"experiment": 15}, "compcomp_cap"),
-    Option("--compcomp-rings", int, {"experiment": 1}, "compcomp_rings"),
+    Option("--compcomp-cap", int, {"experiment": experiments.COMPCOMP_CAP}, "compcomp_cap"),
+    Option("--compcomp-rings", int, {"experiment": experiments.COMPCOMP_RINGS}, "compcomp_rings"),
     Option("--rings", int, {"experiment": None}, "rings"),
     Option("--geodesic-steps", int, dict.fromkeys(("optimize", "experiment"), GeodesicConfig.num_steps), "num_steps"),
 )
@@ -147,7 +147,7 @@ def _number_after_colon(text: str, option: str, kind):
 
 def _read_config_file(path, options):
     """The values of a ``--config`` file's ``key = value`` lines by dest: each key names one of ``options``,
-    by dest (``max_iter``) or flag (``max-iter``), at most once, and each value is read as its flag's is."""
+    by dest (``max_iter``) or flag (``max-iter``), at most once, and each value is read and checked as its flag's is."""
     values = {}
     for lineno, line in data_lines(path):
         key, equals, text = (part.strip() for part in line.partition("="))
@@ -157,8 +157,11 @@ def _read_config_file(path, options):
                              f"found {line!r}")
         if dest in values:
             raise ValueError(f"{path}:{lineno}: {key} is set a second time")
+        choices = options[dest].settings.get("choices")
         try:
             values[dest] = options[dest].convert(text)
+            if choices is not None and values[dest] not in choices:
+                raise ValueError(f"invalid choice {text!r} (choose from {', '.join(choices)})")
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values

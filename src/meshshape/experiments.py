@@ -30,6 +30,7 @@ PENALTY_SETS = {
     3: (0.015, 0.005, 0.0, 0.0005),
 }
 METRIC_ALPHA = (10.0, 1.0, 0.0, 0.01)
+COMPCOMP_CAP, COMPCOMP_RINGS = 15, 1  # experiment 1's CompComp run: its iteration cap and the rings of its disc
 
 SUMMARY_HEADER = "experiment,label,variant,vertices,triangles,iterations,status,Obj,Total,mshQua"
 TIMING_HEADER = "label,variant,phase,seconds"
@@ -57,8 +58,8 @@ def run_experiment(
     exp_id: int,
     outdir: Path,
     max_iter: int | None = None,
-    compcomp_cap: int = 15,
-    compcomp_rings: int = 1,
+    compcomp_cap: int = COMPCOMP_CAP,
+    compcomp_rings: int = COMPCOMP_RINGS,
     rings: int | None = None,
     geodesic_steps: int = GeodesicConfig.num_steps,
 ) -> int:

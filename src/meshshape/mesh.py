@@ -108,40 +108,33 @@ class ConnectivityComplex:
         return np.setdiff1d(np.arange(self.num_vertices), self.boundary_vertices, assume_unique=True)
 
     @cached_property
-    def p1_pattern(self) -> "SparsePattern":
-        """CSR pattern of the full P1 stiffness: 3x3 blocks over ``triangles``."""
-        return SparsePattern.of_blocks(self.triangles, self.num_vertices, sparse.csr_matrix)
-
-    @cached_property
     def interior_order(self) -> np.ndarray:
         """``interior_vertices`` in the fill-reducing order of the interior P1 graph."""
-        return fill_reducing_order(self.p1_pattern, self.interior_vertices)
+        return fill_reducing_order(self, self.interior_vertices)
 
     @cached_property
     def dof_order(self) -> np.ndarray:
         """Vec-order DOFs, x and y adjacent, vertices in the fill-reducing order of the P1 graph."""
-        return (2 * fill_reducing_order(self.p1_pattern, np.arange(self.num_vertices))[:, None] + np.arange(2)).ravel()
+        return (2 * fill_reducing_order(self, np.arange(self.num_vertices))[:, None] + np.arange(2)).ravel()
 
     @cached_property
     def interior_p1_pattern(self) -> "SparsePattern":
-        """CSC pattern of the P1 stiffness restricted to ``interior_vertices`` in ``interior_order``."""
-        return self.p1_pattern.restricted(self.interior_order)
+        """Pattern of the P1 stiffness on ``interior_vertices`` in ``interior_order``: 3x3 blocks over ``triangles``."""
+        return SparsePattern.build(self.interior_order, self.triangles)
 
     @cached_property
     def elasticity_pattern(self) -> "SparsePattern":
-        """CSC pattern of the vector P1 metric in ``dof_order``: 6x6 blocks over ``vertex_dofs``."""
-        dofs = np.argsort(self.dof_order)[self.vertex_dofs.reshape(-1, 6)]  # each DOF's place in the order
-        return SparsePattern.of_blocks(dofs, 2 * self.num_vertices, sparse.csc_matrix)
+        """Pattern of the vector P1 metric in ``dof_order``: 6x6 blocks over ``vertex_dofs``."""
+        return SparsePattern.build(self.dof_order, self.vertex_dofs.reshape(-1, 6))
 
 
 @dataclass(frozen=True, eq=False)
 class SparsePattern:
-    """Compressed pattern of a sum of dense element blocks: :meth:`matrix`
-    adds the flattened element entry ``k`` to stored entry ``slots[k]``
-    (none for ``len(indices)``), each stored entry summing its contributions
-    in element order, as :func:`scatter_add` and ``np.add.at`` do."""
+    """CSC pattern of a sum of dense element blocks: :meth:`matrix` adds the
+    flattened element entry ``k`` to stored entry ``slots[k]`` (none for
+    ``len(indices)``), each stored entry summing its contributions in element
+    order, as :func:`scatter_add` and ``np.add.at`` do."""
 
-    container: type  # sparse.csr_matrix or sparse.csc_matrix
     indptr: np.ndarray
     indices: np.ndarray
     slots: np.ndarray
@@ -151,12 +144,16 @@ class SparsePattern:
             shared.flags.writeable = False
 
     @classmethod
-    def of_blocks(cls, dofs: np.ndarray, size: int, container: type) -> "SparsePattern":
-        """The ``k x k`` blocks over the rows of ``dofs`` (n, k): flat entry
-        ``(n k + a) k + b`` sits at ``(dofs[n, a], dofs[n, b])``."""
-        rows, cols = dofs[:, :, None], dofs[:, None, :]
-        major, minor = (rows, cols) if container is sparse.csr_matrix else (cols, rows)
-        keys = (major.astype(np.int64) * size + minor).ravel()
+    def build(cls, kept: np.ndarray, dofs: np.ndarray) -> "SparsePattern":
+        """The ``k x k`` blocks over the rows of ``dofs`` (n, k), in rows and columns ``kept``,
+        in that order: flat entry ``(n k + a) k + b`` sits at the places in ``kept`` of
+        ``dofs[n, a]`` and ``dofs[n, b]``, and in no stored entry if either is not kept."""
+        size = len(kept)
+        place = np.full(dofs.max() + 1, -1)
+        place[kept] = np.arange(size)
+        ends = place[dofs]
+        rows, cols = ends[:, :, None], ends[:, None, :]
+        keys = np.where((rows < 0) | (cols < 0), size * size, cols * size + rows).ravel()  # dropped ones sort last
         # A stored entry is a run of equal keys in sorted order; a slot depends on its key alone,
         # so any sort gives the same slots, and the fastest is used.
         order = np.argsort(keys)
@@ -164,27 +161,17 @@ class SparsePattern:
         starts = np.r_[True, keys[1:] != keys[:-1]]
         keys = keys[starts]
         indptr = np.searchsorted(keys, np.arange(size + 1) * size).astype(np.int32)
-        indices = (keys % size).astype(np.int32)
+        indices = (keys[:indptr[-1]] % size).astype(np.int32)
         ranks = np.cumsum(starts) - 1  # before slots: the cast of starts takes an entry-long temporary
         slots = np.empty_like(order)
-        slots[order] = ranks
-        return cls(container, indptr, indices, slots)
+        slots[order] = ranks  # a dropped entry's rank is len(indices)
+        return cls(indptr, indices, slots)
 
-    def matrix(self, values: np.ndarray):
+    def matrix(self, values: np.ndarray) -> sparse.csc_matrix:
         """The sum of the element blocks ``values``."""
         data = np.bincount(self.slots, weights=np.ravel(values), minlength=len(self.indices) + 1)
         size = len(self.indptr) - 1
-        return self.container((data[:-1], self.indices, self.indptr), shape=(size, size))
-
-    def restricted(self, keep: np.ndarray) -> "SparsePattern":
-        """CSC rows and columns ``keep``, in that order: its :meth:`matrix` is
-        ``self.matrix(values)[keep][:, keep].tocsc()``, byte for byte."""
-        nnz, size = len(self.indices), len(self.indptr) - 1
-        ids = self.container((np.arange(1.0, nnz + 1), self.indices, self.indptr), shape=(size, size))
-        sub = ids[keep][:, keep].tocsc()  # the slicing replayed on the slot ids
-        slot = np.full(nnz + 1, sub.nnz)
-        slot[sub.data.astype(np.int64) - 1] = np.arange(sub.nnz)
-        return SparsePattern(sparse.csc_matrix, sub.indptr, sub.indices, slot[self.slots])
+        return sparse.csc_matrix((data[:-1], self.indices, self.indptr), shape=(size, size))
 
 
 # SuperLU options for the symmetric positive definite matrices assembled on
@@ -222,14 +209,18 @@ def checked_solve(a, lu, b: np.ndarray):
     return x if np.linalg.norm(r) <= tol else None
 
 
-def fill_reducing_order(pattern: SparsePattern, keep: np.ndarray) -> np.ndarray:
-    """``keep`` in the order in which SuperLU, under ``SPD_LU``, factors rows and columns ``keep``
-    of the symmetric ``pattern``; read off a stand-in: -1 off the diagonal, the column count on it.
-    An incomplete LU that drops every off-diagonal entry orders it the same way, without the fill."""
-    n = len(pattern.indptr) - 1
-    graph = sparse.csr_matrix((-np.ones(len(pattern.indices)), pattern.indices, pattern.indptr), shape=(n, n))
-    stand_in = graph[keep][:, keep].tocsc()
-    stand_in.setdiag(np.diff(stand_in.indptr))
+def fill_reducing_order(complex: ConnectivityComplex, keep: np.ndarray) -> np.ndarray:
+    """``keep`` in the order in which SuperLU, under ``SPD_LU``, factors rows and columns ``keep`` of the P1 graph
+    of ``complex``; read off a stand-in: -1 on each kept edge, the column count on the diagonal.  An incomplete LU
+    that drops every off-diagonal entry orders it the same way, without the fill."""
+    n = len(keep)
+    place = np.full(complex.num_vertices, -1)
+    place[keep] = np.arange(n)
+    ends = place[complex.edges]
+    i, j = ends[np.all(ends >= 0, axis=1)].T
+    rows, cols = np.r_[i, j, :n], np.r_[j, i, :n]  # the edges both ways, then the diagonal
+    values = np.r_[-np.ones(2 * len(i)), np.bincount(cols, minlength=n)]
+    stand_in = sparse.csc_matrix((values, (rows, cols)), shape=(n, n))
     return keep[np.argsort(spilu(stand_in, drop_tol=np.inf, fill_factor=1.0, **SPD_LU).perm_c)]
 
 

@@ -77,7 +77,7 @@ _VECTOR_MASS = np.kron((np.ones((3, 3)) + np.eye(3)) / 12.0, np.eye(2))
 def assemble_elasticity(coords: np.ndarray, complex: ConnectivityComplex, pattern: SparsePattern | None = None):
     """Vector P1 elasticity stiffness with Lame constants ``MU`` and ``LAM`` plus
     ``DELTA`` times the vector L2 Gram matrix of the hat functions, on ``pattern``:
-    by default ``complex.elasticity_pattern``, in ``dof_order``, or a restriction of it."""
+    by default ``complex.elasticity_pattern``, in ``dof_order``, or the one on its free DOFs."""
     record = configuration(coords, complex)
     areas = record.areas
     if np.any(areas <= 0.0):
@@ -124,11 +124,12 @@ class MetricOperator:
                     self._lu, self._pattern, self._order = previous._lu, previous._pattern, previous._order
                 previous._matrix = previous._lu = None
             self._lagged = self._lu is not None
-            if self._pattern is None:  # restricted once per mask, then handed on
-                self._pattern, self._order = complex.elasticity_pattern, complex.dof_order
-                if self._free is not None:
-                    keep = np.flatnonzero(self._free[self._order])
-                    self._pattern, self._order = self._pattern.restricted(keep), self._order[keep]
+            if self._pattern is None:  # built once per mask, then handed on
+                if self._free is None:
+                    self._pattern, self._order = complex.elasticity_pattern, complex.dof_order
+                else:
+                    self._order = complex.dof_order[self._free[complex.dof_order]]
+                    self._pattern = SparsePattern.build(self._order, complex.vertex_dofs.reshape(-1, 6))
             self._matrix = assemble_elasticity(coords, complex, self._pattern)
             if self._lu is None:
                 self._factorize()

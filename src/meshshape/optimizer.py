@@ -229,14 +229,13 @@ def steepest_descent(
 ) -> RunResult:
     """Run the descent from the reference configuration.
 
-    Records one row per visited iterate.  The terminal row has step 0 and NaN
-    for what its exit left uncomputed: everything but ``theta`` after a failed
-    state solve, the pairing after a failed adjoint or metric solve and on
-    ``Converged``/``MaxIter``.  Any :class:`MeshShapeError` raised inside an
-    iteration (a failed solve, a non-descent direction, a degenerate edge in
-    the safeguard) ends the run as ``StepFloorFailure``, like a trial step
-    below the floor.  All accepted iterates have strictly positive signed
-    areas.
+    Records one row per visited iterate.  The terminal row has step 0 and NaN for what
+    its exit left uncomputed: everything at a start with a nonpositive area, everything
+    but ``theta`` after a failed state solve, the pairing after a failed adjoint or metric
+    solve and on ``Converged``/``MaxIter``.  Any :class:`MeshShapeError` raised inside an
+    iteration (a nonpositive area at the start, a failed solve, a non-descent direction, a
+    degenerate edge in the safeguard) ends the run as ``StepFloorFailure``, like a trial
+    step below the floor.  All accepted iterates have strictly positive signed areas.
     """
     timer = timer if timer is not None else PhaseTimer()
     spec = _metric_spec(config, qref)
@@ -266,11 +265,11 @@ def steepest_descent(
     n = 0
     operator = None
     while True:
-        j = phi = total = pairing = float("nan")
+        j = phi = total = pairing = theta = float("nan")
         if on_iterate is not None:
             on_iterate(n, coords)
-        theta = mesh_quality(coords, complex)
         try:
+            theta = mesh_quality(coords, complex)
             with timer.phase("state"):
                 system, y, j, phi = evaluate(coords)
             total = j + phi

@@ -389,12 +389,12 @@ def test_malformed_config_line_names_its_line(tmp_path, capsys):
     cfg.write_text("# a comment, then a blank line\n\nmax-iter = 5\nmax-iter 5\n")
     assert run(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
     assert f"error: {cfg}:4: expected 'key = value'" in capsys.readouterr().err
-
+# a bad value, a value outside a switch's words or a variant's choices and a repeated key, each named by its line
 
 # a bad value, a value outside a switch's words and a repeated key, each named by its file and line
 @pytest.mark.parametrize("text,lineno", [("max-iter = x", 1), ("tol = small", 1), ("fix-boundary = maybe", 1),
-                                         ("# twice\nmax-iter = 5\nmax-iter = 7", 3)],
-                         ids=["int", "float", "switch", "repeated-key"])
+                                         ("# twice\nmax-iter = 5\nmax-iter = 7", 3), ("variant = Bogus", 1)],
+                         ids=["int", "float", "switch", "repeated-key", "choice"])
 def test_bad_config_value_names_its_line(tmp_path, text, lineno, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text + "\n")

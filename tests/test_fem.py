@@ -12,7 +12,7 @@ from meshshape.fem import (
     solve_adjoint,
     solve_state,
 )
-from meshshape.mesh import configuration, make_disc_mesh, make_square5_mesh, signed_areas
+from meshshape.mesh import SparsePattern, configuration, make_disc_mesh, make_square5_mesh, signed_areas
 from meshshape.metrics import DELTA, LAM, MU, assemble_elasticity
 from scipy import sparse
 
@@ -270,11 +270,12 @@ def test_pattern_assembly_matches_coo(mesh):
     (tris, k_loc), (dofs, m_loc) = _element_blocks(q, cx)
     p1, elasticity = _coo(tris, k_loc, cx.num_vertices), _coo(dofs, m_loc, 2 * cx.num_vertices)
     free = np.flatnonzero(~np.isin(cx.dof_order // 2, cx.boundary_vertices))  # places in dof_order
+    pinned = SparsePattern.build(cx.dof_order[free], cx.vertex_dofs.reshape(-1, 6))
     cases = [  # assembled matrix, element entries, kept rows and columns (None for all)
-        (cx.p1_pattern.matrix(k_loc), p1, None),
+        (SparsePattern.build(np.arange(cx.num_vertices), tris).matrix(k_loc), p1, None),
         (assemble(q, cx, model_rhs()).reduced, p1, cx.interior_order),
         (assemble_elasticity(q, cx), elasticity, None),
-        (assemble_elasticity(q, cx, cx.elasticity_pattern.restricted(free)), elasticity, free),
+        (assemble_elasticity(q, cx, pinned), elasticity, free),
     ]
     for got, coo, keep in cases:
         want = coo.asformat(got.format) if keep is None else coo.tocsr()[keep][:, keep].tocsc()
@@ -285,17 +286,18 @@ def test_pattern_assembly_matches_coo(mesh):
         assert got.data.tobytes() == _element_order_sums(got, coo, keep).tobytes()
 
 
-def _restriction(cx, case, rng):
-    """The pattern, kept rows and columns, and element blocks of one case."""
+def _kept(cx, case, rng):
+    """The element DOFs, the full order, the kept places in it, and the element blocks of one case."""
     if case == "p1-interior":
-        return cx.p1_pattern, cx.interior_order, rng.standard_normal((cx.num_triangles, 3, 3))
+        values = rng.standard_normal((cx.num_triangles, 3, 3))
+        return cx.triangles, np.arange(cx.num_vertices), cx.interior_order, values
     mask = np.zeros(cx.num_vertices, dtype=bool)
     if case == "elasticity-boundary":
         mask[cx.boundary_vertices] = True
     else:  # a random set of interior vertices
         mask[cx.interior_vertices] = rng.random(len(cx.interior_vertices)) < 0.3
     keep = np.flatnonzero(~np.repeat(mask, 2)[cx.dof_order])  # places in dof_order
-    return cx.elasticity_pattern, keep, rng.standard_normal((cx.num_triangles, 6, 6))
+    return cx.vertex_dofs.reshape(-1, 6), cx.dof_order, keep, rng.standard_normal((cx.num_triangles, 6, 6))
 
 
 def _same_bytes(a, b):
@@ -307,9 +309,10 @@ def _same_bytes(a, b):
 @pytest.mark.parametrize("case", ["p1-interior", "elasticity-boundary", "elasticity-random"])
 def test_restricted_pattern_is_the_sliced_matrix(rings, case, rng):
     cx, _ = _perturbed_disc(rings, 5)
-    pattern, keep, values = _restriction(cx, case, rng)
-    sliced = pattern.matrix(values)[keep][:, keep].tocsc()
-    assert _same_bytes(pattern.restricted(keep).matrix(values), sliced)
+    dofs, order, keep, values = _kept(cx, case, rng)
+    full = SparsePattern.build(order, dofs).matrix(values)
+    sliced = full[keep][:, keep].sorted_indices()  # slicing a CSC matrix leaves its rows unsorted
+    assert _same_bytes(SparsePattern.build(order[keep], dofs).matrix(values), sliced)
     if case == "p1-interior":
         assert _same_bytes(cx.interior_p1_pattern.matrix(values), sliced)
 
@@ -331,9 +334,9 @@ def test_symmetric_mode_state_residual(refinements):
 def test_second_assemble_rebuilds_no_pattern():
     cx, q = _perturbed_disc(3, 6)
     first = assemble(q, cx, model_rhs())
-    cached = (cx.p1_pattern, cx.interior_p1_pattern, cx.interior_vertices)
+    cached = (cx.interior_p1_pattern, cx.interior_vertices)
     second = assemble(q + 1e-3, cx, model_rhs())
-    assert (cx.p1_pattern, cx.interior_p1_pattern, cx.interior_vertices) == cached
+    assert (cx.interior_p1_pattern, cx.interior_vertices) == cached
     # every matrix is built on the cached index arrays, not on copies
     for sys_ in (first, second):
         assert sys_.interior is cx.interior_order

@@ -401,6 +401,19 @@ def test_terminal_record_at_the_step_floor(disc3, monkeypatch):
     assert np.array_equal(res.final_coords, q)
 
 
+@pytest.mark.parametrize("penalty", [ZERO, SET1], ids=["unpenalized", "penalized"])
+def test_a_start_with_a_nonpositive_area_ends_with_a_status(penalty):
+    cx, q = make_disc_mesh(2)
+    q[0] = (0.9, 0.0)  # the centre moved past its ring: some triangle turns over
+    assert not np.all(signed_areas(q, cx) > 0.0)
+    res = steepest_descent(cx, q, model_rhs(), OptimizerConfig(variant="EucEuc", penalty=penalty))
+    assert res.status == STEP_FLOOR_FAILURE
+    (last,) = res.history
+    assert last.iter == 0 and last.step == 0.0 and last.backtracks == 0
+    assert np.isnan([last.theta, last.objective, last.penalty, last.total, last.grad_deriv_pairing]).all()
+    assert np.array_equal(res.final_coords, q)
+
+
 def test_terminal_record_at_max_iter(disc3):
     cx, q = disc3
     cfg = OptimizerConfig(variant="EucEuc", penalty=SET1, max_iter=3)

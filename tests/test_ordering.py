@@ -33,7 +33,7 @@ def _elaseuc(rings, max_iter, fixed_boundary=False):
         mask[cx.boundary_vertices] = True
     config = OptimizerConfig(variant="ElasEuc", penalty=PenaltyParams((0.0, 0.0, 0.0, 0.0)), max_iter=max_iter,
                              fixed_vertex_mask=mask)
-    return steepest_descent(cx, q, model_rhs(), config)
+    return cx, steepest_descent(cx, q, model_rhs(), config)
 
 
 @pytest.mark.parametrize("fixed_boundary", [False, True])
@@ -55,24 +55,26 @@ def test_every_factorization_keeps_the_stored_order(monkeypatch, fixed_boundary)
 @pytest.mark.parametrize("max_iter,fixed_boundary", [(1, False), (12, False), (12, True)],
                          ids=["1", "12", "12-pinned"])
 def test_each_pattern_is_ordered_once_per_run(monkeypatch, max_iter, fixed_boundary):
-    orderings, restrictions = [], []
-    restricted = mesh.SparsePattern.restricted
+    orderings, builds = [], []
+    build = mesh.SparsePattern.build
 
     def spy(matrix, **options):
         orderings.append(options["permc_spec"])
         return spilu(matrix, **options)
 
-    def count(pattern, keep):
-        restrictions.append(keep)
-        return restricted(pattern, keep)
+    def count(kept, dofs):
+        builds.append(kept)
+        return build(kept, dofs)
 
     monkeypatch.setattr(mesh, "spilu", spy)
-    monkeypatch.setattr(mesh.SparsePattern, "restricted", count)
-    result = _elaseuc(3, max_iter, fixed_boundary)
+    monkeypatch.setattr(mesh.SparsePattern, "build", count)
+    cx, result = _elaseuc(3, max_iter, fixed_boundary)
     assert result.history[-1].iter == max_iter
     # the interior P1 graph and the full one; a pinned metric keeps the full one's order
     assert orderings == ["MMD_AT_PLUS_A"] * 2
-    assert len(restrictions) == (2 if fixed_boundary else 1)  # the P1 interior, the pinned metric once
+    assert len(builds) == 2  # the interior P1 pattern, and the metric's on its free DOFs or on all
+    if fixed_boundary:
+        assert "elasticity_pattern" not in vars(cx)
 
 
 # -- SuperLU's supernode settings ------------------------------------------------
