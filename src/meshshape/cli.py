@@ -20,8 +20,8 @@ from .fem import (
     model_rhs,
     objective_value,
     shape_derivative,
-    solve_adjoint,
     solve_state,
+    solved,
 )
 from .fileio import (
     data_lines,
@@ -299,10 +299,10 @@ def cmd_eval(args) -> int:
         penalty_gradient(coords, qref, complex, params),
         coords,
     )
-    system = assemble(coords, complex, rhs)
+    y, p = solve_state(assemble(coords, complex, rhs), adjoint=True)
     err_shape = _fd_error(
         lambda c: objective_value(c, complex, solve_state(assemble(c, complex, rhs))),
-        shape_derivative(coords, complex, solve_state(system), solve_adjoint(system), rhs),
+        shape_derivative(coords, complex, y, solved(p), rhs),
         coords,
     )
     print(f"penalty_gradient max relative FD error: {err_phi:.3e}")

@@ -7,7 +7,7 @@ with the geometry derivative so that the discrete adjoint is the exact
 derivative of the discrete reduced objective.  The SPD reduced stiffness is
 stored in the complex's fill-reducing ``interior_order``: SuperLU factors its
 columns in that order, in symmetric mode.  The assembled system is kept per
-vertex configuration; each solve factors it afresh, then runs ``mesh.checked_solve``.
+vertex configuration; each call factors it afresh, then runs ``mesh.checked_solve`` per right-hand side.
 """
 
 from __future__ import annotations
@@ -93,30 +93,41 @@ def _centroid_rhs(record: Configuration, rhs: RhsField) -> np.ndarray:
     return read_only(np.asarray(rhs.value(centroids[:, 0], centroids[:, 1]), dtype=float))
 
 
-def _reduced_solve(system: AssembledSystem, rhs_full: np.ndarray) -> np.ndarray:
+def _reduced_solve(system: AssembledSystem, *rhs_full: np.ndarray) -> list:
+    """Factor the reduced stiffness once, then solve each right-hand side: nodal solutions, None where one fails."""
+    solutions = [np.zeros_like(b) for b in rhs_full]
     interior = system.interior
     if interior.size == 0:
-        return np.zeros_like(rhs_full)
+        return solutions
     try:
         lu = splu(system.reduced, **PREORDERED_LU)
     except RuntimeError as exc:
         raise SingularSystem(str(exc)) from exc
-    x = checked_solve(system.reduced, lu, rhs_full[interior])
-    if x is None:  # ill-conditioned (near-degenerate) meshes
+    for k, b in enumerate(rhs_full):
+        x = checked_solve(system.reduced, lu, b[interior])
+        if x is None:
+            solutions[k] = None
+        else:
+            solutions[k][interior] = x
+    return solutions
+
+
+def solved(x: np.ndarray | None) -> np.ndarray:
+    """``x``, unless its checked solve failed (None) on an ill-conditioned, near-degenerate mesh."""
+    if x is None:
         raise SingularSystem("P1 solve residual too large or non-finite")
-    full = np.zeros_like(rhs_full)
-    full[interior] = x
-    return full
+    return x
 
 
-def solve_state(system: AssembledSystem) -> np.ndarray:
-    """Nodal state values; zero on boundary vertices."""
-    return _reduced_solve(system, system.load)
+def solve_state(system: AssembledSystem, adjoint: bool = False):
+    """Nodal state, zero on the boundary; with ``adjoint``, ``(state, adjoint)`` on one LU, a failed adjoint None."""
+    y, *p = _reduced_solve(system, system.load, *([-system.volume_weights] if adjoint else []))
+    return (solved(y), *p) if adjoint else solved(y)
 
 
 def solve_adjoint(system: AssembledSystem) -> np.ndarray:
     """Nodal adjoint values (right-hand side is minus the volume weights)."""
-    return _reduced_solve(system, -system.volume_weights)
+    return solved(_reduced_solve(system, -system.volume_weights)[0])
 
 
 def objective_value(coords: np.ndarray, complex: ConnectivityComplex, y: np.ndarray) -> float:

@@ -85,20 +85,18 @@ def assemble_elasticity(coords: np.ndarray, complex: ConnectivityComplex, patter
     grads = record.basis_gradients
 
     # Entry (2a + c, 2b + d) of B^T D B, B the Voigt strain-displacement
-    # matrix (e_xx, e_yy, gamma_xy), has two nonzero terms (B_iv D_ij) B_jw.
-    gx, gy = grads[:, :, None, 0], grads[:, :, None, 1]
-    gxb, gyb = grads[:, None, :, 0], grads[:, None, :, 1]
-    k_loc = np.empty((len(areas), 3, 2, 3, 2))
-    k_loc[..., 0, :, 0] = (gx * (2.0 * MU + LAM)) * gxb + (gy * MU) * gyb
-    k_loc[..., 0, :, 1] = (gx * LAM) * gyb + (gy * MU) * gxb
-    k_loc[..., 1, :, 0] = (gy * LAM) * gxb + (gx * MU) * gyb
-    k_loc[..., 1, :, 1] = (gy * (2.0 * MU + LAM)) * gyb + (gx * MU) * gxb
-    k_loc = k_loc.reshape(-1, 6, 6)
-    k_loc *= areas[:, None, None]
-    mass = areas[:, None, None] * _VECTOR_MASS  # the vector P1 Gram block
-    mass *= DELTA
-    k_loc += mass
-    return (pattern or complex.elasticity_pattern).matrix(k_loc)
+    # matrix (e_xx, e_yy, gamma_xy), has two nonzero terms (B_iv D_ij) B_jw, triangles innermost.
+    g = grads.transpose(2, 1, 0)  # (component, vertex, triangle)
+    (gx, gy), (gxb, gyb) = g[:, :, None], g[:, None]
+    k_loc = np.empty((3, 2, 3, 2, len(areas)))
+    k_loc[:, 0, :, 0] = (gx * (2.0 * MU + LAM)) * gxb + (gy * MU) * gyb
+    k_loc[:, 0, :, 1] = (gx * LAM) * gyb + (gy * MU) * gxb
+    k_loc[:, 1, :, 0] = (gy * LAM) * gxb + (gx * MU) * gyb
+    k_loc[:, 1, :, 1] = (gy * (2.0 * MU + LAM)) * gyb + (gx * MU) * gxb
+    k_loc = k_loc.reshape(36, -1)
+    k_loc *= areas
+    k_loc += (_VECTOR_MASS.reshape(36, 1) * areas) * DELTA  # the vector P1 Gram block, damped
+    return (pattern or complex.elasticity_pattern).matrix(k_loc.T)
 
 
 class MetricOperator:

@@ -1,10 +1,10 @@
 """Steepest descent on the mesh manifold with Armijo backtracking.
 
-Per iteration: solve state and adjoint, form the derivative of the penalized
-reduced objective, convert it to the negative gradient of the chosen metric,
-line-search along the retraction and update.  Runs end when the objective
-stalls over a trailing window, the iteration cap is reached, or a trial step
-size falls below the failure floor.
+Per iteration: solve state and adjoint on one factorization, form the
+derivative of the penalized reduced objective, convert it to the negative
+gradient of the chosen metric, line-search along the retraction and update.
+Runs end when the objective stalls over a trailing window, the iteration cap
+is reached, or a trial step size falls below the failure floor.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ from .fem import (
     assemble,
     objective_value,
     shape_derivative,
-    solve_adjoint,
+    solve_adjoint,  # uncalled: the adjoint shares solve_state's LU, but perfbench/tracing.py wraps this name
     solve_state,
+    solved,
 )
 from .geodesic import GeodesicConfig, retract_geodesic
 from .mesh import ConnectivityComplex, free_dofs, heights, signed_areas
@@ -229,13 +230,13 @@ def steepest_descent(
 ) -> RunResult:
     """Run the descent from the reference configuration.
 
-    Records one row per visited iterate.  The terminal row has step 0 and NaN for what
-    its exit left uncomputed: everything at a start with a nonpositive area, everything
-    but ``theta`` after a failed state solve, the pairing after a failed adjoint or metric
-    solve and on ``Converged``/``MaxIter``.  Any :class:`MeshShapeError` raised inside an
-    iteration (a nonpositive area at the start, a failed solve, a non-descent direction, a
-    degenerate edge in the safeguard) ends the run as ``StepFloorFailure``, like a trial
-    step below the floor.  All accepted iterates have strictly positive signed areas.
+    Records one row per visited iterate, and solves its state and adjoint on one LU.  The terminal
+    row has step 0 and NaN for what its exit left uncomputed: everything at a start with a
+    nonpositive area, everything but ``theta`` after a failed state solve, the pairing after a failed
+    adjoint or metric solve and on ``Converged``/``MaxIter``.  Any :class:`MeshShapeError` raised
+    inside an iteration (a nonpositive area at the start, a failed solve, a non-descent direction, a
+    degenerate edge in the safeguard) ends the run as ``StepFloorFailure``, like a trial step below
+    the floor.  All accepted iterates have strictly positive signed areas.
     """
     timer = timer if timer is not None else PhaseTimer()
     spec = _metric_spec(config, qref)
@@ -248,16 +249,16 @@ def steepest_descent(
     prev_step = None
     prev_pairing = None
 
-    def evaluate(q):
-        """System, state, objective and penalty of the configuration ``q``."""
-        system = assemble(q, complex, rhs)
-        y = solve_state(system)
-        return system, y, objective_value(q, complex, y), penalty_value(q, qref, complex, config.penalty)
+    def evaluate(q, adjoint=False):
+        """State (with ``adjoint``, the pair of state and adjoint), objective and penalty of the configuration ``q``."""
+        solution = solve_state(assemble(q, complex, rhs), adjoint=adjoint)
+        y = solution[0] if adjoint else solution
+        return solution, objective_value(q, complex, y), penalty_value(q, qref, complex, config.penalty)
 
     def merit(candidate):
         with timer.phase("backtracking"):
             try:
-                _, _, j, phi = evaluate(candidate)
+                _, j, phi = evaluate(candidate)
             except SingularSystem:
                 return float("inf")
         return j + phi
@@ -271,7 +272,7 @@ def steepest_descent(
         try:
             theta = mesh_quality(coords, complex)
             with timer.phase("state"):
-                system, y, j, phi = evaluate(coords)
+                (y, p), j, phi = evaluate(coords, adjoint=True)
             total = j + phi
             totals.append(total)
 
@@ -282,10 +283,8 @@ def steepest_descent(
                 status = MAX_ITER
                 break
 
-            with timer.phase("state"):
-                p = solve_adjoint(system)
             with timer.phase("dObjective"):
-                derivative = shape_derivative(coords, complex, y, p, rhs)
+                derivative = shape_derivative(coords, complex, y, solved(p), rhs)
             if not config.penalty.is_zero:
                 with timer.phase("dPenalization"):
                     derivative = derivative + penalty_gradient(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meshshape import fem
 from meshshape.fem import (
     assemble,
     constant_rhs,
@@ -12,9 +13,10 @@ from meshshape.fem import (
     solve_adjoint,
     solve_state,
 )
-from meshshape.mesh import SparsePattern, configuration, make_disc_mesh, make_square5_mesh, signed_areas
+from meshshape.mesh import SparsePattern, build_complex, configuration, make_disc_mesh, make_square5_mesh, signed_areas
 from meshshape.metrics import DELTA, LAM, MU, assemble_elasticity
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from conftest import central_difference, uniform_refine
 
@@ -90,6 +92,35 @@ def test_adjoint_is_minus_state_for_unit_rhs(disc3):
     cx, q = disc3
     sys_ = assemble(q, cx, constant_rhs(1.0))
     assert np.max(np.abs(solve_adjoint(sys_) + solve_state(sys_))) < 1e-14
+
+
+@pytest.mark.parametrize("mesh", ["square5", "disc3", "perturbed-disc7"])
+def test_state_and_adjoint_share_one_factorization(mesh, monkeypatch):
+    cx, q = {"square5": make_square5_mesh, "disc3": lambda: make_disc_mesh(3),
+             "perturbed-disc7": lambda: _perturbed_disc(7, 5)}[mesh]()
+    sys_ = assemble(q, cx, model_rhs())
+    apart = solve_state(sys_), solve_adjoint(sys_)
+    calls = []
+
+    def spy(matrix, **options):
+        calls.append(matrix)
+        return splu(matrix, **options)
+
+    monkeypatch.setattr(fem, "splu", spy)
+    y, p = solve_state(sys_, adjoint=True)
+    assert len(calls) == 1 and calls[0] is sys_.reduced
+    for got, want in zip((y, p), apart):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_shared_solve_without_interior_factors_nothing(monkeypatch):
+    cx = build_complex([(0, 1, 2)], 3)
+    sys_ = assemble(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), cx, model_rhs())
+    assert sys_.interior.size == 0
+    monkeypatch.setattr(fem, "splu", lambda *args, **kwargs: pytest.fail("factored an empty system"))
+    y, p = solve_state(sys_, adjoint=True)
+    assert np.array_equal(y, np.zeros(3)) and np.array_equal(p, np.zeros(3))
+    assert np.array_equal(solve_state(sys_), y) and np.array_equal(solve_adjoint(sys_), p)
 
 
 def test_objective_center(square5):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshshape import optimizer
+from meshshape import fem, optimizer
 from meshshape.errors import NonDescentDirection, NonpositiveArea, SingularSystem, StepFloorFailure
 from meshshape.fem import constant_rhs, model_rhs, solve_state
 from meshshape.geodesic import GeodesicConfig
@@ -350,9 +350,23 @@ def test_terminal_record_after_a_failed_state_solve(disc3, monkeypatch):
 
 
 def test_terminal_record_after_a_failed_adjoint_solve(disc3, monkeypatch):
+    # the adjoint is solved on the state's LU; its checked solve, the one against minus the volume
+    # weights of the system just assembled, fails from iteration 1 on
     cx, q = disc3
-    visited = []
-    on_iterate = _fail_after(monkeypatch, "solve_adjoint", 1, visited)
+    visited, systems = [], []
+    assemble, checked_solve = optimizer.assemble, fem.checked_solve
+
+    def assembled(*args):
+        systems.append(assemble(*args))
+        return systems[-1]
+
+    def failing(a, lu, b):
+        adjoint = np.array_equal(b, -systems[-1].volume_weights[systems[-1].interior])
+        return None if adjoint and len(visited) > 1 else checked_solve(a, lu, b)
+
+    monkeypatch.setattr(optimizer, "assemble", assembled)
+    monkeypatch.setattr(fem, "checked_solve", failing)
+    on_iterate = lambda n, coords: visited.append(coords.copy())
     cfg = OptimizerConfig(variant="EucEuc", penalty=SET1, max_iter=50)
     res = steepest_descent(cx, q, model_rhs(), cfg, on_iterate=on_iterate)
     last = _terminal(res, STEP_FLOOR_FAILURE)
@@ -589,10 +603,10 @@ def test_trial_solves_are_booked_under_backtracking(monkeypatch):
     # row, and `backtracking` the line search's
     delay, calls = 0.05, []
 
-    def slow(system):
+    def slow(system, **kwargs):
         calls.append(1)
         time.sleep(delay)
-        return solve_state(system)
+        return solve_state(system, **kwargs)
 
     monkeypatch.setattr(optimizer, "solve_state", slow)
     cx, q = make_disc_mesh(2)
@@ -604,6 +618,41 @@ def test_trial_solves_are_booked_under_backtracking(monkeypatch):
     assert trials >= tops - 1
     assert tops * delay <= timer.seconds["state"] < (tops + 1) * delay
     assert trials * delay <= timer.seconds["backtracking"] < (trials + 1) * delay
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_p1_factorization_per_state_solve(variant, monkeypatch):
+    # every visited iterate solves its state and adjoint on one LU, every merit evaluation its state
+    counts = {"splu": 0, "solve_state": 0, "merit": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    def search(evaluate, *args, **kwargs):
+        return armijo_search(counted("merit", evaluate), *args, **kwargs)
+
+    def adjoint_apart(*args, **kwargs):
+        pytest.fail("steepest_descent solved the adjoint apart from the state")
+
+    monkeypatch.setattr(fem, "splu", counted("splu", fem.splu))
+    monkeypatch.setattr(optimizer, "solve_state", counted("solve_state", optimizer.solve_state))
+    monkeypatch.setattr(optimizer, "armijo_search", search)
+    monkeypatch.setattr(fem, "solve_adjoint", adjoint_apart)
+    monkeypatch.setattr(optimizer, "solve_adjoint", adjoint_apart)
+    if variant == "CompComp":
+        (cx, q), penalty = make_disc_mesh(1), ZERO
+    else:
+        (cx, q), penalty = make_disc_mesh(3), SET1
+    cfg = OptimizerConfig(variant=variant, penalty=penalty, metric_penalty=METRIC_ALPHA, max_iter=3)
+    res = steepest_descent(cx, q, model_rhs(), cfg)
+    assert res.status == MAX_ITER and len(res.history) == 4
+    assert counts["merit"] >= 3
+    assert counts["splu"] == counts["solve_state"] == len(res.history) + counts["merit"]
+    if variant == "EucEuc":
+        assert counts["splu"] == 11 - 3  # 11 with a factorization of its own for each iteration's adjoint
 
 
 def test_config_validation():
