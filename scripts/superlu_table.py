@@ -12,6 +12,14 @@ row or column permutation stops the script:
 
     PYTHONPATH=src python scripts/superlu_table.py
 
+``--dtype float32`` compares instead the metric matrices' LU in float64 with
+one of the matrix cast to that type, as ``metrics.LU_PRECISION`` keeps it:
+factor and solve times (the solve with the casts of its right-hand side and
+solution), fill, and the LU solves ``mesh.checked_solve`` makes with each LU
+to bring a random right-hand side within ``RESIDUAL_TOL``:
+
+    PYTHONPATH=src python scripts/superlu_table.py --dtype float32
+
 ``--setting panel_size=1,relax=4`` (repeatable) times other values instead of
 ``SPD_LU``'s, which is how the constant is chosen; a parameter it leaves out
 keeps SuperLU's default (``panel_size`` 20, ``relax`` 10 in scipy 1.17).  Values
@@ -25,7 +33,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from meshshape.fem import assemble, model_rhs
-from meshshape.mesh import PREORDERED_LU, make_disc_mesh
+from meshshape.mesh import PREORDERED_LU, checked_solve, make_disc_mesh
 from meshshape.metrics import MetricOperator, MetricSpec, assemble_elasticity
 
 
@@ -95,13 +103,55 @@ def table_rows(rings_list, settings, repeat):
                        np.max(np.abs(x - base_x)) / np.max(np.abs(base_x)))
 
 
+class _CountedLU:
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+def _lu_solves(a, lu, b, precision):
+    """The LU solves ``checked_solve`` makes on ``lu`` to reach its tolerance, or "-" if it misses."""
+    counted = _CountedLU(lu)
+    return counted.solves if checked_solve(a, counted, b, precision) is not None else "-"
+
+
+def precision_rows(rings_list, dtype, repeat):
+    rng = np.random.default_rng(0)
+    for rings in rings_list:
+        cx, q = make_disc_mesh(rings)
+        for name, build in MATRICES[1:]:  # the metric's
+            a = build(cx, q)
+            low = a.astype(dtype)
+            b = rng.standard_normal(a.shape[0])
+            lu, low_lu = splu(a, **PREORDERED_LU), splu(low, **PREORDERED_LU)
+            factor, low_factor = _min_times([lambda: splu(a, **PREORDERED_LU), lambda: splu(low, **PREORDERED_LU)],
+                                            repeat)
+            solve, low_solve = _min_times([lambda: lu.solve(b), lambda: low_lu.solve(b.astype(dtype)).astype(float)],
+                                          repeat)
+            yield (f"disc:{rings}", name, a.shape[0], lu.L.nnz + lu.U.nnz, low_lu.L.nnz + low_lu.U.nnz,
+                   factor * 1e3, low_factor * 1e3, low_factor / factor, solve * 1e3, low_solve * 1e3, low_solve / solve,
+                   _lu_solves(a, lu, b, np.float64), _lu_solves(a, low_lu, b, dtype))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rings", type=int, nargs="+", default=[5, 7, 12, 25, 50])
     parser.add_argument("--setting", action="append", type=_setting, metavar="panel_size=P,relax=R",
                         help="supernode parameters to time against the default (default: SPD_LU's)")
     parser.add_argument("--repeat", type=int, default=7, help="repetitions; each time is the min of them")
+    parser.add_argument("--dtype", choices=["float32"],
+                        help="compare the metric matrices' float64 LU with one in this type instead")
     args = parser.parse_args(argv)
+    if args.dtype:
+        print(f"mesh      matrix         n      fill float64 / {args.dtype}  factor ms float64 / {args.dtype} (ratio)"
+              f"  solve ms float64 / {args.dtype} (ratio)  LU solves to RESIDUAL_TOL float64 / {args.dtype}")
+        for row in precision_rows(args.rings, np.dtype(args.dtype), args.repeat):
+            print("{:<9} {:<10} {:>6}  {:>8} / {:<8}  {:8.3f} / {:<8.3f} ({:.2f})"
+                  "        {:7.3f} / {:<7.3f} ({:.2f})        {} / {}".format(*row), flush=True)
+        return
     settings = args.setting or [{key: PREORDERED_LU[key] for key in SUPERNODE_KEYS if key in PREORDERED_LU}]
     print("mesh      matrix         n  setting               fill default / set  factor ms default / set (ratio)"
           "  solve ms default / set (ratio)  max rel diff of x")

@@ -125,7 +125,7 @@ class ConnectivityComplex:
     @cached_property
     def elasticity_pattern(self) -> "SparsePattern":
         """Pattern of the vector P1 metric in ``dof_order``: 6x6 blocks over ``vertex_dofs``."""
-        return SparsePattern.build(self.dof_order, self.vertex_dofs.reshape(-1, 6))
+        return SparsePattern.build_doubled(self.dof_order[::2] // 2, self.triangles)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +167,27 @@ class SparsePattern:
         slots[order] = ranks  # a dropped entry's rank is len(indices)
         return cls(indptr, indices, slots)
 
+    @classmethod
+    def build_doubled(cls, kept: np.ndarray, dofs: np.ndarray) -> "SparsePattern":
+        """``build`` with each index ``i`` split into ``2 i`` and ``2 i + 1`` (a vertex into its x and y DOFs):
+        kept ``2 kept[:, None] + [0, 1]`` and rows ``2 dofs[:, :, None] + [0, 1]``, raveled per row.  Read off
+        ``build(kept, dofs)``, each of whose stored entries becomes a 2x2 block, instead of sorting 4x the keys."""
+        half = cls.build(kept, dofs)
+        indptr, nnz, c = half.indptr.astype(np.int64), len(half.indices), np.arange(2)
+        counts = np.diff(indptr)
+        column = np.repeat(np.arange(len(counts)), counts)
+        # Entry e of column s, row i, splits into rows 2 i + c of columns 2 s + d; column s's rows all precede
+        # column s + 1's, so split[e, c, d] = first + d width + c is where each part is stored.
+        first = np.r_[2 * (np.arange(nnz) + indptr[column]), 4 * nnz]
+        width = np.r_[2 * counts[column], 0]
+        split = np.minimum(first[:, None, None] + c[:, None] + width[:, None, None] * c, 4 * nnz)  # dropped: 4 nnz
+        indices = np.empty(4 * nnz, dtype=np.int32)
+        indices[split[:-1]] = 2 * half.indices[:, None, None] + c[:, None]
+        slots = split[half.slots].reshape(-1, dofs.shape[1], dofs.shape[1], 2, 2).swapaxes(2, 3).ravel()
+        i = np.arange(2 * len(counts) + 1)
+        indptr = (2 * (indptr[i // 2] + indptr[(i + 1) // 2])).astype(np.int32)
+        return cls(indptr, indices, slots)
+
     def matrix(self, values: np.ndarray) -> sparse.csc_matrix:
         """The sum of the element blocks ``values``."""
         data = np.bincount(self.slots, weights=np.ravel(values), minlength=len(self.indices) + 1)
@@ -188,20 +209,25 @@ RESIDUAL_TOL = 1e-10
 CG_MAX_ITER = 8
 
 
-def checked_solve(a, lu, b: np.ndarray):
+def checked_solve(a, lu, b: np.ndarray, precision=np.float64):
     """Conjugate gradients on the SPD matrix ``a``, preconditioned by ``lu``
-    (an LU of ``a`` or of a nearby matrix) and started from ``lu.solve(b)``:
-    the first iterate whose residual is within ``RESIDUAL_TOL`` of ``|b|``,
-    or None after ``CG_MAX_ITER`` iterations, as always for a non-finite
-    ``b``: its NaN residuals fail every test."""
+    (an LU of ``a`` or of a nearby matrix, factored in ``precision``, which
+    solves in it: right-hand sides are cast to it, solutions back to float64)
+    and started from ``lu``'s solution: the first iterate whose float64
+    residual is within ``RESIDUAL_TOL`` of ``|b|``, or None after ``CG_MAX_ITER``
+    iterations, as always for a non-finite ``b``: its NaN residuals fail every test."""
+
+    def precondition(r):
+        return lu.solve(r.astype(precision, copy=False)).astype(np.float64, copy=False)
+
     tol = RESIDUAL_TOL * np.linalg.norm(b)
-    x = lu.solve(b)
+    x = precondition(b)
     r = b - a @ x
     p, rz = 0.0, 1.0
     for _ in range(CG_MAX_ITER):
         if np.linalg.norm(r) <= tol:
             return x
-        z = lu.solve(r)
+        z = precondition(r)
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
         x = x + (rz / (p @ (a @ p))) * p

@@ -6,11 +6,14 @@ assembled fresh at the current configuration) and a rank-one metric
 ``I + g g^T`` built from the gradient of the mesh-quality penalty, which the
 derivative-to-gradient solve inverts in closed form (Sherman-Morrison).  The
 SPD elasticity matrix is assembled in the complex's fill-reducing ``dof_order``, on
-the free DOFs alone when vertices are pinned; SuperLU factors its columns in that
-order, in symmetric mode.  It moves little from one iterate to the next, so an
-operator built with ``previous`` keeps that operator's LU as the preconditioner of
+the free DOFs alone when vertices are pinned, on the vertex pattern doubled into 2x2
+blocks (``SparsePattern.build_doubled``); SuperLU factors its columns in that order,
+in symmetric mode.  It moves little from one iterate to the next, so an operator
+built with ``previous`` keeps that operator's LU as the preconditioner of
 :func:`~meshshape.mesh.checked_solve`, the one SPD solve of the package; it factors
 its own matrix only when ``CG_MAX_ITER`` iterations on the kept LU miss ``RESIDUAL_TOL``.
+As the LU only preconditions, it is factored and applied in ``LU_PRECISION``
+(single): a fresh one takes 2 or 3 LU solves to meet the float64 test, not 1.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ COMPLETE = "complete"
 MU = 1.0 / (2.0 * (1.0 + 0.4))
 LAM = 1.0 * 0.4 / ((1.0 + 0.4) * (1.0 - 2.0 * 0.4))
 DELTA = 0.2 * 1.0
+# The precision of the elasticity LU: half the factor's memory and faster solves than float64, for
+# one or two more LU solves on a fresh LU.
+LU_PRECISION = np.float32
 
 
 def check_complete_weights(penalty: PenaltyParams):
@@ -127,7 +133,7 @@ class MetricOperator:
                     self._pattern, self._order = complex.elasticity_pattern, complex.dof_order
                 else:
                     self._order = complex.dof_order[self._free[complex.dof_order]]
-                    self._pattern = SparsePattern.build(self._order, complex.vertex_dofs.reshape(-1, 6))
+                    self._pattern = SparsePattern.build_doubled(self._order[::2] // 2, complex.triangles)
             self._matrix = assemble_elasticity(coords, complex, self._pattern)
             if self._lu is None:
                 self._factorize()
@@ -141,7 +147,7 @@ class MetricOperator:
     def _factorize(self):
         self._lu = None  # at most one LU alive: drop a kept one before factoring
         try:
-            self._lu = splu(self._matrix, **PREORDERED_LU)
+            self._lu = splu(self._matrix.astype(LU_PRECISION), **PREORDERED_LU)
         except RuntimeError as exc:
             raise SingularSystem(str(exc)) from exc
         self._lagged = False
@@ -156,10 +162,10 @@ class MetricOperator:
     def solve(self, d: np.ndarray) -> np.ndarray:
         if self.spec.kind == ELASTICITY:
             d = d[self._order]
-            x = checked_solve(self._matrix, self._lu, d)
+            x = checked_solve(self._matrix, self._lu, d, LU_PRECISION)
             if x is None and self._lagged:  # the kept LU has gone stale
                 self._factorize()
-                x = checked_solve(self._matrix, self._lu, d)
+                x = checked_solve(self._matrix, self._lu, d, LU_PRECISION)
             if x is None:
                 raise SingularSystem("metric solve residual too large or non-finite")
             return self._scattered(x)

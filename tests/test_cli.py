@@ -520,6 +520,40 @@ def test_superlu_table_rows_parse(capsys):
     assert matrices == [("P1", 19, 170), ("elasticity", 74, 1652), ("pinned", 38, 672)]
 
 
+def test_superlu_table_float32_rows_parse(capsys):
+    # the metric's matrices in both precisions on disc:3: a float64 LU solves at once, a float32 one in 2 or 3
+    _script("superlu_table").main(["--rings", "3", "--repeat", "1", "--dtype", "float32"])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[:3] == ["mesh", "matrix", "n"] and header.split()[-3:] == ["float64", "/", "float32"]
+    matrices = []
+    for row in rows:
+        mesh, matrix, n, _, _, _, *times, solves, _, low_solves = row.split()
+        assert mesh == "disc:3" and solves == "1" and low_solves in ("2", "3")
+        assert all(float(t.strip("()")) > 0 for t in times if t != "/")
+        matrices.append((matrix, int(n)))
+    assert matrices == [("elasticity", 74), ("pinned", 38)]
+
+
+def test_roundoff_band_rows_parse(capsys):
+    # every case on disc:1, 3 iterations, the unperturbed start and 2 perturbed ones
+    band = _script("roundoff_band")
+    band.main(["--rings", "1", "--max-iter", "3", "--starts", "2"])
+    comment, header, *rows = capsys.readouterr().out.splitlines()
+    assert comment.startswith("# 3 starts") and header.split() == ["case", "run", "quantity", "unperturbed", "min", "max"]
+    expected = [(case, run[0], quantity) for case, (_, runs) in band.CASES.items() for run in runs
+                for quantity in (*band.QUANTITIES, "status")]
+    assert [tuple(row.split()[:3]) for row in rows] == expected
+    for row in rows:
+        _, _, quantity, *values = row.split()
+        if quantity == "status":
+            status, spread = values
+            counts = dict(item.split(":") for item in spread.split(","))
+            assert status in counts and sum(map(int, counts.values())) == 3
+        else:
+            first, low, high = map(float, values)
+            assert low <= first <= high and (quantity != "iterations" or first == 3)
+
+
 def test_fast_histories_have_not_moved(tmp_path, monkeypatch):
     # Recomputed in this process, after other tests have left records in the module's configuration
     # slot, and compared with the lines a fresh process wrote.  A numpy or scipy other than the file's

@@ -348,6 +348,24 @@ def test_restricted_pattern_is_the_sliced_matrix(rings, case, rng):
         assert _same_bytes(cx.interior_p1_pattern.matrix(values), sliced)
 
 
+@pytest.mark.parametrize("mask", ["none", "boundary", "random"])
+@pytest.mark.parametrize("mesh", ["square5", 1, 2, 3, 7, 50])
+def test_doubled_pattern_is_the_built_one(mesh, mask, rng):
+    # The vector pattern read off the vertex pattern holds the bytes and dtypes of the one sorted from DOF keys.
+    cx, _ = make_square5_mesh() if mesh == "square5" else make_disc_mesh(mesh)
+    fixed = np.zeros(cx.num_vertices, dtype=bool)
+    if mask == "boundary":
+        fixed[cx.boundary_vertices] = True
+    elif mask == "random":
+        fixed = rng.random(cx.num_vertices) < 0.3
+    order = cx.dof_order[~np.repeat(fixed, 2)[cx.dof_order]]
+    want = SparsePattern.build(order, cx.vertex_dofs.reshape(-1, 6))
+    got = cx.elasticity_pattern if mask == "none" else SparsePattern.build_doubled(order[::2] // 2, cx.triangles)
+    for field in ("indptr", "indices", "slots"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
 @pytest.mark.parametrize("refinements", [0, 2])
 def test_symmetric_mode_state_residual(refinements):
     # The criterion-1 square with its center at (0, 1 - eps), eps = 1e-3,

@@ -7,10 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import SuperLU, splu
 
-from meshshape import metrics
+from meshshape import fem, metrics
 from meshshape.errors import SingularSystem
 from meshshape.fem import model_rhs
-from meshshape.mesh import PREORDERED_LU, RESIDUAL_TOL, make_disc_mesh, signed_areas
+from meshshape.mesh import CG_MAX_ITER, PREORDERED_LU, RESIDUAL_TOL, make_disc_mesh, signed_areas
 from meshshape.metrics import (
     MetricOperator,
     MetricSpec,
@@ -322,6 +322,17 @@ def test_singular_elasticity_matrix_raises(disc7_moves, monkeypatch, pivot):
             MetricOperator(spec, moved, cx, previous=previous).solve(d)
 
 
+class _CountedLU:
+    """An LU that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
 def test_fresh_operator_solves_directly(disc7_moves, rng):
     cx, _, moved, _ = disc7_moves
     mask = np.zeros(cx.num_vertices, dtype=bool)
@@ -330,11 +341,61 @@ def test_fresh_operator_solves_directly(disc7_moves, rng):
     for fixed_mask, order in ((None, cx.dof_order), (mask, cx.dof_order[free[cx.dof_order]])):
         op = MetricOperator(MetricSpec.elasticity(), moved, cx, fixed_mask=fixed_mask)
         assert np.array_equal(op._order, order)
+        op._lu = lu = _CountedLU(op._lu)
         d = rng.standard_normal(op.n)
-        # the direct solve in the operator's order: one factorization of its matrix, one LU solve
+        # the direct double-precision solve in the operator's order: one factorization of its matrix
         direct = np.zeros(op.n)
         direct[order] = splu(op._matrix, **PREORDERED_LU).solve(d[order])
-        assert op.solve(d).tobytes() == direct.tobytes()
+        x = op.solve(d)
+        assert np.linalg.norm(op.apply(x)[order] - d[order]) <= RESIDUAL_TOL * np.linalg.norm(d[order])
+        assert np.linalg.norm(x - direct) <= 1e-9 * np.linalg.norm(direct)
+        # the single-precision LU's first iterate misses the bound; one or two CG iterations meet it
+        assert lu.solves in (2, 3)
+
+
+def _distorted_disc7():
+    """disc:7 with interior moves of up to 45 % of the ring spacing (smallest area 1.7e-4 of the
+    largest), then stretched 20-fold along x: admissible, and far from the deterministic disc."""
+    cx, q = make_disc_mesh(7)
+    q = _moved(cx, q, 0.065, 13) * [20.0, 1.0]
+    assert np.all(signed_areas(q, cx) > 0.0)
+    return cx, q
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+@pytest.mark.parametrize("mesh", [1, 2, 3, 5, 7, 12, 50, "distorted-7"])  # the rings of history_digest.py's meshes
+def test_fresh_single_precision_lu_meets_the_tolerance_within_three_solves(mesh, pinned, rng):
+    cx, q = _distorted_disc7() if mesh == "distorted-7" else make_disc_mesh(mesh)
+    mask = np.zeros(cx.num_vertices, dtype=bool)
+    mask[cx.boundary_vertices] = pinned
+    op = MetricOperator(MetricSpec.elasticity(), q, cx, fixed_mask=mask if pinned else None)
+    op._lu = lu = _CountedLU(op._lu)
+    order = op._order
+    for _ in range(2):
+        d = np.zeros(op.n)
+        d[order] = rng.standard_normal(len(order))
+        lu.solves = 0
+        x = op.solve(d)
+        assert np.linalg.norm(op.apply(x)[order] - d[order]) <= RESIDUAL_TOL * np.linalg.norm(d[order])
+        assert lu.solves <= 3 < CG_MAX_ITER  # a margin below the cap
+
+
+def test_metric_lu_is_single_precision_and_p1_lu_double(monkeypatch):
+    lus = {"metric": [], "p1": []}
+
+    def spy(kind, real):
+        def factorize(matrix, **options):
+            assert matrix.dtype == (np.float32 if kind == "metric" else np.float64)
+            lus[kind].append(real(matrix, **options))
+            return lus[kind][-1]
+        return factorize
+
+    monkeypatch.setattr(metrics, "splu", spy("metric", metrics.splu))
+    monkeypatch.setattr(fem, "splu", spy("p1", fem.splu))
+    assert _elaseuc_run(3, 3).history[-1].iter == 3
+    assert len(lus["metric"]) >= 1 and len(lus["p1"]) >= 3
+    assert all(lu.L.dtype == lu.U.dtype == np.float32 for lu in lus["metric"])
+    assert all(lu.L.dtype == lu.U.dtype == np.float64 for lu in lus["p1"])
 
 
 def _elaseuc_run(rings, max_iter, on_iterate=None):
