@@ -366,9 +366,8 @@ def _distorted_disc7():
 @pytest.mark.parametrize("mesh", [1, 2, 3, 5, 7, 12, 50, "distorted-7"])  # the rings of history_digest.py's meshes
 def test_fresh_single_precision_lu_meets_the_tolerance_within_three_solves(mesh, pinned, rng):
     cx, q = _distorted_disc7() if mesh == "distorted-7" else make_disc_mesh(mesh)
-    mask = np.zeros(cx.num_vertices, dtype=bool)
-    mask[cx.boundary_vertices] = pinned
-    op = MetricOperator(MetricSpec.elasticity(), q, cx, fixed_mask=mask if pinned else None)
+    fixed = np.isin(np.arange(cx.num_vertices), cx.boundary_vertices) if pinned else None
+    op = MetricOperator(MetricSpec.elasticity(), q, cx, fixed_mask=fixed)
     op._lu = lu = _CountedLU(op._lu)
     order = op._order
     for _ in range(2):
