@@ -15,7 +15,12 @@ microseconds per point, min of ``--repeat`` batches of at least 20 ms each, of
   them ``values/step``, the ``penalty_value`` calls per step (the constraint
   solve's, counted in one more integration outside the timing).  Only discs of
   at most ``STEP_MAX_RINGS`` rings get this row: a ``disc:50`` integration
-  takes seconds.
+  takes seconds;
+- ``descent``: the same along the optimizer's first geodesic, from the disc
+  with the unpenalized problem's descent direction at unit metric norm.  The
+  path to the reference is smooth enough that any extrapolation of the
+  constraint solve's multiplier starts it within tolerance; this one shows
+  what the extrapolation's order buys.
 
 The points alternate between two perturbations of the disc, so every call
 meets a point other than the last::
@@ -72,8 +77,8 @@ def _load_copy(root):
 
 def _calls(package, rings, alpha, step):
     """The timed calls of one mesh, by measure, each with the points (or
-    steps) it covers, and the value calls per step of the ``step`` measure,
-    which is there if ``step``."""
+    steps) it covers, and, by measure, the value calls per step of the
+    ``step`` and ``descent`` measures, which are there if ``step``."""
     mesh, penalty = package.mesh, package.penalty
     complex, qref = mesh.make_disc_mesh(rings)
     rng = np.random.default_rng(rings)
@@ -83,7 +88,7 @@ def _calls(package, rings, alpha, step):
             for c in points:
                 mesh._configuration_cache.clear()
                 mesh.is_admissible(complex, c)
-        return {"record": (record, 2)}, None
+        return {"record": (record, 2)}, {}
     params = penalty.PenaltyParams(alpha)
     evaluator = penalty.PenaltyEvaluator(None, complex)
 
@@ -97,22 +102,39 @@ def _calls(package, rings, alpha, step):
             penalty.penalty_gradient(c, qref, complex, params, evaluator)
     calls = {"value": (value, 2), "value+gradient": (value_gradient, 2)}
     if not step:
-        return calls, None
+        return calls, {}
     geodesic = package.geodesic
     spec = package.metrics.MetricSpec.complete(params, qref)
     cfg = geodesic.GeodesicConfig(num_steps=STEPS)
-    velocity = (qref - points[0]).ravel()
 
-    def retract():
-        geodesic.retract_geodesic(points[0], velocity, spec, cfg, complex)
+    def retraction(start, velocity):
+        return lambda: geodesic.retract_geodesic(start, velocity, spec, cfg, complex)
+    steps = {"step": retraction(points[0], (qref - points[0]).ravel()),
+             "descent": retraction(qref, _descent_velocity(package, complex, qref, spec))}
     counted = []
     original = geodesic.penalty_value  # looked up by name at every call, as the benchmark's tracer wraps it
     geodesic.penalty_value = lambda *args: counted.append(1) or original(*args)
+    per_step = {}
     try:
-        retract()
+        for measure, retract in steps.items():
+            counted.clear()
+            retract()
+            per_step[measure] = len(counted) / STEPS
     finally:
         geodesic.penalty_value = original
-    return {**calls, "step": (retract, STEPS)}, len(counted) / STEPS
+    return {**calls, **{measure: (retract, STEPS) for measure, retract in steps.items()}}, per_step
+
+
+def _descent_velocity(package, complex, qref, spec):
+    """The velocity of the optimizer's first geodesic from ``qref``: the unpenalized problem's descent
+    direction in the metric ``spec``, at unit metric norm."""
+    fem = package.fem
+    rhs = fem.model_rhs()
+    system = fem.assemble(qref, complex, rhs)
+    derivative = fem.shape_derivative(qref, complex, fem.solve_state(system), fem.solve_adjoint(system), rhs)
+    operator = package.metrics.MetricOperator(spec, qref, complex)
+    d = -operator.solve(derivative)
+    return d / operator.norm(d)
 
 
 def table_rows(packages, rings_list, repeat):
@@ -131,7 +153,7 @@ def table_rows(packages, rings_list, repeat):
                         best[i] = min(best[i], timers[i].timeit(number) / number)
                 weights = "-" if alpha is None else "/".join(f"{a:g}" for a in alpha)
                 yield (f"disc:{rings}", weights, measure, [1e6 * t / per for t in best],
-                       counts if measure == "step" else None)
+                       [count[measure] for count in counts] if measure in counts[0] else None)
 
 
 def main(argv=None):

@@ -21,7 +21,9 @@ change in dynamics.  The cases:
 - ``exp2``: the nine runs of ``meshshape experiment 2``;
 - ``elaseuc-disc50``: ElasEuc on ``disc:50`` for 8 iterations, without
   penalty.  Its metric vectors are long enough for OpenBLAS's dot products
-  to round differently per thread count: set ``OPENBLAS_NUM_THREADS=1``.
+  to round differently per thread count: set ``OPENBLAS_NUM_THREADS=1``;
+- ``compcomp-disc1``: CompComp on ``disc:1`` for 2 iterations, without
+  penalty, the geodesic retraction's history case and benchmark workload.
 
 ``--rings`` and ``--max-iter`` replace every run's mesh and iteration cap,
 for a quick look.  Progress goes to standard error.
@@ -54,6 +56,7 @@ CASES = {
                        ("CompEuc", "CompEuc", ZERO, 500, 0.0)]),
     "exp2": (7, [run for set_id in PENALTY_SETS for run in _penalized(set_id)]),
     "elaseuc-disc50": (50, [("ElasEuc", "ElasEuc", ZERO, 8, 1e-6)]),
+    "compcomp-disc1": (1, [("CompComp", "CompComp", ZERO, 2, 1e-6)]),
 }
 QUANTITIES = ("iterations", "j", "j+phi", "theta")
 
@@ -86,7 +89,7 @@ def band_rows(name, k, rings=None, max_iter=None):
         print(f"{name} {run[0]}: {len(finals)} starts in {time.perf_counter() - began:.1f} s", file=sys.stderr)
         columns = list(zip(*finals))
         for quantity, values in zip(QUANTITIES, columns):
-            fmt = "{:d}" if quantity == "iterations" else "{:.10g}"
+            fmt = "{:d}" if quantity == "iterations" else "{:.15g}"
             yield (name, run[0], quantity, *(fmt.format(v) for v in (values[0], min(values), max(values))))
         statuses = columns[-1]
         spread = ",".join(f"{s}:{statuses.count(s)}" for s in sorted(set(statuses)))
@@ -101,10 +104,10 @@ def main(argv=None):
     parser.add_argument("--max-iter", type=int, help="cap every run at this many iterations instead")
     args = parser.parse_args(argv)
     print(f"# {args.starts + 1} starts: the unperturbed one and {args.starts} scaled by 1 + {SCALE:g} xi")
-    print(f"{'case':<15} {'run':<13} {'quantity':<10} {'unperturbed':>17} {'min':>17} {'max':>17}")
+    print(f"{'case':<15} {'run':<13} {'quantity':<10} {'unperturbed':>21} {'min':>21} {'max':>21}")
     for name in args.case or list(CASES):
         for row in band_rows(name, args.starts, args.rings, args.max_iter):
-            print("{:<15} {:<13} {:<10} {:>17} {:>17} {:>17}".format(*row).rstrip(), flush=True)
+            print("{:<15} {:<13} {:<10} {:>21} {:>21} {:>21}".format(*row).rstrip(), flush=True)
 
 
 if __name__ == "__main__":

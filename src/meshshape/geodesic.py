@@ -12,10 +12,13 @@ of length ``h`` from ``(x, z)`` with velocity ``(v, v_z)`` and ``g = w(x)``:
 1. ``x+ = x + h v + h^2/2 lam g`` and ``z+ = z + h v_z - h^2/2 lam``, the
    multiplier ``lam`` solving the scalar equation ``z+ = phi(x+)`` by
    simplified Newton with the slope ``-h^2/2 (1 + |g|^2)``, which takes
-   penalty values only.  The solve starts from the quadratic extrapolation
-   ``3 l1 - 3 l2 + l3`` of the last three steps' corrected multipliers
-   ``lam + residual / slope`` (the Newton update the accepted residual
-   would have made next), zero before the first steps;
+   penalty values only.  The residual ``r`` a solve accepts stays in ``z``
+   as the next step's offset ``d = z - phi(x)`` (0 at the start).  A solve
+   starts from ``d / slope`` plus ``5 l1 - 10 l2 + 10 l3 - 5 l4 + l5``, the
+   quartic extrapolation of the last five steps' multipliers
+   ``lam + (r - d) / slope``, freed of their offsets and residuals (over the
+   first five steps, the extrapolation of lower degree through the ones
+   there are; zero at the first);
 2. one gradient ``g+ = w(x+)``;
 3. the half-step velocity ``(u, u_z) = (v + h/2 lam g, v_z - h/2 lam)`` is
    projected onto the tangent space at ``x+``: ``v+ = u + mu g+`` and
@@ -46,6 +49,10 @@ logger = logging.getLogger(__name__)
 
 FIXED_POINT_TOL = 1e-12  # relative residual of the constraint solve
 FIXED_POINT_MAX_ITER = 50  # Newton iterations per step
+# The weights that extrapolate a step's multiplier from the last five smoothed ones, newest first, by
+# the number of steps before it: the polynomial through all of them, of degree at most four, one step on
+EXTRAPOLATION = ((0.0, 0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0), (2.0, -1.0, 0.0, 0.0, 0.0),
+                 (3.0, -3.0, 1.0, 0.0, 0.0), (4.0, -6.0, 4.0, -1.0, 0.0), (5.0, -10.0, 10.0, -5.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -86,7 +93,8 @@ def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, c
     z, v_z = phi_fn(coords), g @ v
     h = 1.0 / cfg.num_steps
     h_half, h2 = 0.5 * h, 0.5 * h * h
-    lam1 = lam2 = lam3 = 0.0  # the last three steps' corrected multipliers, newest first
+    lam1 = lam2 = lam3 = lam4 = lam5 = 0.0  # the last five steps' smoothed multipliers, newest first
+    offset = 0.0  # z - phi(x): the last accepted residual, 0 at the start where z = phi(q0)
     h0 = 0.5 * (v @ v + v_z * v_z)
     lift = 1.0 + g @ g  # 1 + |g|^2, for this step's slope and the last one's projection
 
@@ -96,7 +104,8 @@ def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, c
     for step in range(1, cfg.num_steps + 1):
         x_free, z_free = x + h * v, z + h * v_z
         slope = h2 * lift
-        lam = 3.0 * (lam1 - lam2) + lam3
+        c1, c2, c3, c4, c5 = EXTRAPOLATION[min(step - 1, 5)]
+        lam = c1 * lam1 + c2 * lam2 + c3 * lam3 + c4 * lam4 + c5 * lam5 + offset / slope
         for _ in range(FIXED_POINT_MAX_ITER):
             x_new, z_new = x_free + (h2 * lam) * g, z_free - h2 * lam
             q_new = x_new.reshape(shape)
@@ -110,7 +119,8 @@ def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, c
             raise FixedPointDivergence(
                 f"constraint solve did not converge in {FIXED_POINT_MAX_ITER} iterations"
             )
-        lam3, lam2, lam1 = lam2, lam1, lam + residual / slope
+        lam5, lam4, lam3, lam2, lam1 = lam4, lam3, lam2, lam1, lam + (residual - offset) / slope
+        offset = residual
         u, u_z = v + (h_half * lam) * g, v_z - h_half * lam
         x, z = x_new, z_new
         g = w_fn(q_new)

@@ -495,14 +495,14 @@ def test_point_table_rows_parse(capsys):
     for row in rows:
         mesh, weights, measure, this, against, ratio, *counts = row.split()
         assert mesh == "disc:1" and float(this) > 0 and float(against) > 0 and float(ratio) > 0
-        if measure == "step":  # the value calls per step of each side: the constraint solve takes one or more
+        if measure in ("step", "descent"):  # the value calls per step of each side: each solve takes one or more
             label, per_step = counts
             assert label == "values/step" and all(float(c) >= 1.0 for c in per_step.split("/"))
             counts = []
         assert counts == []
         measures.append((weights, measure))
     assert measures == [("-", "record"), *((w, m) for w in ("10/1/0/0.01", "10/1/0.1/0.01")
-                                             for m in ("value", "value+gradient", "step"))]
+                                             for m in ("value", "value+gradient", "step", "descent"))]
 
 
 def test_superlu_table_rows_parse(capsys):
@@ -537,6 +537,7 @@ def test_superlu_table_float32_rows_parse(capsys):
 def test_roundoff_band_rows_parse(capsys):
     # every case on disc:1, 3 iterations, the unperturbed start and 2 perturbed ones
     band = _script("roundoff_band")
+    assert list(band.CASES) == ["criterion6", "criterion7", "exp2", "elaseuc-disc50", "compcomp-disc1"]
     band.main(["--rings", "1", "--max-iter", "3", "--starts", "2"])
     comment, header, *rows = capsys.readouterr().out.splitlines()
     assert comment.startswith("# 3 starts") and header.split() == ["case", "run", "quantity", "unperturbed", "min", "max"]

@@ -170,7 +170,7 @@ def test_one_gradient_per_step(monkeypatch):
 def test_call_counts_are_pinned():
     # RATTLE's call sequence on disc:1 over 64 steps: one gradient per step
     # plus the initial one, and the constraint solves' penalty values (one
-    # initial value, then 2.4 per step at this velocity, each solve started
+    # initial value, then 1.66 per step at this velocity, each solve started
     # from the extrapolated multiplier)
     cx, q = make_disc_mesh(1)
     phi_fn, w_fn = geodesic._penalty_field(MetricSpec.complete(METRIC_ALPHA, q.copy()), cx)
@@ -184,7 +184,7 @@ def test_call_counts_are_pinned():
 
     v = 0.1 * np.random.default_rng(2).standard_normal(2 * cx.num_vertices)
     integrate_geodesic(counted("phi", phi_fn), counted("w", w_fn), q, v, GeodesicConfig(num_steps=64), cx)
-    assert calls == {"phi": 153, "w": 64 + 1}
+    assert calls == {"phi": 107, "w": 64 + 1}
 
 
 def _first_geodesic(rings, alpha, fix_boundary):
@@ -213,6 +213,22 @@ def test_default_tolerance_matches_tight_solve(rings, alpha, fix_boundary, monke
         paths.append(retract_geodesic(q, v, spec, GeodesicConfig(num_steps=1024), cx, fixed_mask=mask))
     assert np.max(np.abs(paths[0].levels[0] - paths[1].levels[0])) <= 1e-10
     assert abs(paths[0].final_hamiltonian - paths[1].final_hamiltonian) <= 1e-10
+
+
+@pytest.mark.parametrize("rings", [1, 2], ids=["disc1", "disc2"])
+def test_one_value_per_step_along_the_first_descent(rings):
+    # the optimizer's first geodesic, 1024 steps: one initial value and one per step, plus two more in
+    # the first step, which starts from zero, and one more in each of the next two
+    cx, q, spec, mask, v = _first_geodesic(rings, METRIC_ALPHA, False)
+    phi_fn, w_fn = geodesic._penalty_field(spec, cx, mask)
+    calls = []
+
+    def counted(c):
+        calls.append(1)
+        return phi_fn(c)
+
+    integrate_geodesic(counted, w_fn, q, v, GeodesicConfig(num_steps=1024), cx)
+    assert len(calls) == 1029
 
 
 def test_repeated_retraction_is_bit_identical():
