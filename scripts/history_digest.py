@@ -57,6 +57,9 @@ CASES = (
     # integration that meets a nonpositive area rejects its trials
     ("compcomp-steps4-disc2", ["optimize", "--variant", "CompComp", "--mesh", "disc:2", "--geodesic-steps", "4",
                                "--max-iter", "6"]),
+    # past its first iterations the geodesics are far shorter than unit speed
+    ("compcomp-tol0-disc2", ["optimize", "--variant", "CompComp", "--mesh", "disc:2", "--max-iter", "12",
+                             "--tol", "0"]),
     ("compeuc-set1-disc12", ["optimize", "--variant", "CompEuc", "--penalty", "set1", "--mesh", "disc:12"]),
     # every penalty set has a3 = 0: this puts the objective's boundary term, with its cutoff, on the record path
     ("compeuc-a3-cutoff-disc5", ["optimize", "--variant", "CompEuc", "--mesh", "disc:5", "--penalty",

@@ -23,7 +23,9 @@ change in dynamics.  The cases:
   penalty.  Its metric vectors are long enough for OpenBLAS's dot products
   to round differently per thread count: set ``OPENBLAS_NUM_THREADS=1``;
 - ``compcomp-disc1``: CompComp on ``disc:1`` for 2 iterations, without
-  penalty, the geodesic retraction's history case and benchmark workload.
+  penalty, the geodesic retraction's history case and benchmark workload;
+- ``compcomp-disc5``: CompComp on ``disc:5`` for 200 iterations, without
+  penalty and with ``stop_tol`` 0, where the geodesics are short.
 
 ``--rings`` and ``--max-iter`` replace every run's mesh and iteration cap,
 for a quick look.  Progress goes to standard error.
@@ -57,6 +59,7 @@ CASES = {
     "exp2": (7, [run for set_id in PENALTY_SETS for run in _penalized(set_id)]),
     "elaseuc-disc50": (50, [("ElasEuc", "ElasEuc", ZERO, 8, 1e-6)]),
     "compcomp-disc1": (1, [("CompComp", "CompComp", ZERO, 2, 1e-6)]),
+    "compcomp-disc5": (5, [("CompComp", "CompComp", ZERO, 200, 0.0)]),
 }
 QUANTITIES = ("iterations", "j", "j+phi", "theta")
 

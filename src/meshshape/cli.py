@@ -78,8 +78,6 @@ OPTION_TABLE = (
     Option("--out", str, {"optimize": "out", "experiment": None}),  # MESHSHAPE_OUT overrides it
     Option("--fix-boundary", _switch, {"optimize": False}, settings={"nargs": "?", "const": True}),
     Option("--snapshot-stride", int, {"optimize": 0}),
-    Option("--compcomp-cap", int, {"experiment": experiments.COMPCOMP_CAP}, "compcomp_cap"),
-    Option("--compcomp-rings", int, {"experiment": experiments.COMPCOMP_RINGS}, "compcomp_rings"),
     Option("--rings", int, {"experiment": None}, "rings"),
     Option("--geodesic-steps", int, dict.fromkeys(("optimize", "experiment"), GeodesicConfig.num_steps), "num_steps"),
 )
@@ -264,8 +262,6 @@ def cmd_experiment(args) -> int:
         args.id,
         _outdir(args.out or f"experiment{args.id}_out"),
         max_iter=args.max_iter,
-        compcomp_cap=args.compcomp_cap,
-        compcomp_rings=args.compcomp_rings,
         rings=args.rings,
         geodesic_steps=args.geodesic_steps,
     )

@@ -2,8 +2,7 @@
 
 Experiment 1: unpenalized runs on a coarse disc comparing the Euclidean and
 elasticity metrics (Euclidean retraction) against the rank-one metric with
-geodesic retraction; the geodesic variant runs on a reduced mesh because the
-integration dominates the cost.
+geodesic retraction, all on the same disc with the same iteration cap.
 
 Experiment 2: penalized runs for three penalty parameter sets; all variants
 should converge to the same minimizer.
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import InvalidValue
 from .fem import model_rhs
 from .fileio import write_history, write_timing
 from .geodesic import GeodesicConfig
@@ -30,7 +28,6 @@ PENALTY_SETS = {
     3: (0.015, 0.005, 0.0, 0.0005),
 }
 METRIC_ALPHA = (10.0, 1.0, 0.0, 0.01)
-COMPCOMP_CAP, COMPCOMP_RINGS = 15, 1  # experiment 1's CompComp run: its iteration cap and the rings of its disc
 
 SUMMARY_HEADER = "experiment,label,variant,vertices,triangles,iterations,status,Obj,Total,mshQua"
 TIMING_HEADER = "label,variant,phase,seconds"
@@ -58,8 +55,6 @@ def run_experiment(
     exp_id: int,
     outdir: Path,
     max_iter: int | None = None,
-    compcomp_cap: int = COMPCOMP_CAP,
-    compcomp_rings: int = COMPCOMP_RINGS,
     rings: int | None = None,
     geodesic_steps: int = GeodesicConfig.num_steps,
 ) -> int:
@@ -69,25 +64,18 @@ def run_experiment(
     zero = PenaltyParams((0.0, 0.0, 0.0, 0.0))
     metric = PenaltyParams(METRIC_ALPHA)
     geodesic = GeodesicConfig(num_steps=geodesic_steps)  # checked for every experiment
-    if compcomp_cap < 0:
-        raise InvalidValue("compcomp_cap", compcomp_cap, "must not be negative")
-    if compcomp_rings < 1:
-        raise InvalidValue("compcomp_rings", compcomp_rings, "must be >= 1")
     cap = max_iter if max_iter is not None else (500 if exp_id == 3 else 1000)
     tasks = []  # (label, variant, complex, coords, config)
 
-    def add(label, variant, mesh, penalty=zero, stop_tol=0.0, cap=cap):
+    def add(label, variant, mesh, penalty=zero, stop_tol=0.0):
         config = OptimizerConfig(variant=variant, penalty=penalty, metric_penalty=metric, max_iter=cap,
                                  stop_tol=stop_tol, geodesic=geodesic)
         tasks.append((label, variant, *mesh, config))
 
     if exp_id == 1:
         mesh = make_disc_mesh(rings if rings is not None else 5)
-        for variant in ("EucEuc", "ElasEuc"):
+        for variant in ("EucEuc", "ElasEuc", "CompComp"):
             add(variant, variant, mesh)
-        # Geodesic retraction on a reduced mesh by default: the integration
-        # dominates the cost (compcomp_rings raises it to full scale).
-        add("CompComp", "CompComp", make_disc_mesh(compcomp_rings), cap=compcomp_cap)
 
     elif exp_id == 2:
         mesh = make_disc_mesh(rings if rings is not None else 7)

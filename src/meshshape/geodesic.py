@@ -29,7 +29,8 @@ The energy ``1/2 (|v|^2 + v_z^2)``, with ``v_z = w.v``, is the metric energy
 discrete flow is equivariant under the time/velocity rescaling
 ``(V, h) -> (tau V, h/tau)``, and the dyadic-time snapshots of a single
 integration provide all the trial points of a backtracking line search with
-factor one half.
+factor one half.  So ``num_steps`` counts steps per unit metric length: the
+optimizer scales each geodesic's steps to its speed (``_geodesic_ladder``).
 """
 
 from __future__ import annotations

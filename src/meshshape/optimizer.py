@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,6 +50,7 @@ STEP_FLOOR_FAILURE = "StepFloorFailure"
 SIGMA = 1e-4  # Armijo sufficient-decrease constant
 TAU = 0.5  # backtracking factor; the geodesic ladder's dyadic snapshots need 1/2
 STEP_FLOOR = 1e-6  # a trial step below this ends the run
+MIN_GEODESIC_STEPS = 4  # the fewest RATTLE steps of a geodesic, however short
 WINDOW = 5  # iterations of the stopping rule's trailing window
 
 PHASES = (
@@ -300,12 +301,13 @@ def steepest_descent(
             with timer.phase("gradient"):
                 d = -operator.solve(derivative)
             pairing = float(derivative @ d)
-            s_init = initial_step(n, prev_step, prev_pairing, pairing, operator.norm(d))
+            d_norm = operator.norm(d)
+            s_init = initial_step(n, prev_step, prev_pairing, pairing, d_norm)
 
             trial_point = None
             if config.variant == "CompComp":
                 trial_point = _geodesic_ladder(
-                    coords, d, s_init, spec, config, complex, mask, timer
+                    coords, d, s_init, s_init * d_norm, spec, config, complex, mask, timer
                 )
             s, new_coords, backtracks = armijo_search(
                 merit, coords, complex, d, s_init, pairing, total, trial_point=trial_point
@@ -328,33 +330,39 @@ def steepest_descent(
     return RunResult(final_coords=coords, status=status, history=history)
 
 
-def _geodesic_ladder(coords, d, s_init, spec, config, complex, mask, timer):
+def _geodesic_ladder(coords, d, s_init, speed, spec, config, complex, mask, timer):
     """Trial-point source for the geodesic retraction.
 
     One integration with velocity ``s_init * d`` yields snapshots at the
     dyadic times matching the backtracking ladder (``TAU`` = 1/2).  Trial
-    ``m``, step ``s_init / 2**m``, reads level ``m % depth`` of integration
-    ``m // depth``, whose velocity is ``s_init * d`` scaled by
-    ``2**-(start * depth)``; with ``depth = log2(num_steps)`` the deepest
-    level is never read.  An integration that diverges or whose penalty
-    meets a nonpositive area rejects its trials.
+    ``m``, step ``s_init / 2**m``, reads level ``m - first`` of the last
+    integration, started at trial ``first`` with velocity and metric speed
+    (``speed = s_init |d|_g``) scaled by ``2**-first``.  It takes the fewest
+    power-of-two steps covering its speed times ``num_steps``, within
+    ``[MIN_GEODESIC_STEPS, num_steps]``; its deepest level is never read.
+    An integration that diverges or whose penalty meets a nonpositive area
+    rejects its trials.
     """
-    depth = config.geodesic.num_steps.bit_length() - 1
-    paths = {}
+    num_steps = config.geodesic.num_steps
+    first, depth, path = 0, 0, None  # the last integration: its first trial, its levels read, its path
 
     def trial_point(s, m):
-        start, level = divmod(m, depth)
-        if start not in paths:
+        nonlocal first, depth, path
+        if not first <= m < first + depth:
+            steps = min(MIN_GEODESIC_STEPS, num_steps)
+            while steps < num_steps and steps < speed * 0.5**m * num_steps:
+                steps *= 2
+            first, depth = m, steps.bit_length() - 1
             with timer.phase("retraction"):
                 try:
-                    paths[start] = retract_geodesic(
-                        coords, s_init * 0.5 ** (start * depth) * np.asarray(d, dtype=float),
-                        spec, config.geodesic, complex, fixed_mask=mask,
+                    path = retract_geodesic(
+                        coords, s_init * 0.5**m * d, spec, replace(config.geodesic, num_steps=steps),
+                        complex, fixed_mask=mask,
                     )
                 except (FixedPointDivergence, NonpositiveArea):
-                    paths[start] = None
-        if paths[start] is None:
+                    path = None
+        if path is None:
             raise FixedPointDivergence(f"no geodesic for trial {m}: it diverged or met a nonpositive area")
-        return paths[start].levels[level]
+        return path.levels[m - first]
 
     return trial_point

@@ -10,6 +10,7 @@ from meshshape.cli import EXIT_INADMISSIBLE, EXIT_OPT_FAILURE, EXIT_USAGE, main
 from meshshape.errors import NonDescentDirection, SingularSystem
 from meshshape.fileio import write_mesh
 from meshshape.mesh import make_square5_mesh
+from meshshape.optimizer import MAX_ITER
 
 
 def run(argv):
@@ -69,15 +70,9 @@ ERROR_CASES = {
                                     EXIT_USAGE, "--geodesic-steps 3"),
     "optimize-negative-snapshot-stride": (["optimize", "--mesh", "disc:1", "--snapshot-stride", "-1",
                                            "--out", "{out}"], EXIT_USAGE, ""),
-    "experiment-negative-compcomp-cap": (["experiment", "1", "--compcomp-cap", "-1", "--out", "{out}"],
-                                         EXIT_USAGE, "--compcomp-cap -1"),
-    # experiments 2 and 3 do not read these options, and check them all the same
+    # experiments 2 and 3 do not read --geodesic-steps, and check it all the same
     "experiment2-bad-geodesic-steps": (["experiment", "2", "--geodesic-steps", "3", "--out", "{out}"],
                                        EXIT_USAGE, "--geodesic-steps 3"),
-    "experiment3-negative-compcomp-cap": (["experiment", "3", "--compcomp-cap", "-1", "--out", "{out}"],
-                                          EXIT_USAGE, "--compcomp-cap -1"),
-    "experiment2-no-compcomp-rings": (["experiment", "2", "--compcomp-rings", "0", "--out", "{out}"],
-                                      EXIT_USAGE, "--compcomp-rings 0"),
     "experiment3-bad-geodesic-steps": (["experiment", "3", "--geodesic-steps", "0", "--out", "{out}"],
                                        EXIT_USAGE, "--geodesic-steps 0"),
     "optimize-infinite-penalty": (["optimize", "--mesh", "disc:3", "--variant", "EucEuc", "--penalty", "a4=inf",
@@ -422,8 +417,8 @@ DEFAULTS = {
                     "metric_alpha": "ag", "rhs": "model", "max_iter": 500, "tol": 1e-6, "mu": 0.1, "cutoff": None,
                     "out": "out", "fix_boundary": False, "snapshot_stride": 0, "geodesic_steps": 1024,
                     "config": None},
-    ("experiment", "2"): {"command": "experiment", "id": 2, "out": None, "max_iter": None, "compcomp_cap": 15,
-                          "compcomp_rings": 1, "rings": None, "geodesic_steps": 1024},
+    ("experiment", "2"): {"command": "experiment", "id": 2, "out": None, "max_iter": None, "rings": None,
+                          "geodesic_steps": 1024},
     ("eval", "--mesh", "square5", "--which", "phi"): {"command": "eval", "mesh": "square5", "which": "phi",
                                                        "penalty": "none", "rhs": "const:1", "mu": 0.1,
                                                        "cutoff": None},
@@ -448,25 +443,25 @@ def test_experiment_writes_summary(tmp_path):
     assert (out / "set1_CompEuc" / "history.csv").exists()
 
 
-def test_experiment_1_geodesic_retraction_dominates(tmp_path):
+def test_experiment_1_runs_compcomp_on_the_same_disc(tmp_path):
     out = tmp_path / "exp1"
     code = run([
-        "experiment", "1", "--out", str(out), "--max-iter", "10",
-        "--compcomp-cap", "6", "--geodesic-steps", "64",
+        "experiment", "1", "--out", str(out), "--rings", "2", "--max-iter", "10", "--geodesic-steps", "64",
     ])
     assert code == 0
-    rows = (out / "summary.csv").read_text().splitlines()
-    comp = [r for r in rows if r.startswith("1,CompComp")][0].split(",")
-    assert comp[3] == "7"  # reduced 7-vertex disc
-    assert int(comp[5]) >= 5  # completes at least five iterations
-    timing = {}
-    for line in (out / "timing_summary.csv").read_text().splitlines()[1:]:
-        label, _, phase, seconds = line.split(",")
-        if label == "CompComp":
-            timing[phase] = float(seconds)
-    assert timing["retraction"] > max(
-        v for k, v in timing.items() if k != "retraction"
-    )
+    rows = {row[1]: row for row in (line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:])}
+    assert list(rows) == ["EucEuc", "ElasEuc", "CompComp"]
+    assert rows["CompComp"][3] == rows["EucEuc"][3] == "19"  # vertices of disc:2
+    assert rows["CompComp"][5:7] == ["10", MAX_ITER]  # reaches the cap
+
+
+def test_experiment_1_has_no_compcomp_options(tmp_path, capsys):
+    # CompComp runs on experiment 1's disc and with its cap: no option sets them apart
+    out = tmp_path / "o"
+    assert run(["experiment", "1", "--compcomp-cap", "6", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: ") and err[-1] == "error: unrecognized arguments: --compcomp-cap 6"
+    assert not out.exists()
 
 
 def _script(name):
@@ -537,7 +532,8 @@ def test_superlu_table_float32_rows_parse(capsys):
 def test_roundoff_band_rows_parse(capsys):
     # every case on disc:1, 3 iterations, the unperturbed start and 2 perturbed ones
     band = _script("roundoff_band")
-    assert list(band.CASES) == ["criterion6", "criterion7", "exp2", "elaseuc-disc50", "compcomp-disc1"]
+    assert list(band.CASES) == ["criterion6", "criterion7", "exp2", "elaseuc-disc50", "compcomp-disc1",
+                                "compcomp-disc5"]
     band.main(["--rings", "1", "--max-iter", "3", "--starts", "2"])
     comment, header, *rows = capsys.readouterr().out.splitlines()
     assert comment.startswith("# 3 starts") and header.split() == ["case", "run", "quantity", "unperturbed", "min", "max"]

@@ -24,7 +24,7 @@ from meshshape.optimizer import (
     steepest_descent,
     stopping_check,
 )
-from meshshape.penalty import PenaltyParams
+from meshshape.penalty import PenaltyParams, penalty_gradient
 
 from test_fem import _perturbed_disc
 
@@ -551,9 +551,9 @@ def test_every_accepted_iterate_has_positive_areas(seed, variant):
 
 
 def test_geodesic_ladder_relaunches_after_exhaustion():
-    # with num_steps = 4 the first integration stores only levels 0..2; a
-    # deeper trial must come from a fresh integration at the smallest scale
-    from meshshape.metrics import MetricSpec
+    # with num_steps = 4 the first integration stores only levels 0..2, and
+    # reads 0 and 1; a deeper trial comes from a fresh integration at its scale
+    from meshshape.metrics import MetricOperator, MetricSpec
     from meshshape.optimizer import PhaseTimer, _geodesic_ladder
 
     cx, q = make_disc_mesh(1)
@@ -566,14 +566,42 @@ def test_geodesic_ladder_relaunches_after_exhaustion():
         metric_penalty=METRIC_ALPHA,
         geodesic=GeodesicConfig(num_steps=4),
     )
-    trial = _geodesic_ladder(q, d, 1.0, spec, cfg, cx, None, PhaseTimer())
+    speed = MetricOperator(spec, q, cx).norm(d)  # with 4 steps every integration takes 4
+    trial = _geodesic_ladder(q, d, 1.0, speed, spec, cfg, cx, None, PhaseTimer())
     deep = trial(1.0 * 0.5**3, 3)  # level 3 > max level 2
     from meshshape.geodesic import retract_geodesic
 
     direct = retract_geodesic(q, 0.125 * d, spec, GeodesicConfig(num_steps=4), cx)
-    assert np.max(np.abs(deep - direct.levels[0])) < 1e-3  # coarse-grid O(h^2) gap
+    assert np.max(np.abs(deep - direct.levels[0])) < 1e-12
     shallow = trial(1.0, 0)
     assert np.max(np.abs(shallow - retract_geodesic(q, d, spec, GeodesicConfig(num_steps=4), cx).levels[0])) < 1e-12
+
+
+def test_each_geodesic_takes_steps_for_its_metric_speed(monkeypatch):
+    # unpenalized CompComp on disc:2, whose metric speeds fall to 0.05-0.25 from iteration 4: each
+    # integration takes the fewest power-of-two steps covering speed * num_steps, within [4, num_steps]
+    integrations, iteration = [], []
+    retract = optimizer.retract_geodesic
+
+    def recorded(coords, velocity, spec, cfg, complex, fixed_mask=None):
+        w = penalty_gradient(coords, spec.qref, complex, spec.penalty)
+        speed = float(np.sqrt(velocity @ velocity + (w @ velocity) ** 2))
+        integrations.append((iteration[-1], speed, cfg.num_steps))
+        return retract(coords, velocity, spec, cfg, complex, fixed_mask)
+
+    monkeypatch.setattr(optimizer, "retract_geodesic", recorded)
+    cx, q = make_disc_mesh(2)
+    num_steps = GeodesicConfig.num_steps
+    cfg = OptimizerConfig(variant="CompComp", penalty=ZERO, metric_penalty=METRIC_ALPHA, max_iter=12, stop_tol=0.0)
+    res = steepest_descent(cx, q, model_rhs(), cfg, on_iterate=lambda n, c: iteration.append(n))
+    assert res.status == MAX_ITER
+    for _, speed, steps in integrations:
+        assert 4 <= steps <= num_steps and steps & (steps - 1) == 0
+        # the speed is recomputed here, so a power of two it meets exactly may round either way
+        assert steps == num_steps or speed * num_steps <= steps * (1 + 1e-9)
+        assert steps == 4 or speed * num_steps > steps / 2 * (1 - 1e-9)
+    assert integrations[0][0] == 0 and integrations[0][2] == num_steps  # iteration 0 runs at unit speed
+    assert min(steps for _, _, steps in integrations) < num_steps
 
 
 def test_geodesic_ladder_rejects_an_inverting_integration(monkeypatch):
