@@ -25,6 +25,13 @@ and scipy versions first: its output is ``tests/data/history_digests.txt``,
 which a tier-1 test recomputes in-process:
 
     PYTHONPATH=src python scripts/history_digest.py --fast > tests/data/history_digests.txt
+
+Run as a script, it sets ``OPENBLAS_NUM_THREADS=1`` before numpy is first
+imported, so its lines do not depend on the BLAS thread count:
+``elaseuc-disc50``'s metric vectors are long enough for OpenBLAS to split
+their dot products by thread, which rounds differently per thread count.
+Loaded as a module, as the tier-1 test loads it, it leaves the environment
+as it is; the ``--fast`` cases have no vector long enough to split.
 """
 import argparse
 import contextlib
@@ -37,6 +44,9 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+
+if __name__ == "__main__":  # before numpy is imported: OpenBLAS reads it once, at load
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 CASES = (
     ("exp2", ["experiment", "2"]),

@@ -21,7 +21,9 @@ change in dynamics.  The cases:
 - ``exp2``: the nine runs of ``meshshape experiment 2``;
 - ``elaseuc-disc50``: ElasEuc on ``disc:50`` for 8 iterations, without
   penalty.  Its metric vectors are long enough for OpenBLAS's dot products
-  to round differently per thread count: set ``OPENBLAS_NUM_THREADS=1``;
+  to round differently per thread count, so the script, run as one, sets
+  ``OPENBLAS_NUM_THREADS=1`` before numpy is imported (loaded as a module,
+  it leaves the environment as it is);
 - ``compcomp-disc1``: CompComp on ``disc:1`` for 2 iterations, without
   penalty, the geodesic retraction's history case and benchmark workload;
 - ``compcomp-disc5``: CompComp on ``disc:5`` for 200 iterations, without
@@ -31,8 +33,12 @@ change in dynamics.  The cases:
 for a quick look.  Progress goes to standard error.
 """
 import argparse
+import os
 import sys
 import time
+
+if __name__ == "__main__":  # before numpy is imported: OpenBLAS reads it once, at load
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -32,7 +32,7 @@ from .fileio import (
     write_timing,
 )
 from .geodesic import GeodesicConfig
-from .mesh import is_admissible, make_disc_mesh, make_square5_mesh, signed_areas
+from .mesh import configuration, is_admissible, make_disc_mesh, make_square5_mesh
 from .optimizer import (
     CONVERGED,
     MAX_ITER,
@@ -189,14 +189,14 @@ def _outdir(out) -> Path:
 
 def cmd_check(args) -> int:
     complex, coords = load_mesh(args.mesh)
-    areas = signed_areas(coords, complex)
+    record = configuration(coords, complex)
     admissible = is_admissible(complex, coords, check_intersections=True)
     print(f"vertices: {complex.num_vertices}")
     print(f"triangles: {complex.num_triangles}")
     print(f"boundary_edges: {len(complex.boundary_edges)}")
     print(f"boundary_vertices: {len(complex.boundary_vertices)}")
-    print(f"min_signed_area: {areas.min():.6g}")
-    if np.all(areas > 0):
+    print(f"min_signed_area: {record.areas.min():.6g}")
+    if record.positive:
         print(f"mesh_quality: {mesh_quality(coords, complex):.6g}")
     else:
         print("mesh_quality: nan")

@@ -72,7 +72,7 @@ def assemble(coords: np.ndarray, complex: ConnectivityComplex, rhs: RhsField) ->
     """Assemble the reduced stiffness, load and volume weights on the current
     mesh, once per :class:`~meshshape.mesh.Configuration` and ``rhs``."""
     record = configuration(coords, complex)
-    if np.any(record.areas <= 0.0):
+    if not record.positive:
         raise NonpositiveArea("assembly requires positive areas")
     return record.memo(_assembled_system, complex, rhs)
 
@@ -153,9 +153,9 @@ def shape_derivative(
     """
     tris = complex.triangles
     record = configuration(coords, complex)
-    areas = record.areas
-    if np.any(areas <= 0.0):
+    if not record.positive:
         raise NonpositiveArea("derivative requires positive areas")
+    areas = record.areas
     grads = record.basis_gradients  # (N_T, 3, 2): grad of hat at local vertex
 
     y_loc = y[tris]

@@ -35,18 +35,15 @@ optimizer scales each geodesic's steps to its speed (``_geodesic_ladder``).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FixedPointDivergence, InvalidValue
-from .mesh import ConnectivityComplex, free_dofs, signed_areas
+from .mesh import ConnectivityComplex, free_dofs
 from .metrics import MetricSpec
 from .penalty import PenaltyEvaluator, penalty_gradient, penalty_value
-
-logger = logging.getLogger(__name__)
 
 FIXED_POINT_TOL = 1e-12  # relative residual of the constraint solve
 FIXED_POINT_MAX_ITER = 50  # Newton iterations per step
@@ -69,7 +66,9 @@ class GeodesicConfig:
 @dataclass
 class GeodesicPath:
     """Snapshots at dyadic times plus diagnostics: ``levels[k]`` holds the
-    coordinates at ``t = 2**-k``; ``area_warnings`` holds ``(t, min_area)``."""
+    coordinates at ``t = 2**-k``.  ``area_warnings`` is always empty; only
+    perfbench reads it.  A snapshot of :func:`retract_geodesic` needs no area
+    test: its penalty value, with a1 > 0, raises at a nonpositive area."""
 
     levels: list
     initial_hamiltonian: float
@@ -77,15 +76,16 @@ class GeodesicPath:
     area_warnings: list = field(default_factory=list)
 
 
-def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, cfg: GeodesicConfig,
-                       complex: ConnectivityComplex | None = None) -> GeodesicPath:
+def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, cfg: GeodesicConfig) -> GeodesicPath:
     """Integrate the geodesic with initial velocity over [0, 1].
 
     ``phi_fn(coords) -> float`` evaluates the function whose graph carries
     the motion and ``w_fn(coords) -> vec`` its gradient.  Returns snapshots
     at every dyadic time ``2^-k`` reachable with the step count, by level
-    ``k``.  Raises :class:`FixedPointDivergence` when a constraint solve does
-    not converge or meets a non-finite residual.
+    ``k``, each a point whose ``phi_fn`` value a constraint solve accepted;
+    no further test is made of them.  Raises :class:`FixedPointDivergence`
+    when a constraint solve does not converge or meets a non-finite residual,
+    and passes on what ``phi_fn`` and ``w_fn`` raise.
     """
     shape = coords.shape
     x = coords.ravel().astype(float)
@@ -101,7 +101,6 @@ def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, c
 
     depth = cfg.num_steps.bit_length() - 1  # levels 0..depth, the last one after the first step
     levels = [None] * (depth + 1)
-    area_warnings = []
     for step in range(1, cfg.num_steps + 1):
         x_free, z_free = x + h * v, z + h * v_z
         slope = h2 * lift
@@ -130,21 +129,9 @@ def integrate_geodesic(phi_fn, w_fn, coords: np.ndarray, velocity: np.ndarray, c
         v, v_z = u + mu * g, u_z - mu
 
         if step & (step - 1) == 0:  # t = step h = 2**-level
-            snap_coords = levels[depth + 1 - step.bit_length()] = q_new.copy()
-            if complex is not None:
-                min_area = float(np.min(signed_areas(snap_coords, complex)))
-                if min_area <= 0.0:
-                    area_warnings.append((step * h, min_area))
-                    logger.warning(
-                        "geodesic snapshot at t=%g has nonpositive area %g", step * h, min_area
-                    )
+            levels[depth + 1 - step.bit_length()] = q_new.copy()
 
-    return GeodesicPath(
-        levels=levels,
-        initial_hamiltonian=h0,
-        final_hamiltonian=0.5 * (v @ v + v_z * v_z),
-        area_warnings=area_warnings,
-    )
+    return GeodesicPath(levels=levels, initial_hamiltonian=h0, final_hamiltonian=0.5 * (v @ v + v_z * v_z))
 
 
 def _penalty_field(spec: MetricSpec, complex: ConnectivityComplex, fixed_mask=None):
@@ -180,4 +167,4 @@ def retract_geodesic(
     if spec.kind != "complete":
         raise ValueError("geodesic retraction requires the rank-one metric")
     phi_fn, w_fn = _penalty_field(spec, complex, fixed_mask)
-    return integrate_geodesic(phi_fn, w_fn, coords, velocity, cfg, complex=complex)
+    return integrate_geodesic(phi_fn, w_fn, coords, velocity, cfg)

@@ -381,8 +381,9 @@ def gather_geometry(x: np.ndarray, complex: ConnectivityComplex) -> tuple:
 class Configuration:
     """Everything derived from one vertex configuration on one complex.
 
-    ``x`` holds the flat read-only coordinates, and ``e``, ``areas`` and
-    ``edges`` the geometry of :func:`gather_geometry`; ``basis_gradients``
+    ``x`` holds the flat read-only coordinates, ``e``, ``areas`` and ``edges``
+    the geometry of :func:`gather_geometry`, and ``positive`` the one area
+    test: whether all signed areas are positive (none NaN); ``basis_gradients``
     and ``centroids`` are computed on first use, and :meth:`memo` keeps what
     other layers derive (the assembled P1 system, the penalty's terms).
     Every array is read-only, so all callers can share them.
@@ -391,6 +392,7 @@ class Configuration:
     def __init__(self, x: np.ndarray, complex: ConnectivityComplex):
         self.x, self._vertex_dofs = x, complex.vertex_dofs
         self.e, self.areas, self.edges = read_only(*gather_geometry(x, complex))
+        self.positive = bool(self.areas.min() > 0.0)
         self._memo = {}
 
     @cached_property
@@ -614,8 +616,7 @@ def is_admissible(complex: ConnectivityComplex, coords: np.ndarray, check_inters
     """
     if not np.all(np.isfinite(coords)):
         return False
-    areas = signed_areas(coords, complex)
-    if not np.all(areas > 0.0):
+    if not configuration(coords, complex).positive:
         return False
     return not check_intersections or not any(_boundary_overlaps(complex, coords))
 

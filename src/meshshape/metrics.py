@@ -85,10 +85,9 @@ def assemble_elasticity(coords: np.ndarray, complex: ConnectivityComplex, patter
     ``DELTA`` times the vector L2 Gram matrix of the hat functions, on ``pattern``:
     by default ``complex.elasticity_pattern``, in ``dof_order``, or the one on its free DOFs."""
     record = configuration(coords, complex)
-    areas = record.areas
-    if np.any(areas <= 0.0):
+    if not record.positive:
         raise NonpositiveArea("metric assembly requires positive areas")
-    grads = record.basis_gradients
+    areas, grads = record.areas, record.basis_gradients
 
     # Entry (2a + c, 2b + d) of B^T D B, B the Voigt strain-displacement
     # matrix (e_xx, e_yy, gamma_xy), has two nonzero terms (B_iv D_ij) B_jw, triangles innermost.

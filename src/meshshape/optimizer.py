@@ -35,7 +35,7 @@ from .fem import (
     solved,
 )
 from .geodesic import GeodesicConfig, retract_geodesic
-from .mesh import ConnectivityComplex, free_dofs, heights, signed_areas
+from .mesh import ConnectivityComplex, configuration, free_dofs, heights
 from .metrics import MetricOperator, MetricSpec, check_complete_weights, retract_euclidean
 from .penalty import PenaltyParams, mesh_quality, penalty_gradient, penalty_value
 
@@ -178,7 +178,8 @@ def armijo_search(
     m-th trial step to candidate coordinates; the default is the straight
     line ``coords + s d``, and only that default is held to the half-height
     travel safeguard.  Returns ``(accepted step, new coords, number of
-    rejected trials)``.
+    rejected trials)``.  With ``complex`` given, the new coords passed the area
+    gate, ``Configuration.positive``: no caller need test their areas again.
     """
     d = np.asarray(d, dtype=float)
     s_crit = np.inf
@@ -201,10 +202,7 @@ def armijo_search(
             except FixedPointDivergence:
                 ok = False  # retraction not computable at this scale
             else:
-                if complex is not None and not np.all(
-                    signed_areas(candidate, complex) > 0.0
-                ):
-                    ok = False
+                ok = complex is None or configuration(candidate, complex).positive
         if ok:
             value = evaluate(candidate)
             if np.isfinite(value) and value <= total0 + SIGMA * s * pairing:
@@ -312,10 +310,8 @@ def steepest_descent(
             s, new_coords, backtracks = armijo_search(
                 merit, coords, complex, d, s_init, pairing, total, trial_point=trial_point
             )
-            if not np.all(signed_areas(new_coords, complex) > 0.0):
-                raise NonpositiveArea(f"accepted iterate {n + 1} has a nonpositive area")
         except MeshShapeError as exc:
-            # a failed solve, line search or check ends the run at this iterate
+            # a failed solve or line search ends the run at this iterate
             logger.warning("terminating: %s", exc)
             status = STEP_FLOOR_FAILURE
             break

@@ -126,7 +126,7 @@ class PenaltyEvaluator:
 
     def quality(self) -> np.ndarray:
         if self._vals is None:
-            if self.areas.min() <= 0.0:
+            if not self.areas.min() > 0.0:  # the test of Configuration.positive, NaN areas refused
                 raise NonpositiveArea("quality measure requires positive areas")
             self._vals = read_only((self.e * self.e).sum(axis=(1, 2)) / (4.0 * SQRT3 * self.areas))
         return self._vals
@@ -183,7 +183,7 @@ def penalty_value(
         vals = terms.quality()
         value += a1 * (vals.sum() / vals.size)  # np.mean's value, without its dispatch
     if a2 != 0.0:
-        if terms.total <= 0.0:
+        if not terms.total > 0.0:
             raise NonpositiveArea("total mesh area must be positive")
         value += a2 * (1.0 / terms.total)
     if a3 != 0.0 and complex.boundary_pairs.shape[0] > 0:

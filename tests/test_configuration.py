@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from meshshape import fem, geodesic, mesh as mesh_module, optimizer, penalty as penalty_module
+from meshshape.errors import NonpositiveArea
+from meshshape.experiments import METRIC_ALPHA
 from meshshape.fem import assemble, constant_rhs, model_rhs, shape_derivative, solve_adjoint, solve_state
 from meshshape.geodesic import GeodesicConfig, retract_geodesic
-from meshshape.mesh import SQRT3, SparsePattern, build_complex, configuration, free_dofs, make_disc_mesh
-from meshshape.metrics import MetricSpec
+from meshshape.mesh import (SQRT3, SparsePattern, build_complex, configuration, free_dofs, is_admissible,
+                            make_disc_mesh)
+from meshshape.metrics import MetricSpec, assemble_elasticity
 from meshshape.optimizer import OptimizerConfig, steepest_descent
-from meshshape.penalty import PenaltyEvaluator, PenaltyParams, penalty_gradient, penalty_value
+from meshshape.penalty import PenaltyEvaluator, PenaltyParams, mesh_quality, penalty_gradient, penalty_value
 
 SET1 = PenaltyParams((1.0, 0.5, 0.0, 0.1))
 METRIC = PenaltyParams((10.0, 1.0, 0.1, 0.01))
@@ -289,7 +292,8 @@ def test_evaluator_recomputes_every_other_point(name, monkeypatch):
     assert len(built) == (4 if params.alpha[2] else 0)  # once per point: the value's, kept for its gradient
 
 
-def test_retraction_builds_records_for_its_snapshots_only(monkeypatch):
+def _count_records(monkeypatch):
+    """A list that grows by one per :class:`~meshshape.mesh.Configuration` built from now on."""
     built = []
 
     class Counted(mesh_module.Configuration):
@@ -298,9 +302,44 @@ def test_retraction_builds_records_for_its_snapshots_only(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(mesh_module, "Configuration", Counted)
+    _fresh_cache()
+    return built
+
+
+def test_retraction_builds_no_records(monkeypatch):
+    # its points, snapshots included, are the penalty evaluator's throwaway points
     cx, q = make_disc_mesh(1)
     spec = MetricSpec.complete(PenaltyParams((10.0, 1.0, 0.0, 0.01)), q.copy())
     v = 0.1 * np.random.default_rng(2).standard_normal(2 * cx.num_vertices)
-    _fresh_cache()
+    built = _count_records(monkeypatch)
     path = retract_geodesic(q, v, spec, GeodesicConfig(num_steps=64), cx)
-    assert len(path.levels) == 7 and len(built) <= 7  # the snapshots' area checks
+    assert len(path.levels) == 7 and len(built) == 0
+
+
+def test_compcomp_builds_one_record_per_trial(monkeypatch, disc2):
+    # the start's record, then one per line-search trial at most: the geodesic's snapshots and the
+    # accepted iterate are tested through the trial's record alone
+    cx, q = disc2
+    built = _count_records(monkeypatch)
+    config = OptimizerConfig(variant="CompComp", penalty=PenaltyParams((0.0, 0.0, 0.0, 0.0)),
+                             metric_penalty=PenaltyParams(METRIC_ALPHA), max_iter=12, stop_tol=0.0)
+    result = steepest_descent(cx, q, model_rhs(), config)
+    trials = sum(1 + row.backtracks for row in result.history[:-1])
+    assert result.status == "MaxIter" and trials >= 12
+    assert len(built) <= 1 + trials
+
+
+@pytest.mark.parametrize("gate", ["assemble", "assemble_elasticity", "mesh_quality", "penalty_value"])
+def test_nan_areas_are_refused_by_every_gate(gate, disc2):
+    cx, qref = disc2
+    q = qref.copy()
+    q[cx.interior_vertices[0], 0] = np.nan  # the areas of its triangles are NaN
+    calls = {
+        "assemble": lambda: assemble(q, cx, model_rhs()),
+        "assemble_elasticity": lambda: assemble_elasticity(q, cx),
+        "mesh_quality": lambda: mesh_quality(q, cx),
+        "penalty_value": lambda: penalty_value(q, qref, cx, METRIC, PenaltyEvaluator(None, cx)),
+    }
+    with pytest.raises(NonpositiveArea):
+        calls[gate]()
+    assert not is_admissible(cx, q)

@@ -183,7 +183,7 @@ def test_call_counts_are_pinned():
         return call
 
     v = 0.1 * np.random.default_rng(2).standard_normal(2 * cx.num_vertices)
-    integrate_geodesic(counted("phi", phi_fn), counted("w", w_fn), q, v, GeodesicConfig(num_steps=64), cx)
+    integrate_geodesic(counted("phi", phi_fn), counted("w", w_fn), q, v, GeodesicConfig(num_steps=64))
     assert calls == {"phi": 107, "w": 64 + 1}
 
 
@@ -227,7 +227,7 @@ def test_one_value_per_step_along_the_first_descent(rings):
         calls.append(1)
         return phi_fn(c)
 
-    integrate_geodesic(counted, w_fn, q, v, GeodesicConfig(num_steps=1024), cx)
+    integrate_geodesic(counted, w_fn, q, v, GeodesicConfig(num_steps=1024))
     assert len(calls) == 1029
 
 
