@@ -79,7 +79,7 @@ OPTION_TABLE = (
     Option("--fix-boundary", _switch, {"optimize": False}, settings={"nargs": "?", "const": True}),
     Option("--snapshot-stride", int, {"optimize": 0}),
     Option("--rings", int, {"experiment": None}, "rings"),
-    Option("--geodesic-steps", int, dict.fromkeys(("optimize", "experiment"), GeodesicConfig.num_steps), "num_steps"),
+    Option("--geodesic-steps", int, {"optimize": GeodesicConfig.num_steps}, "num_steps"),
 )
 
 
@@ -263,7 +263,6 @@ def cmd_experiment(args) -> int:
         _outdir(args.out or f"experiment{args.id}_out"),
         max_iter=args.max_iter,
         rings=args.rings,
-        geodesic_steps=args.geodesic_steps,
     )
 
 

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .fem import model_rhs
 from .fileio import write_history, write_timing
-from .geodesic import GeodesicConfig
 from .mesh import make_disc_mesh
 from .optimizer import OptimizerConfig, PhaseTimer, steepest_descent
 from .penalty import PenaltyParams
@@ -56,20 +55,18 @@ def run_experiment(
     outdir: Path,
     max_iter: int | None = None,
     rings: int | None = None,
-    geodesic_steps: int = GeodesicConfig.num_steps,
 ) -> int:
     """Run experiment ``exp_id`` into ``outdir``, one run after another.  A
     bad option raises before ``outdir`` is made.  A run that fails ends
     with its failure status in the summary, as ``steepest_descent`` ends it."""
     zero = PenaltyParams((0.0, 0.0, 0.0, 0.0))
     metric = PenaltyParams(METRIC_ALPHA)
-    geodesic = GeodesicConfig(num_steps=geodesic_steps)  # checked for every experiment
     cap = max_iter if max_iter is not None else (500 if exp_id == 3 else 1000)
     tasks = []  # (label, variant, complex, coords, config)
 
     def add(label, variant, mesh, penalty=zero, stop_tol=0.0):
         config = OptimizerConfig(variant=variant, penalty=penalty, metric_penalty=metric, max_iter=cap,
-                                 stop_tol=stop_tol, geodesic=geodesic)
+                                 stop_tol=stop_tol)
         tasks.append((label, variant, *mesh, config))
 
     if exp_id == 1:

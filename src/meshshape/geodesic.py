@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import FixedPointDivergence, InvalidValue
 from .mesh import ConnectivityComplex, free_dofs
-from .metrics import MetricSpec
+from .metrics import COMPLETE, MetricSpec
 from .penalty import PenaltyEvaluator, penalty_gradient, penalty_value
 
 FIXED_POINT_TOL = 1e-12  # relative residual of the constraint solve
@@ -164,7 +164,7 @@ def retract_geodesic(
     and returns the dyadic-time snapshots, so one integration serves a whole
     backtracking ladder with factor 0.5.
     """
-    if spec.kind != "complete":
+    if spec.kind != COMPLETE:
         raise ValueError("geodesic retraction requires the rank-one metric")
     phi_fn, w_fn = _penalty_field(spec, complex, fixed_mask)
     return integrate_geodesic(phi_fn, w_fn, coords, velocity, cfg)

@@ -6,10 +6,10 @@ assembled fresh at the current configuration) and a rank-one metric
 ``I + g g^T`` built from the gradient of the mesh-quality penalty, which the
 derivative-to-gradient solve inverts in closed form (Sherman-Morrison).  The
 SPD elasticity matrix is assembled in the complex's fill-reducing ``dof_order``, on
-the free DOFs alone when vertices are pinned, on the vertex pattern doubled into 2x2
-blocks (``SparsePattern.build_doubled``); SuperLU factors its columns in that order,
-in symmetric mode.  It moves little from one iterate to the next, so an operator
-built with ``previous`` keeps that operator's LU as the preconditioner of
+the free DOFs alone when vertices are pinned, from 6x6 blocks over ``vertex_dofs``
+(``SparsePattern.build``); SuperLU factors its columns in that order, in symmetric
+mode.  It moves little from one iterate to the next, so an operator built with
+``previous`` keeps that operator's LU as the preconditioner of
 :func:`~meshshape.mesh.checked_solve`, the one SPD solve of the package; it factors
 its own matrix only when ``CG_MAX_ITER`` iterations on the kept LU miss ``RESIDUAL_TOL``.
 As the LU only preconditions, it is factored and applied in ``LU_PRECISION``
@@ -132,7 +132,7 @@ class MetricOperator:
                     self._pattern, self._order = complex.elasticity_pattern, complex.dof_order
                 else:
                     self._order = complex.dof_order[self._free[complex.dof_order]]
-                    self._pattern = SparsePattern.build_doubled(self._order[::2] // 2, complex.triangles)
+                    self._pattern = SparsePattern.build(self._order, complex.vertex_dofs.reshape(-1, 6))
             self._matrix = assemble_elasticity(coords, complex, self._pattern)
             if self._lu is None:
                 self._factorize()

@@ -59,8 +59,6 @@ ERROR_CASES = {
     "optimize-out-is-a-file": (["optimize", "--mesh", "disc:1", "--out", "{file}"], EXIT_USAGE, ""),
     "optimize-out-below-a-file": (["optimize", "--mesh", "disc:1", "--out", "{file}/sub"], EXIT_USAGE, ""),
     "experiment-no-rings": (["experiment", "1", "--rings", "0", "--out", "{out}"], EXIT_USAGE, "--rings 0"),
-    "experiment-bad-geodesic-steps": (["experiment", "1", "--geodesic-steps", "3", "--out", "{out}"],
-                                      EXIT_USAGE, "--geodesic-steps 3"),
     "experiment-out-below-a-file": (["experiment", "2", "--out", "{file}/sub"], EXIT_USAGE, ""),
     "optimize-negative-max-iter": (["optimize", "--mesh", "disc:1", "--max-iter", "-3", "--out", "{out}"],
                                    EXIT_USAGE, "--max-iter -3"),
@@ -70,11 +68,6 @@ ERROR_CASES = {
                                     EXIT_USAGE, "--geodesic-steps 3"),
     "optimize-negative-snapshot-stride": (["optimize", "--mesh", "disc:1", "--snapshot-stride", "-1",
                                            "--out", "{out}"], EXIT_USAGE, ""),
-    # experiments 2 and 3 do not read --geodesic-steps, and check it all the same
-    "experiment2-bad-geodesic-steps": (["experiment", "2", "--geodesic-steps", "3", "--out", "{out}"],
-                                       EXIT_USAGE, "--geodesic-steps 3"),
-    "experiment3-bad-geodesic-steps": (["experiment", "3", "--geodesic-steps", "0", "--out", "{out}"],
-                                       EXIT_USAGE, "--geodesic-steps 0"),
     "optimize-infinite-penalty": (["optimize", "--mesh", "disc:3", "--variant", "EucEuc", "--penalty", "a4=inf",
                                    "--out", "{out}"], EXIT_USAGE, "--penalty a4=inf"),
     "optimize-nan-metric-alpha": (["optimize", "--mesh", "disc:1", "--variant", "CompEuc", "--metric-alpha",
@@ -417,8 +410,7 @@ DEFAULTS = {
                     "metric_alpha": "ag", "rhs": "model", "max_iter": 500, "tol": 1e-6, "mu": 0.1, "cutoff": None,
                     "out": "out", "fix_boundary": False, "snapshot_stride": 0, "geodesic_steps": 1024,
                     "config": None},
-    ("experiment", "2"): {"command": "experiment", "id": 2, "out": None, "max_iter": None, "rings": None,
-                          "geodesic_steps": 1024},
+    ("experiment", "2"): {"command": "experiment", "id": 2, "out": None, "max_iter": None, "rings": None},
     ("eval", "--mesh", "square5", "--which", "phi"): {"command": "eval", "mesh": "square5", "which": "phi",
                                                        "penalty": "none", "rhs": "const:1", "mu": 0.1,
                                                        "cutoff": None},
@@ -446,7 +438,7 @@ def test_experiment_writes_summary(tmp_path):
 def test_experiment_1_runs_compcomp_on_the_same_disc(tmp_path):
     out = tmp_path / "exp1"
     code = run([
-        "experiment", "1", "--out", str(out), "--rings", "2", "--max-iter", "10", "--geodesic-steps", "64",
+        "experiment", "1", "--out", str(out), "--rings", "2", "--max-iter", "10",
     ])
     assert code == 0
     rows = {row[1]: row for row in (line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:])}
@@ -456,12 +448,13 @@ def test_experiment_1_runs_compcomp_on_the_same_disc(tmp_path):
 
 
 def test_experiment_1_has_no_compcomp_options(tmp_path, capsys):
-    # CompComp runs on experiment 1's disc and with its cap: no option sets them apart
+    # CompComp runs on experiment 1's disc, with its cap and GeodesicConfig's default: no option sets them apart
     out = tmp_path / "o"
-    assert run(["experiment", "1", "--compcomp-cap", "6", "--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith("usage: ") and err[-1] == "error: unrecognized arguments: --compcomp-cap 6"
-    assert not out.exists()
+    for option in ("--compcomp-cap 6", "--geodesic-steps 64"):
+        assert run(["experiment", "1", *option.split(), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: ") and err[-1] == f"error: unrecognized arguments: {option}"
+        assert not out.exists()
 
 
 def _script(name):

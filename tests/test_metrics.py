@@ -101,17 +101,20 @@ def test_pinned_elasticity_is_the_free_block(disc3, rng):
     cx, q = disc3
     q = q.copy()
     q[cx.interior_vertices] += rng.uniform(-0.05, 0.05, size=(len(cx.interior_vertices), 2))
-    mask = np.zeros(cx.num_vertices, dtype=bool)
-    mask[cx.boundary_vertices] = True
-    # the rows and columns of the free DOFs of the unpinned matrix, in dof_order
-    keep = np.flatnonzero(~np.repeat(mask, 2)[cx.dof_order])
-    ref = assemble_elasticity(q, cx)[keep][:, keep]
-    op = MetricOperator(MetricSpec.elasticity(), q, cx, fixed_mask=mask)
-    assert np.array_equal(op._order, cx.dof_order[keep])
-    mat = op._matrix
-    assert mat.format == ref.format == "csc"
-    for field in ("data", "indices", "indptr"):
-        assert getattr(mat, field).tobytes() == getattr(ref, field).tobytes()
+    boundary = np.zeros(cx.num_vertices, dtype=bool)
+    boundary[cx.boundary_vertices] = True
+    interior = np.zeros(cx.num_vertices, dtype=bool)
+    interior[cx.interior_vertices] = rng.random(len(cx.interior_vertices)) < 0.3
+    for mask in (boundary, interior):
+        # the rows and columns of the free DOFs of the unpinned matrix, in dof_order
+        keep = np.flatnonzero(~np.repeat(mask, 2)[cx.dof_order])
+        ref = assemble_elasticity(q, cx)[keep][:, keep]
+        op = MetricOperator(MetricSpec.elasticity(), q, cx, fixed_mask=mask)
+        assert np.array_equal(op._order, cx.dof_order[keep])
+        mat = op._matrix
+        assert mat.format == ref.format == "csc"
+        for field in ("data", "indices", "indptr"):
+            assert getattr(mat, field).tobytes() == getattr(ref, field).tobytes()
 
 
 def test_metric_symmetry_and_spd(disc2, rng):
