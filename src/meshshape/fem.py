@@ -5,9 +5,10 @@ with piecewise linear elements.  The load vector uses a one-point quadrature
 rule at triangle centroids; this exact rule choice is deliberately shared
 with the geometry derivative so that the discrete adjoint is the exact
 derivative of the discrete reduced objective.  The SPD reduced stiffness is
-stored in the complex's fill-reducing ``interior_order``: SuperLU factors its
-columns in that order, in symmetric mode.  The assembled system is kept per
-vertex configuration; each call factors it afresh, then runs ``mesh.checked_solve`` per right-hand side.
+stored on the complex's ``interior_p1_pattern``, whose ``kept`` DOFs are the interior
+vertices in fill-reducing order: SuperLU factors its columns in that order, in symmetric
+mode.  The assembled system is kept per vertex configuration; each call factors it afresh,
+then runs ``mesh.checked_solve`` per right-hand side and scatters each solution through the pattern.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import NonpositiveArea, SingularSystem
-from .mesh import (PREORDERED_LU, ConnectivityComplex, Configuration, checked_solve, configuration, read_only,
-                   scatter_add, signed_areas)
+from .mesh import (PREORDERED_LU, ConnectivityComplex, Configuration, SparsePattern, checked_solve, configuration,
+                   read_only, scatter_add, signed_areas)
 
 
 @dataclass(frozen=True)
@@ -60,12 +61,12 @@ def constant_rhs(c: float) -> RhsField:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Reduced stiffness, centroid-rule load and interior-DOF bookkeeping, read-only."""
+    """Reduced stiffness on its pattern, centroid-rule load and volume weights, read-only."""
 
-    reduced: sparse.csc_matrix  # P1 stiffness on the interior DOFs, ordered as ``interior``
+    reduced: sparse.csc_matrix  # P1 stiffness on the interior DOFs ``pattern.kept``, in that order
     load: np.ndarray
     volume_weights: np.ndarray  # integral of each nodal basis function
-    interior: np.ndarray        # non-boundary vertices in factorization order
+    pattern: SparsePattern
 
 
 def assemble(coords: np.ndarray, complex: ConnectivityComplex, rhs: RhsField) -> AssembledSystem:
@@ -82,9 +83,10 @@ def _assembled_system(record: Configuration, complex: ConnectivityComplex, rhs: 
     k_loc = areas[:, None, None] * np.einsum("tld,tmd->tlm", grads, grads)
     load = scatter_add(n_v, (tris, np.repeat(areas * record.memo(_centroid_rhs, rhs) / 3.0, 3)))
     weights = scatter_add(n_v, (tris, np.repeat(areas / 3.0, 3)))
-    reduced = complex.interior_p1_pattern.matrix(k_loc)
+    pattern = complex.interior_p1_pattern
+    reduced = pattern.matrix(k_loc)
     read_only(reduced.data, load, weights)
-    return AssembledSystem(reduced=reduced, load=load, volume_weights=weights, interior=complex.interior_order)
+    return AssembledSystem(reduced=reduced, load=load, volume_weights=weights, pattern=pattern)
 
 
 def _centroid_rhs(record: Configuration, rhs: RhsField) -> np.ndarray:
@@ -95,21 +97,15 @@ def _centroid_rhs(record: Configuration, rhs: RhsField) -> np.ndarray:
 
 def _reduced_solve(system: AssembledSystem, *rhs_full: np.ndarray) -> list:
     """Factor the reduced stiffness once, then solve each right-hand side: nodal solutions, None where one fails."""
-    solutions = [np.zeros_like(b) for b in rhs_full]
-    interior = system.interior
-    if interior.size == 0:
-        return solutions
+    pattern = system.pattern
+    if pattern.kept.size == 0:
+        return [np.zeros_like(b) for b in rhs_full]
     try:
         lu = splu(system.reduced, **PREORDERED_LU)
     except RuntimeError as exc:
         raise SingularSystem(str(exc)) from exc
-    for k, b in enumerate(rhs_full):
-        x = checked_solve(system.reduced, lu, b[interior])
-        if x is None:
-            solutions[k] = None
-        else:
-            solutions[k][interior] = x
-    return solutions
+    solutions = [checked_solve(system.reduced, lu, b[pattern.kept]) for b in rhs_full]
+    return [None if x is None else pattern.scattered(x, len(b)) for x, b in zip(solutions, rhs_full)]
 
 
 def solved(x: np.ndarray | None) -> np.ndarray:

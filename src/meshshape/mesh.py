@@ -133,14 +133,16 @@ class SparsePattern:
     """CSC pattern of a sum of dense element blocks: :meth:`matrix` adds the
     flattened element entry ``k`` to stored entry ``slots[k]`` (none for
     ``len(indices)``), each stored entry summing its contributions in element
-    order, as :func:`scatter_add` and ``np.add.at`` do."""
+    order, as :func:`scatter_add` and ``np.add.at`` do.  Its rows and columns are the DOFs ``kept``,
+    in that order: the one record of which DOFs a reduced system keeps."""
 
     indptr: np.ndarray
     indices: np.ndarray
     slots: np.ndarray
+    kept: np.ndarray
 
     def __post_init__(self):
-        for shared in (self.indptr, self.indices):  # by every assembled matrix
+        for shared in (self.indptr, self.indices, self.kept):  # by every assembled matrix and solution
             shared.flags.writeable = False
 
     @classmethod
@@ -165,13 +167,19 @@ class SparsePattern:
         ranks = np.cumsum(starts) - 1  # before slots: the cast of starts takes an entry-long temporary
         slots = np.empty_like(order)
         slots[order] = ranks  # a dropped entry's rank is len(indices)
-        return cls(indptr, indices, slots)
+        return cls(indptr, indices, slots, kept)
 
     def matrix(self, values: np.ndarray) -> sparse.csc_matrix:
         """The sum of the element blocks ``values``."""
         data = np.bincount(self.slots, weights=np.ravel(values), minlength=len(self.indices) + 1)
         size = len(self.indptr) - 1
         return sparse.csc_matrix((data[:-1], self.indices, self.indptr), shape=(size, size))
+
+    def scattered(self, x: np.ndarray, size: int) -> np.ndarray:
+        """The length-``size`` vector holding ``x`` at ``kept``, zeros elsewhere."""
+        out = np.zeros(size)
+        out[self.kept] = x
+        return out
 
 
 # SuperLU options for the symmetric positive definite matrices assembled on

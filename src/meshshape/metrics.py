@@ -1,16 +1,16 @@
 """Riemannian metrics on the space of vertex configurations.
 
-Three kinds: the Euclidean metric (identity), a linear-elasticity metric
-(vector P1 stiffness plus a damping multiple of the vector L2 Gram matrix,
-assembled fresh at the current configuration) and a rank-one metric
-``I + g g^T`` built from the gradient of the mesh-quality penalty, which the
-derivative-to-gradient solve inverts in closed form (Sherman-Morrison).  The
-SPD elasticity matrix is assembled in the complex's fill-reducing ``dof_order``, on
-the free DOFs alone when vertices are pinned, from 6x6 blocks over ``vertex_dofs``
-(``SparsePattern.build``); SuperLU factors its columns in that order, in symmetric
-mode.  It moves little from one iterate to the next, so an operator built with
-``previous`` keeps that operator's LU as the preconditioner of
-:func:`~meshshape.mesh.checked_solve`, the one SPD solve of the package; it factors
+Two families.  The rank-one metric ``I + g g^T``, which the derivative-to-gradient
+solve inverts in closed form (Sherman-Morrison): the complete metric, ``g`` the
+gradient of the mesh-quality penalty, and the Euclidean metric, ``g = 0``.  And a
+linear-elasticity metric (vector P1 stiffness plus a damping multiple of the vector
+L2 Gram matrix, assembled fresh at the current configuration).  The SPD elasticity
+matrix is assembled on a ``SparsePattern`` of 6x6 blocks over ``vertex_dofs``, whose
+``kept`` DOFs are the complex's fill-reducing ``dof_order``, or its free DOFs alone
+when vertices are pinned; SuperLU factors its columns in that order, in symmetric
+mode, and the pattern scatters solutions back to every DOF.  The matrix moves little
+from one iterate to the next, so an operator built with ``previous`` keeps that
+operator's LU as the preconditioner of :func:`~meshshape.mesh.checked_solve`, the one SPD solve of the package; it factors
 its own matrix only when ``CG_MAX_ITER`` iterations on the kept LU miss ``RESIDUAL_TOL``.
 As the LU only preconditions, it is factored and applied in ``LU_PRECISION``
 (single): a fresh one takes 2 or 3 LU solves to meet the float64 test, not 1.
@@ -43,10 +43,10 @@ LU_PRECISION = np.float32
 
 def check_complete_weights(penalty: PenaltyParams):
     """Raise :class:`InvalidValue` unless ``penalty`` can weight the complete metric:
-    a1, a2 and a4 positive.  a3 == 0 is admitted: the boundary term can be
-    switched off by a cutoff without affecting completeness in practice."""
-    a1, a2, a3, a4 = penalty.alpha
-    if a1 <= 0 or a2 <= 0 or a4 <= 0 or a3 < 0:
+    a1, a2 and a4 positive (``PenaltyParams`` admits no negative weight).  a3 == 0 is admitted:
+    the boundary term can be switched off by a cutoff without affecting completeness in practice."""
+    a1, a2, _, a4 = penalty.alpha
+    if a1 <= 0 or a2 <= 0 or a4 <= 0:
         raise InvalidValue("alpha", penalty.alpha, "must give the complete metric positive a1, a2, a4 and a3 >= 0")
 
 
@@ -108,8 +108,8 @@ class MetricOperator:
     """Metric at a fixed configuration: apply, solve, and norm.
 
     An optional per-vertex boolean mask restricts the metric to the complementary
-    (free) subspace, the elasticity metric to the free DOFs of ``dof_order``
-    (``_order``); masked coordinates are zero in both inputs and outputs of
+    (free) subspace, the elasticity metric to the free DOFs of ``dof_order``, which
+    its pattern keeps; masked coordinates are zero in both inputs and outputs of
     ``solve`` and in the output of an elasticity ``apply``.  An elasticity
     operator built with ``previous``, one on the same complex with the same mask,
     takes over its pattern and its LU, which preconditions ``solve`` instead of a
@@ -124,24 +124,23 @@ class MetricOperator:
             self._complex, self._lu, self._pattern = complex, None, None
             if previous is not None and previous.spec.kind == ELASTICITY:
                 if previous._complex is complex and np.array_equal(previous._free, self._free):
-                    self._lu, self._pattern, self._order = previous._lu, previous._pattern, previous._order
+                    self._lu, self._pattern = previous._lu, previous._pattern
                 previous._matrix = previous._lu = None
             self._lagged = self._lu is not None
             if self._pattern is None:  # built once per mask, then handed on
                 if self._free is None:
-                    self._pattern, self._order = complex.elasticity_pattern, complex.dof_order
+                    self._pattern = complex.elasticity_pattern
                 else:
-                    self._order = complex.dof_order[self._free[complex.dof_order]]
-                    self._pattern = SparsePattern.build(self._order, complex.vertex_dofs.reshape(-1, 6))
+                    kept = complex.dof_order[self._free[complex.dof_order]]
+                    self._pattern = SparsePattern.build(kept, complex.vertex_dofs.reshape(-1, 6))
             self._matrix = assemble_elasticity(coords, complex, self._pattern)
             if self._lu is None:
                 self._factorize()
         elif spec.kind == COMPLETE:
             g = penalty_gradient(coords, spec.qref, complex, spec.penalty)
-            if self._free is not None:
-                g = np.where(self._free, g, 0.0)
-            self._g = g
-        # Euclidean: nothing to precompute.
+            self._g = g if self._free is None else np.where(self._free, g, 0.0)
+        else:  # Euclidean: the rank-one metric with g = 0
+            self._g = np.zeros(self.n)
 
     def _factorize(self):
         self._lu = None  # at most one LU alive: drop a kept one before factoring
@@ -152,33 +151,25 @@ class MetricOperator:
         self._lagged = False
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        if self.spec.kind == EUCLIDEAN:
-            return np.array(v, dtype=float)
         if self.spec.kind == ELASTICITY:
-            return self._scattered(self._matrix @ v[self._order])
-        return v + self._g * (self._g @ v)
+            return self._pattern.scattered(self._matrix @ v[self._pattern.kept], self.n)
+        g = self._g
+        return v - g * (-g @ v)  # v + g (g.v); subtracting g = 0 keeps each -0.0 of v, adding would not
 
     def solve(self, d: np.ndarray) -> np.ndarray:
         if self.spec.kind == ELASTICITY:
-            d = d[self._order]
+            d = d[self._pattern.kept]
             x = checked_solve(self._matrix, self._lu, d, LU_PRECISION)
             if x is None and self._lagged:  # the kept LU has gone stale
                 self._factorize()
                 x = checked_solve(self._matrix, self._lu, d, LU_PRECISION)
             if x is None:
                 raise SingularSystem("metric solve residual too large or non-finite")
-            return self._scattered(x)
+            return self._pattern.scattered(x, self.n)
         if self._free is not None:
             d = np.where(self._free, d, 0.0)
-        if self.spec.kind == EUCLIDEAN:
-            return np.array(d, dtype=float)
         g = self._g
         return d - g * ((g @ d) / (1.0 + g @ g))
-
-    def _scattered(self, x: np.ndarray) -> np.ndarray:  # x at _order, zeros elsewhere
-        out = np.zeros(self.n)
-        out[self._order] = x
-        return out
 
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(max(v @ self.apply(v), 0.0)))

@@ -114,7 +114,7 @@ def test_criterion_1_nonexistence_counterexample():
             coords = q.copy()
             coords[4] = (0.0, 1.0 - eps)
             system = assemble(coords, cx, rhs)
-            assert list(system.interior) == [4]
+            assert list(system.pattern.kept) == [4]
             k_entries[eps] = system.reduced[0, 0]  # vertex 4, the only interior one
             load = system.load[4]
             assert load == pytest.approx(4.0 / 3.0, abs=1e-12), f"load {load}"

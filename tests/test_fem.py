@@ -32,7 +32,7 @@ def test_reference_assembly_center(square5):
     cx, q = square5
     sys_ = assemble(q, cx, constant_rhs(1.0))
     # hand assembly on four right isoceles triangles: diagonal entry 4, load 4/3
-    assert list(sys_.interior) == [4]
+    assert list(sys_.pattern.kept) == [4]
     assert sys_.reduced[0, 0] == pytest.approx(4.0, abs=1e-12)
     assert sys_.load[4] == pytest.approx(4.0 / 3.0, abs=1e-12)
 
@@ -43,7 +43,7 @@ def test_degenerate_family_assembly(eps):
     cx, qe = _degenerate_square5(eps)
     sys_ = assemble(qe, cx, constant_rhs(1.0))
     expected = 2.0 + 1.0 / eps + 1.0 / (2.0 - eps)
-    assert list(sys_.interior) == [4]
+    assert list(sys_.pattern.kept) == [4]
     assert sys_.reduced[0, 0] == pytest.approx(expected, rel=1e-12)
     assert sys_.load[4] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
@@ -75,7 +75,7 @@ def test_state_residual_contract(disc3):
     cx, q = disc3
     sys_ = assemble(q, cx, model_rhs())
     y = solve_state(sys_)
-    interior = sys_.interior
+    interior = sys_.pattern.kept
     b = sys_.load[interior]
     assert np.linalg.norm(sys_.reduced @ y[interior] - b) <= 1e-10 * np.linalg.norm(b)
 
@@ -116,7 +116,7 @@ def test_state_and_adjoint_share_one_factorization(mesh, monkeypatch):
 def test_shared_solve_without_interior_factors_nothing(monkeypatch):
     cx = build_complex([(0, 1, 2)], 3)
     sys_ = assemble(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), cx, model_rhs())
-    assert sys_.interior.size == 0
+    assert sys_.pattern.kept.size == 0
     monkeypatch.setattr(fem, "splu", lambda *args, **kwargs: pytest.fail("factored an empty system"))
     y, p = solve_state(sys_, adjoint=True)
     assert np.array_equal(y, np.zeros(3)) and np.array_equal(p, np.zeros(3))
@@ -343,7 +343,12 @@ def test_restricted_pattern_is_the_sliced_matrix(rings, case, rng):
     dofs, order, keep, values = _kept(cx, case, rng)
     full = SparsePattern.build(order, dofs).matrix(values)
     sliced = full[keep][:, keep].sorted_indices()  # slicing a CSC matrix leaves its rows unsorted
-    assert _same_bytes(SparsePattern.build(order[keep], dofs).matrix(values), sliced)
+    restricted = SparsePattern.build(order[keep], dofs)
+    assert _same_bytes(restricted.matrix(values), sliced)
+    # the restricted pattern scatters a gathered vector back to its kept DOFs, zeros elsewhere
+    v = rng.standard_normal(dofs.max() + 1)
+    kept_only = np.where(np.isin(np.arange(len(v)), order[keep]), v, 0.0)
+    assert restricted.scattered(v[restricted.kept], len(v)).tobytes() == kept_only.tobytes()
     if case == "p1-interior":
         assert _same_bytes(cx.interior_p1_pattern.matrix(values), sliced)
 
@@ -357,7 +362,7 @@ def test_symmetric_mode_state_residual(refinements):
         cx, q = uniform_refine(cx, q)
     sys_ = assemble(q, cx, constant_rhs(1.0))
     y = solve_state(sys_)
-    interior = sys_.interior
+    interior = sys_.pattern.kept
     b = sys_.load[interior]
     assert np.linalg.norm(sys_.reduced @ y[interior] - b) <= 1e-10 * np.linalg.norm(b)
 
@@ -370,9 +375,12 @@ def test_second_assemble_rebuilds_no_pattern():
     assert (cx.interior_p1_pattern, cx.interior_vertices) == cached
     # every matrix is built on the cached index arrays, not on copies
     for sys_ in (first, second):
-        assert sys_.interior is cx.interior_order
+        assert sys_.pattern.kept is cx.interior_order
         assert np.shares_memory(sys_.reduced.indices, cx.interior_p1_pattern.indices)
         assert np.shares_memory(sys_.reduced.indptr, cx.interior_p1_pattern.indptr)
+    # each pattern keeps the complex's own order, not a copy
+    assert cx.interior_p1_pattern.kept is cx.interior_order
+    assert cx.elasticity_pattern.kept is cx.dof_order
     elasticity = cx.elasticity_pattern
     for x in (q, q + 1e-3):
         assert np.shares_memory(assemble_elasticity(x, cx).indices, elasticity.indices)

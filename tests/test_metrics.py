@@ -110,7 +110,10 @@ def test_pinned_elasticity_is_the_free_block(disc3, rng):
         keep = np.flatnonzero(~np.repeat(mask, 2)[cx.dof_order])
         ref = assemble_elasticity(q, cx)[keep][:, keep]
         op = MetricOperator(MetricSpec.elasticity(), q, cx, fixed_mask=mask)
-        assert np.array_equal(op._order, cx.dof_order[keep])
+        assert np.array_equal(op._pattern.kept, cx.dof_order[keep])
+        free = ~np.repeat(mask, 2)
+        assert np.array_equal(op._pattern.kept, cx.dof_order[free[cx.dof_order]])
+        assert not op._pattern.kept.flags.writeable
         mat = op._matrix
         assert mat.format == ref.format == "csc"
         for field in ("data", "indices", "indptr"):
@@ -145,9 +148,19 @@ def test_to_gradient_inverts_metric(disc2, rng):
 
 
 def test_euclidean_gradient_is_identity(disc2, rng):
+    """The rank-one operator with g = 0 is the identity bit for bit, signed zeros kept, pinned or not."""
     cx, q = disc2
-    d = rng.standard_normal(2 * cx.num_vertices)
-    assert np.array_equal(MetricOperator(MetricSpec.euclidean(), q, cx).solve(d), d)
+    n = 2 * cx.num_vertices
+    pinned = np.isin(np.arange(cx.num_vertices), cx.boundary_vertices)
+    v = rng.standard_normal(n)
+    v[::3], v[1::3] = 0.0, -0.0
+    for mask in (None, pinned):
+        op = MetricOperator(MetricSpec.euclidean(), q, cx, fixed_mask=mask)
+        free = np.ones(n, dtype=bool) if mask is None else ~np.repeat(mask, 2)
+        for x in (v, -v, np.full(n, -0.0)):
+            assert op.solve(x).tobytes() == np.where(free, x, 0.0).tobytes()
+            assert op.apply(x).tobytes() == x.tobytes()
+            assert op.norm(x) == np.sqrt(x @ x)
 
 
 def test_sherman_morrison_closed_form(disc2, rng):
@@ -343,7 +356,7 @@ def test_fresh_operator_solves_directly(disc7_moves, rng):
     free = ~np.repeat(mask, 2)
     for fixed_mask, order in ((None, cx.dof_order), (mask, cx.dof_order[free[cx.dof_order]])):
         op = MetricOperator(MetricSpec.elasticity(), moved, cx, fixed_mask=fixed_mask)
-        assert np.array_equal(op._order, order)
+        assert np.array_equal(op._pattern.kept, order)
         op._lu = lu = _CountedLU(op._lu)
         d = rng.standard_normal(op.n)
         # the direct double-precision solve in the operator's order: one factorization of its matrix
@@ -372,7 +385,7 @@ def test_fresh_single_precision_lu_meets_the_tolerance_within_three_solves(mesh,
     fixed = np.isin(np.arange(cx.num_vertices), cx.boundary_vertices) if pinned else None
     op = MetricOperator(MetricSpec.elasticity(), q, cx, fixed_mask=fixed)
     op._lu = lu = _CountedLU(op._lu)
-    order = op._order
+    order = op._pattern.kept
     for _ in range(2):
         d = np.zeros(op.n)
         d[order] = rng.standard_normal(len(order))

@@ -361,7 +361,7 @@ def test_terminal_record_after_a_failed_adjoint_solve(disc3, monkeypatch):
         return systems[-1]
 
     def failing(a, lu, b):
-        adjoint = np.array_equal(b, -systems[-1].volume_weights[systems[-1].interior])
+        adjoint = np.array_equal(b, -systems[-1].volume_weights[systems[-1].pattern.kept])
         return None if adjoint and len(visited) > 1 else checked_solve(a, lu, b)
 
     monkeypatch.setattr(optimizer, "assemble", assembled)
